@@ -25,7 +25,6 @@ from .basis import (
 )
 from .conj import (
     AFormMatrix,
-    CFormMatrix,
     ConjugationReport,
     build_E,
     build_U,
@@ -37,6 +36,8 @@ from .errors import (
     BadIndexError,
     BadPrecisionError,
     ContextMismatchError,
+    DomainError,
+    InvariantError,
     NotAUnitError,
     NotInvertibleError,
     NotPrimeError,
@@ -77,10 +78,11 @@ __all__ = [
     "BadIndexError",
     "BadPrecisionError",
     "BivarPoly",
-    "CFormMatrix",
     "ConjugationReport",
     "ContextMismatchError",
+    "DomainError",
     "IntegralityResult",
+    "InvariantError",
     "Membership",
     "NotAUnitError",
     "NotInvertibleError",

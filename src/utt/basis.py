@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .errors import BadIndexError, ContextMismatchError, PrecisionExhaustedError
+from .errors import BadIndexError, ContextMismatchError, DomainError, PrecisionExhaustedError
 from .padic import PadicContext, PadicInt, PadicScaled, nu_factorial, nu_int
 from .qcalc import qbinom_eval
 
@@ -304,7 +304,7 @@ def expand_in_c_basis(f: BivarPoly) -> list[PadicScaled]:
     ctx = f.ctx
     n = f.weight()
     if n is None:
-        raise ValueError("expansion needs a nonzero homogeneous polynomial")
+        raise DomainError("expansion needs a nonzero homogeneous polynomial")
     one = ctx.one()
     q_hat = ctx.q_hat()
     out: list[PadicScaled] = []
@@ -352,7 +352,7 @@ def expand_in_g_basis(f: BivarPoly) -> list[PadicScaled]:
     """
     n = f.weight()
     if n is None:
-        raise ValueError("expansion needs a nonzero homogeneous polynomial")
+        raise DomainError("expansion needs a nonzero homogeneous polynomial")
     p = f.ctx.p
     out = []
     for s, lam in enumerate(expand_in_c_basis(f)):

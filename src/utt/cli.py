@@ -23,12 +23,9 @@ from .ops import build_Rn, build_Xn, build_basic
 from .padic import PadicContext, make_context
 from .qcalc import QPoly, qbinom
 from .utmat import UTWindow
-from .verify import SUITE_ORDER, CheckResult, default_suite_config, run_suites
+from .verify import BASIS_SUITES, MATRIX_SUITES, SUITE_ORDER, CheckResult, default_suite_config, run_suites
 
 ENV_DEFAULT_PRIME = "UTT_DEFAULT_PRIME"
-
-MATRIX_SUITES = {"qbinom-matrix", "rpower", "xn", "alpha"}
-BASIS_SUITES = {"integrality", "action", "alglem", "lower-g"}
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--kmax", type=int, default=8, help="largest basis index (default 8)")
     common.add_argument("--nmax", type=int, default=8, help="largest matrix index (default 8)")
     common.add_argument("--trials", type=int, default=50,
-                        help="random trials for seeded suites (default 50)")
+                        help="random C-forms for the conjugation/uc-ru checks (default 50)")
     common.add_argument("--seed", type=int, default=0, help="seed for random trials (default 0)")
     common.add_argument("--format", dest="fmt", choices=("json", "csv", "pretty"),
                         default="json", help="output format (default json)")
@@ -213,13 +210,18 @@ def cmd_basis(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_verify(cfg: RunConfig, suite: str) -> int:
     names = list(SUITE_ORDER) if suite == "all" else [suite]
-    if any(name in MATRIX_SUITES for name in names) and cfg.W < cfg.nmax + 2:
+    ctx = cfg.context()
+    for flag in ("nmax", "kmax", "trials"):
+        if getattr(cfg, flag) < 0:
+            raise ConfigError(f"--{flag} must be >= 0, got {getattr(cfg, flag)}")
+    if MATRIX_SUITES.intersection(names) and cfg.W < cfg.nmax + 2:
         raise ConfigError(f"matrix suites need W >= nmax + 2 = {cfg.nmax + 2}, got W={cfg.W}")
-    if any(name in BASIS_SUITES for name in names):
+    if not BASIS_SUITES.issuperset(names) and cfg.W < 2:
+        raise ConfigError(f"window suites need W >= 2, got W={cfg.W}")
+    if BASIS_SUITES.intersection(names):
         need = required_precision(cfg.p, cfg.kmax)
         if cfg.N < need:
             raise ConfigError(f"basis suites at kmax={cfg.kmax} need N >= {need}, got N={cfg.N}")
-    ctx = cfg.context()
     suite_cfg = default_suite_config(
         W=cfg.W, nmax=cfg.nmax, kmax=cfg.kmax, trials=cfg.trials, seed=cfg.seed
     )

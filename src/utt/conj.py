@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import BadIndexError, NotAUnitError
+from .errors import BadIndexError, DomainError, InvariantError, NotAUnitError
 from .ops import build_R
 from .padic import PadicContext, PadicInt
 from .utmat import UTWindow
@@ -29,7 +29,10 @@ def _as_padic(ctx: PadicContext, v: PadicInt | int) -> PadicInt:
 
 
 class AFormMatrix:
-    """Window with diagonal q_hat**i, unit superdiagonal, free upper part."""
+    """Window with diagonal q_hat**i, unit superdiagonal, free upper part.
+
+    A C-form is the special case whose superdiagonal is all ones.
+    """
 
     __slots__ = ("ctx", "W", "superdiag", "upper")
 
@@ -56,46 +59,8 @@ class AFormMatrix:
         self.superdiag = sd
         self.upper = up
 
-    def to_window(self) -> UTWindow:
-        def fn(i: int, j: int) -> PadicInt:
-            if i == j:
-                return self.ctx.q_hat_pow(i)
-            if j == i + 1:
-                return self.superdiag[i]
-            return self.upper.get((i, j), self.ctx.zero())
-
-        return UTWindow.from_fn(self.ctx, self.W, fn)
-
-    @classmethod
-    def random(cls, ctx: PadicContext, W: int, rng: random.Random) -> "AFormMatrix":
-        superdiag = []
-        for _ in range(W - 1):
-            u = rng.randrange(ctx.modulus)
-            if u % ctx.p == 0:
-                u += rng.randrange(1, ctx.p)
-            superdiag.append(u)
-        upper = {
-            (i, j): rng.randrange(ctx.modulus)
-            for i in range(W)
-            for j in range(i + 2, W)
-        }
-        return cls(ctx, W, superdiag, upper)
-
-
-class CFormMatrix:
-    """A-form window whose superdiagonal has already been scaled to ones."""
-
-    __slots__ = ("ctx", "W", "upper")
-
-    def __init__(self, ctx: PadicContext, W: int, upper: Mapping[tuple[int, int], PadicInt | int]):
-        up = {}
-        for (i, j), v in upper.items():
-            if not (0 <= i and i + 2 <= j < W):
-                raise BadIndexError(f"upper entry ({i},{j}) not strictly above the superdiagonal")
-            up[(i, j)] = _as_padic(ctx, v)
-        self.ctx = ctx
-        self.W = W
-        self.upper = up
+    def is_c_form(self) -> bool:
+        return all(v.residue == 1 for v in self.superdiag)
 
     def c(self, i: int, j: int) -> PadicInt:
         """Free entry at (i, j), j >= i + 2; zero when unset."""
@@ -106,35 +71,43 @@ class CFormMatrix:
             if i == j:
                 return self.ctx.q_hat_pow(i)
             if j == i + 1:
-                return self.ctx.one()
-            return self.upper.get((i, j), self.ctx.zero())
+                return self.superdiag[i]
+            return self.c(i, j)
 
         return UTWindow.from_fn(self.ctx, self.W, fn)
 
     @classmethod
-    def from_window(cls, win: UTWindow) -> "CFormMatrix":
-        ctx = win.ctx
-        for i in range(win.W):
+    def from_window(cls, win: UTWindow) -> "AFormMatrix":
+        ctx, W = win.ctx, win.W
+        for i in range(W):
             if win.entry(i, i) != ctx.q_hat_pow(i):
-                raise ValueError(f"diagonal entry ({i},{i}) is not q_hat**{i}")
-            if i + 1 < win.W and win.entry(i, i + 1) != ctx.one():
-                raise ValueError(f"superdiagonal entry ({i},{i + 1}) is not 1")
+                raise DomainError(f"diagonal entry ({i},{i}) is not q_hat**{i}")
+        superdiag = [win.entry(i, i + 1) for i in range(W - 1)]
         upper = {
             (i, j): win.entry(i, j)
-            for i in range(win.W)
-            for j in range(i + 2, win.W)
+            for i in range(W)
+            for j in range(i + 2, W)
             if not win.entry(i, j).is_zero()
         }
-        return cls(ctx, win.W, upper)
+        return cls(ctx, W, superdiag, upper)
 
     @classmethod
-    def random(cls, ctx: PadicContext, W: int, rng: random.Random) -> "CFormMatrix":
+    def random(cls, ctx: PadicContext, W: int, rng: random.Random, c_form: bool = False) -> "AFormMatrix":
+        """Random free part; the superdiagonal is all ones if c_form, else random units."""
+        superdiag = [1] * (W - 1) if c_form else [_random_unit(ctx, rng) for _ in range(W - 1)]
         upper = {
             (i, j): rng.randrange(ctx.modulus)
             for i in range(W)
             for j in range(i + 2, W)
         }
-        return cls(ctx, W, upper)
+        return cls(ctx, W, superdiag, upper)
+
+
+def _random_unit(ctx: PadicContext, rng: random.Random) -> int:
+    u = rng.randrange(ctx.modulus)
+    if u % ctx.p == 0:
+        u += rng.randrange(1, ctx.p)
+    return u
 
 
 def build_E(ctx: PadicContext, superdiag: Sequence[PadicInt | int], W: int) -> UTWindow:
@@ -153,18 +126,17 @@ def build_E(ctx: PadicContext, superdiag: Sequence[PadicInt | int], W: int) -> U
     return UTWindow.from_fn(ctx, W, lambda i, j: diag[i] if i == j else ctx.zero())
 
 
-def normalize_superdiag(a: AFormMatrix) -> CFormMatrix:
-    """Conjugate by build_E to make every superdiagonal entry exactly 1."""
+def normalize_superdiag(a: AFormMatrix) -> AFormMatrix:
+    """Conjugate by build_E to make every superdiagonal entry exactly 1.
+
+    The result is read back through from_window, which rejects a
+    disturbed diagonal; build_U rejects a superdiagonal that is not 1.
+    """
     e = build_E(a.ctx, a.superdiag, a.W)
-    win = e * a.to_window() * e.inverse()
-    for i in range(a.W):
-        assert win.entry(i, i) == a.ctx.q_hat_pow(i), "diagonal disturbed by normalization"
-        if i + 1 < a.W:
-            assert win.entry(i, i + 1) == a.ctx.one(), "superdiagonal not rescaled to 1"
-    return CFormMatrix.from_window(win)
+    return AFormMatrix.from_window(e * a.to_window() * e.inverse())
 
 
-def build_U(c_mat: CFormMatrix) -> UTWindow:
+def build_U(c_mat: AFormMatrix) -> UTWindow:
     """Solve U*C = R*U row by row, starting from U[0] = (1, 0, 0, ...).
 
     Row i+1 is forced by row i:
@@ -174,9 +146,11 @@ def build_U(c_mat: CFormMatrix) -> UTWindow:
                     + (q_hat**j - q_hat**i) * U[i][j]
 
     The result is upper-triangular with a unit diagonal; both facts are
-    asserted rather than assumed.
+    checked rather than assumed.  c_mat must be a C-form.
     """
     ctx, W = c_mat.ctx, c_mat.W
+    if not c_mat.is_c_form():
+        raise DomainError("build_U needs a C-form: every superdiagonal entry must be 1")
     zero = ctx.zero()
     grid = [[zero] * W for _ in range(W)]
     grid[0][0] = ctx.one()
@@ -191,9 +165,10 @@ def build_U(c_mat: CFormMatrix) -> UTWindow:
             acc = acc + (ctx.q_hat_pow(j) - ctx.q_hat_pow(i)) * row[j]
             nxt[j] = acc
     for i in range(W):
-        for j in range(i):
-            assert grid[i][j].is_zero(), f"U[{i}][{j}] nonzero below the diagonal"
-        assert grid[i][i].is_unit(), f"U[{i}][{i}] is not a unit"
+        if not all(grid[i][j].is_zero() for j in range(i)):
+            raise InvariantError(f"U row {i} is nonzero below the diagonal")
+        if not grid[i][i].is_unit():
+            raise InvariantError(f"U[{i}][{i}] is not a unit")
     return UTWindow.from_fn(ctx, W, lambda i, j: grid[i][j])
 
 
@@ -219,7 +194,7 @@ class ConjugationReport:
         }
 
 
-def verify_conjugation(c_mat: CFormMatrix) -> ConjugationReport:
+def verify_conjugation(c_mat: AFormMatrix) -> ConjugationReport:
     """Build U for this C and compare U*C with R*U entry by entry."""
     ctx, W = c_mat.ctx, c_mat.W
     u = build_U(c_mat)

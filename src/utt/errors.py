@@ -43,3 +43,11 @@ class NotInvertibleError(UttError):
 
 class BadIndexError(UttError):
     """An index fell outside the domain of the requested object."""
+
+
+class DomainError(UttError, ValueError):
+    """An argument lies outside the domain of the function it was passed to."""
+
+
+class InvariantError(UttError):
+    """A computed result broke a property that its construction guarantees."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import BadIndexError, ContextMismatchError
+from .errors import BadIndexError, ContextMismatchError, InvariantError
 from .padic import PadicContext, PadicInt
 from .qcalc import binom, qbinom_eval
 from .utmat import UTWindow
@@ -128,7 +128,7 @@ def alpha(coeffs: Sequence[PadicInt], W: int) -> UTWindow:
     """The window of sum_n coeffs[n] * X_n.
 
     Column j of the result is already exact after the first j+1 terms:
-    X_n kills the leading n columns, which is asserted for every term
+    X_n kills the leading n columns, which is checked for every term
     and exploited by skipping all terms with n >= W outright.
     """
     if not coeffs:
@@ -144,6 +144,7 @@ def alpha(coeffs: Sequence[PadicInt], W: int) -> UTWindow:
             break
         if n > 0:
             xn = xn * build_Rn(ctx, n, W)
-        assert xn.filtration_level() >= n, f"X_{n} fails to kill its leading columns"
+        if xn.filtration_level() < n:
+            raise InvariantError(f"X_{n} fails to kill its leading columns")
         acc = acc + xn.scale(a)
     return acc

@@ -24,6 +24,8 @@ from typing import Union
 from .errors import (
     BadPrecisionError,
     ContextMismatchError,
+    DomainError,
+    InvariantError,
     NotAUnitError,
     NotPrimeError,
     NotPrimitiveError,
@@ -58,8 +60,10 @@ def multiplicative_order(a: int, modulus: int) -> int:
 
 def nu_int(p: int, n: int) -> int:
     """p-adic valuation of a nonzero ordinary integer."""
+    if p < 2:
+        raise DomainError(f"valuation needs a base p >= 2, got {p}")
     if n == 0:
-        raise ValueError("valuation of 0 is not a finite integer")
+        raise DomainError("valuation of 0 is not a finite integer")
     n = abs(n)
     v = 0
     while n % p == 0:
@@ -70,8 +74,10 @@ def nu_int(p: int, n: int) -> int:
 
 def nu_factorial(p: int, k: int) -> int:
     """Valuation of k! via the floor-sum formula sum_i floor(k / p**i)."""
+    if p < 2:
+        raise DomainError(f"factorial valuation needs a base p >= 2, got {p}")
     if k < 0:
-        raise ValueError("factorial valuation needs k >= 0")
+        raise DomainError("factorial valuation needs k >= 0")
     total = 0
     q = k // p
     while q:
@@ -138,8 +144,10 @@ def make_context(p: int, q: int, N: int) -> PadicContext:
     q_hat = pow(q, p - 1, modulus)
     ctx = PadicContext(p=p, N=N, q=q, modulus=modulus, q_hat_residue=q_hat, rho=2 * (p - 1))
     # Order p*(p-1) guarantees both congruence facts; cheap to re-check.
-    assert q_hat % p == 1
-    assert N < 2 or q_hat % (p * p) != 1
+    if q_hat % p != 1:
+        raise InvariantError(f"q_hat = {q}**{p - 1} is not 1 mod {p}")
+    if N >= 2 and q_hat % (p * p) == 1:
+        raise InvariantError(f"q_hat = {q}**{p - 1} is 1 mod {p}**2")
     return ctx
 
 
@@ -197,7 +205,7 @@ class PadicInt:
 
     def __pow__(self, k: int) -> "PadicInt":
         if not isinstance(k, int) or k < 0:
-            raise ValueError("PadicInt exponent must be a nonnegative integer")
+            raise DomainError("PadicInt exponent must be a nonnegative integer")
         return PadicInt(self.ctx, pow(self.residue, k, self.ctx.modulus))
 
     def __eq__(self, other: object) -> bool:
@@ -269,7 +277,7 @@ class PadicScaled:
             sig = min(sig, ctx.N)
             unit %= ctx.p**sig
             if unit % ctx.p == 0:
-                raise ValueError("unit part must be prime to p")
+                raise DomainError("unit part must be prime to p")
         self.ctx = ctx
         self.val = val
         self.unit = unit

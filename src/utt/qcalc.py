@@ -15,6 +15,7 @@ import math
 from functools import lru_cache
 from typing import Iterable
 
+from .errors import DomainError
 from .padic import PadicInt
 
 
@@ -128,7 +129,7 @@ def qbinom(n: int, i: int) -> QPoly:
     convention used by the matrix entry formulas.
     """
     if n < 0:
-        raise ValueError("qbinom needs n >= 0")
+        raise DomainError("qbinom needs n >= 0")
     if i < 0 or i > n:
         return QPoly.zero()
     if i == 0 or i == n:
@@ -147,7 +148,7 @@ def qbinom_eval(n: int, i: int, x: PadicInt | int):
 def binom(n: int, k: int) -> int:
     """Ordinary binomial coefficient, 0 outside 0 <= k <= n."""
     if n < 0:
-        raise ValueError("binom needs n >= 0")
+        raise DomainError("binom needs n >= 0")
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)

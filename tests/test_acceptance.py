@@ -16,7 +16,7 @@ import sys
 import time
 
 from utt.basis import big_F, check_integrality, f_poly
-from utt.conj import AFormMatrix, CFormMatrix, build_U, conjugator
+from utt.conj import AFormMatrix, build_U, conjugator
 from utt.ops import (
     alpha,
     build_D,
@@ -113,7 +113,7 @@ def test_criterion_4_conjugation(acceptance_recorder):
         rng = random.Random(ctx.p)
         r = build_R(ctx, W_c)
         for _ in range(50):
-            c = CFormMatrix.random(ctx, W_c, rng)
+            c = AFormMatrix.random(ctx, W_c, rng, c_form=True)
             u = build_U(c)
             ok = ok and u * c.to_window() == r * u
             for i in range(W_c):

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from utt import cli
-from utt.verify import ALL_ANCHORS, CheckResult
+from utt.verify import ALL_ANCHORS, SUITE_ORDER, CheckResult
 
 
 def run_cli(capsys, argv):
@@ -51,12 +55,54 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
         ["verify", "integrality", "--N", "10"],            # precision below basis need
         ["matrix", "Xn"],                                  # missing --n
         ["basis", "F", "--k", "2"],                        # missing --i/--j
+        ["verify", "all", "--p", "1"],                     # p = 1: no valuation base
+        ["verify", "action", "--p", "0"],                  # p = 0: no valuation base
+        ["verify", "integrality", "--p", "-1"],            # negative p
+        ["verify", "integrality", "--kmax", "-1"],         # negative basis index
+        ["verify", "conjugation", "--trials", "-3"],       # negative trial count
+        ["verify", "xn", "--nmax", "-1", "--W", "3"],      # negative matrix index
+        ["verify", "conjugation", "--W", "1"],             # window too small to conjugate
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_env_prime_one_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_DEFAULT_PRIME, "1")
+    code, out, err = run_cli(capsys, ["verify", "all"])
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+COMMANDS = [["verify", s] for s in SUITE_ORDER + ("all",)] + [
+    ["matrix", "R"], ["matrix", "Xn"], ["basis", "g"], ["qbinom"],
+]
+FUZZED_FLAGS = ("--p", "--q", "--N", "--W", "--n", "--k", "--m", "--l",
+                "--kmax", "--nmax", "--trials")
+
+
+@settings(max_examples=100)
+@given(
+    command=st.sampled_from(COMMANDS),
+    flags=st.dictionaries(st.sampled_from(FUZZED_FLAGS), st.integers(-3, 8), max_size=5),
+)
+def test_fuzz_argv_keeps_exit_contract(command, flags):
+    """Small bounded argvs: exit 0, 1 or 2, and never a traceback."""
+    # Cheap defaults first; a fuzzed flag given later overrides them.
+    argv = command + ["--W", "4", "--nmax", "2", "--kmax", "3", "--trials", "2"]
+    for flag, value in flags.items():
+        argv += [flag, str(value)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects a malformed argv
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 # ------------------------------------------------------------- environment

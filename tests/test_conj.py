@@ -8,7 +8,6 @@ import pytest
 
 from utt.conj import (
     AFormMatrix,
-    CFormMatrix,
     ConjugationReport,
     build_E,
     build_U,
@@ -60,7 +59,7 @@ def test_a_form_random_is_valid(ctx):
 
 
 def test_c_form_window_layout(ctx):
-    c = CFormMatrix(ctx, 4, {(0, 2): 3, (1, 3): 9})
+    c = AFormMatrix(ctx, 4, [1, 1, 1], {(0, 2): 3, (1, 3): 9})
     win = c.to_window()
     for i in range(4):
         assert win.entry(i, i) == ctx.q_hat_pow(i)
@@ -69,13 +68,26 @@ def test_c_form_window_layout(ctx):
     assert win.entry(0, 2).residue == 3
     assert win.entry(1, 3).residue == 9
     assert win.entry(0, 3).residue == 0
-    assert CFormMatrix.from_window(win).c(0, 2).residue == 3
+    assert AFormMatrix.from_window(win).c(0, 2).residue == 3
 
 
 def test_c_form_from_window_rejects_wrong_shape(ctx):
     bad_diag = UTWindow.identity(ctx, 4)
     with pytest.raises(ValueError):
-        CFormMatrix.from_window(bad_diag)
+        AFormMatrix.from_window(bad_diag)
+
+
+def test_a_form_from_window_round_trip(ctx):
+    a = AFormMatrix.random(ctx, W, random.Random(8))
+    back = AFormMatrix.from_window(a.to_window())
+    assert back.superdiag == a.superdiag and back.upper == a.upper
+    assert not back.is_c_form()
+
+
+def test_build_u_rejects_non_c_form(ctx):
+    a = AFormMatrix(ctx, 4, [1, 2, 1], {})
+    with pytest.raises(ValueError, match="C-form"):
+        build_U(a)
 
 
 # ------------------------------------------------------- superdiagonal fix
@@ -86,6 +98,7 @@ def test_normalize_superdiag(ctx):
     for _ in range(10):
         a = AFormMatrix.random(ctx, W, rng)
         c = normalize_superdiag(a)
+        assert isinstance(c, AFormMatrix) and c.is_c_form()
         win = c.to_window()
         for i in range(W):
             assert win.entry(i, i) == ctx.q_hat_pow(i)
@@ -110,7 +123,7 @@ def test_build_e_diagonal_conjugation(ctx):
 
 def test_u_first_row_is_unit_vector(ctx):
     rng = random.Random(5)
-    c = CFormMatrix.random(ctx, W, rng)
+    c = AFormMatrix.random(ctx, W, rng, c_form=True)
     u = build_U(c)
     assert u.entry(0, 0).residue == 1
     for j in range(1, W):
@@ -120,7 +133,7 @@ def test_u_first_row_is_unit_vector(ctx):
 def test_u_has_group_diagonal(ctx):
     """The diagonal of U lies in 1 + pZ_p, so U is in the unit group."""
     rng = random.Random(6)
-    c = CFormMatrix.random(ctx, W, rng)
+    c = AFormMatrix.random(ctx, W, rng, c_form=True)
     u = build_U(c)
     for i in range(W):
         assert u.entry(i, i).is_unit()
@@ -134,7 +147,7 @@ def test_uc_equals_ru(ctx):
     rng = random.Random(1000 + ctx.p)
     r = build_R(ctx, W)
     for _ in range(50):
-        c = CFormMatrix.random(ctx, W, rng)
+        c = AFormMatrix.random(ctx, W, rng, c_form=True)
         u = build_U(c)
         assert u * c.to_window() == r * u
         rep = verify_conjugation(c)
@@ -156,7 +169,7 @@ def test_end_to_end_conjugation(ctx):
 
 def test_report_json_shape(ctx):
     rng = random.Random(7)
-    rep = verify_conjugation(CFormMatrix.random(ctx, 5, rng))
+    rep = verify_conjugation(AFormMatrix.random(ctx, 5, rng, c_form=True))
     data = rep.to_json()
     assert data == {
         "p": ctx.p,

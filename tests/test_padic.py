@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from utt.errors import (
     BadPrecisionError,
     ContextMismatchError,
+    DomainError,
     NotAUnitError,
     NotPrimeError,
     NotPrimitiveError,
     PrecisionExhaustedError,
+    UttError,
 )
 from utt.padic import (
     PadicInt,
@@ -194,6 +196,19 @@ def test_nu_factorial_digit_sum_identity(p):
 def test_nu_int_rejects_zero():
     with pytest.raises(ValueError):
         nu_int(3, 0)
+
+
+@pytest.mark.parametrize("p", [1, 0, -1])
+def test_valuations_reject_base_below_two(p):
+    """A base below 2 would never divide out: a hang or a ZeroDivisionError."""
+    with pytest.raises(DomainError):
+        nu_int(p, 6)
+    with pytest.raises(DomainError):
+        nu_factorial(p, 6)
+
+
+def test_domain_error_is_both_utt_and_value_error():
+    assert issubclass(DomainError, UttError) and issubclass(DomainError, ValueError)
 
 
 # ------------------------------------------------------------- PadicScaled

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 
+from utt import verify
 from utt.padic import make_context
+from utt.utmat import UTWindow
 from utt.verify import (
     ALL_ANCHORS,
     SUITE_BUILDERS,
@@ -93,3 +95,48 @@ def test_action_branch_coverage_reported_at_defaults():
     results = list(run_suites(ctx, ["action"], cfg))
     coverage = [r for r in results if "coverage" in r.name]
     assert coverage and all(r.passed for r in coverage)
+
+
+# ----------------------------------------------------------- failure details
+
+
+def _failures(ctx, suite):
+    return [r for r in run_suites(ctx, [suite], _fast_config()) if not r.passed]
+
+
+def test_rpower_failure_names_first_mismatch(ctx3, monkeypatch):
+    real = verify.rpower_closed
+
+    def off_by_one_at_1_2(ctx, n, s, c):
+        value = real(ctx, n, s, c)
+        return value + 1 if (s, c) == (1, 1) else value
+
+    monkeypatch.setattr(verify, "rpower_closed", off_by_one_at_1_2)
+    bad = _failures(ctx3, "rpower")
+    assert [r.name for r in bad] == [f"rpower/n={n}" for n in range(FAST_CFG["nmax"] + 1)]
+    assert {r.detail for r in bad} == {"first mismatch at (1,2)"}
+    assert all(r.params["W"] == FAST_CFG["W"] for r in bad)
+
+
+def test_coverage_failure_lists_expected_branches(ctx3, monkeypatch):
+    hit = sorted(verify.reachable_action_branches(3, FAST_CFG["kmax"]))
+    monkeypatch.setattr(verify, "reachable_action_branches", lambda p, kmax: frozenset({"diag:x"}))
+    (bad,) = _failures(ctx3, "action")
+    assert bad.name == "action/g/branch-coverage"
+    assert bad.detail == "expected ['diag:x']"
+    assert bad.params["branches"] == hit
+
+
+def test_alpha_failure_names_unstable_column(ctx3, monkeypatch):
+    real = verify.alpha
+
+    def column_2_drifts(coeffs, W):
+        win = real(coeffs, W)
+        if len(coeffs) != 3:
+            return win
+        return UTWindow.from_fn(ctx3, W, lambda i, j: win.entry(i, j) + (i == 1 and j == 2))
+
+    monkeypatch.setattr(verify, "alpha", column_2_drifts)
+    bad = _failures(ctx3, "alpha")
+    assert len(bad) == verify.ALPHA_TRIALS
+    assert {r.detail for r in bad} == {"column 2 unstable at row 1"}
