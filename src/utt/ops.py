@@ -35,11 +35,12 @@ def row_exponent(s: int, k: int) -> int:
 
 
 def build_D(ctx: PadicContext, W: int) -> UTWindow:
-    return UTWindow.from_fn(ctx, W, lambda i, j: ctx.q_hat_pow(i) if i == j else ctx.zero())
+    q_hat, m = ctx.q_hat_residue, ctx.modulus
+    return UTWindow(ctx, W, [pow(q_hat, i, m) if j == i else 0 for i in range(W) for j in range(i, W)])
 
 
 def build_S(ctx: PadicContext, W: int) -> UTWindow:
-    return UTWindow.from_fn(ctx, W, lambda i, j: 1 if j == i + 1 else 0)
+    return UTWindow(ctx, W, [1 if j == i + 1 else 0 for i in range(W) for j in range(i, W)])
 
 
 def build_R(ctx: PadicContext, W: int) -> UTWindow:
@@ -68,8 +69,26 @@ def build_Xn(ctx: PadicContext, n: int, W: int) -> UTWindow:
         raise BadIndexError(f"X_n needs n >= 0, got {n}")
     acc = UTWindow.identity(ctx, W)
     for m in range(1, n + 1):
-        acc = acc * build_Rn(ctx, m, W)
+        acc = _times_bidiagonal(acc, build_Rn(ctx, m, W))
     return acc
+
+
+def _times_bidiagonal(x: UTWindow, r: UTWindow) -> UTWindow:
+    """x * r for a bidiagonal r such as R_n, as an O(W**2) column update.
+
+    Column j of the product is r(j, j) times column j of x plus
+    r(j-1, j) times column j-1 of x.
+    """
+    rows = r.rows()
+    if any(any(row[2:]) for row in rows):
+        raise InvariantError("_times_bidiagonal needs a bidiagonal right factor")
+    diag = [row[0] for row in rows]
+    sup = [0] + [row[1] for row in rows[:-1]]
+    out = []
+    for i, row in enumerate(x.rows()):
+        out.append(row[0] * diag[i])
+        out.extend(v * d + u * s for v, u, d, s in zip(row[1:], row, diag[i + 1:], sup[i + 1:]))
+    return UTWindow(x.ctx, x.W, out)
 
 
 def rpower_closed(ctx: PadicContext, n: int, s: int, c: int) -> PadicInt:
@@ -135,7 +154,7 @@ def alpha(coeffs: Sequence[PadicInt], W: int) -> UTWindow:
         raise BadIndexError("alpha needs at least one coefficient")
     ctx = coeffs[0].ctx
     for a in coeffs:
-        if a.ctx != ctx:
+        if a.ctx is not ctx and a.ctx != ctx:
             raise ContextMismatchError("alpha coefficients from mixed contexts")
     acc = UTWindow.zero(ctx, W)
     xn = UTWindow.identity(ctx, W)
@@ -143,7 +162,7 @@ def alpha(coeffs: Sequence[PadicInt], W: int) -> UTWindow:
         if n >= W:
             break
         if n > 0:
-            xn = xn * build_Rn(ctx, n, W)
+            xn = _times_bidiagonal(xn, build_Rn(ctx, n, W))
         if xn.filtration_level() < n:
             raise InvariantError(f"X_{n} fails to kill its leading columns")
         acc = acc + xn.scale(a)

@@ -165,7 +165,7 @@ class PadicInt:
 
     def _coerce(self, other: IntLike) -> "PadicInt":
         if isinstance(other, PadicInt):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ContextMismatchError(f"{self.ctx} vs {other.ctx}")
             return other
         if isinstance(other, int):
@@ -213,7 +213,7 @@ class PadicInt:
             other = PadicInt(self.ctx, other)
         if not isinstance(other, PadicInt):
             return NotImplemented
-        return self.ctx == other.ctx and self.residue == other.residue
+        return (self.ctx is other.ctx or self.ctx == other.ctx) and self.residue == other.residue
 
     def __hash__(self) -> int:
         return hash((self.ctx.p, self.ctx.N, self.ctx.q, self.residue))
@@ -311,7 +311,7 @@ class PadicScaled:
 
     def _coerce(self, other) -> "PadicScaled":
         if isinstance(other, PadicScaled):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ContextMismatchError(f"{self.ctx} vs {other.ctx}")
             return other
         if isinstance(other, PadicInt):
@@ -388,7 +388,7 @@ class PadicScaled:
             other = self._coerce(other)
         if not isinstance(other, PadicScaled):
             return NotImplemented
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             return False
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()

@@ -13,7 +13,8 @@ Row and column indices are 0-based throughout the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from operator import mul
+from typing import Callable, Iterable
 
 from .errors import (
     BadIndexError,
@@ -33,18 +34,27 @@ class Membership:
 
 
 class UTWindow:
-    """Immutable W-by-W upper-triangular window."""
+    """Immutable W-by-W upper-triangular window of canonical int residues.
+
+    The entries (i, j), i <= j, are stored row by row in one flat tuple
+    of ints in [0, p**N).  Every operation checks the context and size
+    once, works on plain ints, and reduces modulo p**N once per output
+    entry; entry() turns a residue back into a PadicInt.
+    """
 
     __slots__ = ("ctx", "W", "_e")
 
-    def __init__(self, ctx: PadicContext, W: int, entries: Sequence[PadicInt]):
+    def __init__(self, ctx: PadicContext, W: int, residues: Iterable[int]):
+        """`residues` lists the entries (i, j), i <= j, row by row; each is reduced mod p**N."""
         if W < 1:
             raise BadIndexError(f"window size must be >= 1, got {W}")
-        if len(entries) != W * (W + 1) // 2:
-            raise SizeMismatchError(f"expected {W * (W + 1) // 2} entries, got {len(entries)}")
+        m = ctx.modulus
+        e = tuple([v % m for v in residues])
+        if len(e) != W * (W + 1) // 2:
+            raise SizeMismatchError(f"expected {W * (W + 1) // 2} entries, got {len(e)}")
         self.ctx = ctx
         self.W = W
-        self._e = tuple(entries)
+        self._e = e
 
     def _idx(self, i: int, j: int) -> int:
         return i * self.W - i * (i - 1) // 2 + (j - i)
@@ -56,17 +66,20 @@ class UTWindow:
         for i in range(W):
             for j in range(i, W):
                 v = fn(i, j)
-                entries.append(v if isinstance(v, PadicInt) else PadicInt(ctx, v))
+                if isinstance(v, PadicInt):
+                    if v.ctx is not ctx and v.ctx != ctx:
+                        raise ContextMismatchError(f"entry ({i},{j}) from {v.ctx}, window in {ctx}")
+                    v = v.residue
+                entries.append(v)
         return cls(ctx, W, entries)
 
     @classmethod
     def identity(cls, ctx: PadicContext, W: int) -> "UTWindow":
-        return cls.from_fn(ctx, W, lambda i, j: 1 if i == j else 0)
+        return cls(ctx, W, [1 if j == i else 0 for i in range(W) for j in range(i, W)])
 
     @classmethod
     def zero(cls, ctx: PadicContext, W: int) -> "UTWindow":
-        z = ctx.zero()
-        return cls(ctx, W, [z] * (W * (W + 1) // 2))
+        return cls(ctx, W, [0] * (W * (W + 1) // 2))
 
     def entry(self, i: int, j: int) -> PadicInt:
         """Entry (i, j); zero below the diagonal, error outside the window."""
@@ -74,10 +87,27 @@ class UTWindow:
             raise BadIndexError(f"({i},{j}) outside {self.W}x{self.W} window")
         if i > j:
             return self.ctx.zero()
-        return self._e[self._idx(i, j)]
+        return PadicInt(self.ctx, self._e[self._idx(i, j)])
+
+    def rows(self) -> list[tuple[int, ...]]:
+        """Row i as the residues of the entries (i, i), (i, i+1), ..., (i, W-1)."""
+        W, e = self.W, self._e
+        out, off = [], 0
+        for i in range(W):
+            out.append(e[off:off + W - i])
+            off += W - i
+        return out
+
+    def _columns(self) -> list[list[int]]:
+        """Column j as the residues of the entries (0, j), (1, j), ..., (j, j)."""
+        cols: list[list[int]] = [[] for _ in range(self.W)]
+        for i, row in enumerate(self.rows()):
+            for col, v in zip(cols[i:], row):
+                col.append(v)
+        return cols
 
     def _check(self, other: "UTWindow") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError(f"{self.ctx} vs {other.ctx}")
         if self.W != other.W:
             raise SizeMismatchError(f"window sizes {self.W} vs {other.W}")
@@ -91,23 +121,24 @@ class UTWindow:
         return UTWindow(self.ctx, self.W, [a - b for a, b in zip(self._e, other._e)])
 
     def scale(self, c: PadicInt | int) -> "UTWindow":
-        if not isinstance(c, PadicInt):
-            c = PadicInt(self.ctx, c)
+        if isinstance(c, PadicInt):
+            if c.ctx is not self.ctx and c.ctx != self.ctx:
+                raise ContextMismatchError(f"{self.ctx} vs {c.ctx}")
+            c = c.residue
         return UTWindow(self.ctx, self.W, [c * a for a in self._e])
 
     def __neg__(self) -> "UTWindow":
         return self.scale(-1)
 
     def __mul__(self, other: "UTWindow") -> "UTWindow":
+        """Entry (i, j) is the sum over i <= k <= j of self(i, k) * other(k, j)."""
         self._check(other)
-        entries = []
-        for i in range(self.W):
-            for j in range(i, self.W):
-                acc = self.ctx.zero()
-                for k in range(i, j + 1):
-                    acc = acc + self.entry(i, k) * other.entry(k, j)
-                entries.append(acc)
-        return UTWindow(self.ctx, self.W, entries)
+        cols = other._columns()
+        out = []
+        for i, row in enumerate(self.rows()):
+            # map() stops at the shorter operand, so k runs exactly from i to j.
+            out.extend(sum(map(mul, row, col[i:])) for col in cols[i:])
+        return UTWindow(self.ctx, self.W, out)
 
     def __pow__(self, k: int) -> "UTWindow":
         """k-th power by repeated squaring, k >= 0."""
@@ -127,25 +158,29 @@ class UTWindow:
 
         Requires every diagonal entry to be a p-adic unit.
         """
-        for d in range(self.W):
-            if not self.entry(d, d).is_unit():
+        ctx, W = self.ctx, self.W
+        m = ctx.modulus
+        rows = self.rows()
+        for d, row in enumerate(rows):
+            if row[0] % ctx.p == 0:
                 raise NotInvertibleError(f"diagonal entry ({d},{d}) is not a unit")
-        inv_diag = [self.entry(d, d).inverse() for d in range(self.W)]
-        out: dict[tuple[int, int], PadicInt] = {}
-        for j in range(self.W):
-            out[(j, j)] = inv_diag[j]
+        inv_diag = [pow(row[0], -1, m) for row in rows]
+        cols = []
+        for j in range(W):
+            col = [0] * (j + 1)
+            col[j] = inv_diag[j]
             for i in range(j - 1, -1, -1):
-                acc = self.ctx.zero()
-                for k in range(i + 1, j + 1):
-                    acc = acc + self.entry(i, k) * out[(k, j)]
-                out[(i, j)] = -(inv_diag[i] * acc)
-        return UTWindow.from_fn(self.ctx, self.W, lambda i, j: out[(i, j)])
+                acc = sum(map(mul, rows[i][1:], col[i + 1:]))
+                col[i] = -inv_diag[i] * acc % m
+            cols.append(col)
+        return UTWindow(ctx, W, [cols[j][i] for i in range(W) for j in range(i, W)])
 
     def membership(self) -> Membership:
-        diag = [self.entry(d, d) for d in range(self.W)]
+        diag = [row[0] for row in self.rows()]
+        p = self.ctx.p
         return Membership(
-            is_invertible=all(d.is_unit() for d in diag),
-            is_in_unit_group=all(d.residue % self.ctx.p == 1 for d in diag),
+            is_invertible=all(d % p != 0 for d in diag),
+            is_in_unit_group=all(d % p == 1 for d in diag),
         )
 
     def filtration_level(self) -> int:
@@ -153,31 +188,31 @@ class UTWindow:
 
         Returns W when the whole window vanishes, meaning "at least W".
         """
-        for j in range(self.W):
-            if any(not self.entry(i, j).is_zero() for i in range(j + 1)):
+        for j, col in enumerate(self._columns()):
+            if any(col):
                 return j
         return self.W
 
     def sub_window(self, W2: int) -> "UTWindow":
         if not 1 <= W2 <= self.W:
             raise BadIndexError(f"sub-window size {W2} outside [1, {self.W}]")
-        return UTWindow.from_fn(self.ctx, W2, lambda i, j: self.entry(i, j))
+        return UTWindow(self.ctx, W2, [v for i, row in enumerate(self.rows()[:W2]) for v in row[:W2 - i]])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UTWindow):
             return NotImplemented
-        return self.ctx == other.ctx and self.W == other.W and self._e == other._e
+        return ((self.ctx is other.ctx or self.ctx == other.ctx)
+                and self.W == other.W and self._e == other._e)
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.W, tuple(e.residue for e in self._e)))
+        return hash((self.ctx, self.W, self._e))
 
     def __repr__(self) -> str:
         return f"UTWindow(W={self.W}, p={self.ctx.p}^{self.ctx.N})"
 
     def pretty(self) -> str:
         """Aligned full-grid rendering with explicit zeros below the diagonal."""
-        rows = [[str(self.entry(i, j).residue) if i <= j else "0" for j in range(self.W)]
-                for i in range(self.W)]
+        rows = [["0"] * i + [str(v) for v in row] for i, row in enumerate(self.rows())]
         width = max(len(s) for row in rows for s in row)
         return "\n".join(" ".join(s.rjust(width) for s in row) for row in rows)
 
@@ -186,8 +221,7 @@ class UTWindow:
             "p": self.ctx.p,
             "N": self.ctx.N,
             "W": self.W,
-            "rows": [[str(self.entry(i, j).residue) for j in range(i, self.W)]
-                     for i in range(self.W)],
+            "rows": [[str(v) for v in row] for row in self.rows()],
         }
 
     @classmethod
@@ -199,5 +233,5 @@ class UTWindow:
         for i, row in enumerate(data["rows"]):
             if len(row) != W - i:
                 raise SizeMismatchError(f"row {i} has {len(row)} entries, expected {W - i}")
-            entries.extend(PadicInt(ctx, int(s)) for s in row)
+            entries.extend(int(s) for s in row)
         return cls(ctx, W, entries)

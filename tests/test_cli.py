@@ -33,6 +33,15 @@ def test_verify_suite_exits_zero(capsys):
     assert summary["failed"] == 0 and summary["checks"] == len(lines) - 1
 
 
+@pytest.mark.parametrize("suite", ["alglem", "all"])
+def test_verify_kmax_zero_exits_zero(capsys, suite):
+    code, out, _ = run_cli(
+        capsys, ["verify", suite, "--kmax", "0", "--W", "6", "--nmax", "3", "--trials", "2"]
+    )
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["summary"]["failed"] == 0
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     def fake_run_suites(ctx, names, cfg):
         yield CheckResult(name="stub/ok", anchor="Lemma Rpower", passed=True)

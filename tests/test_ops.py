@@ -6,8 +6,10 @@ import random
 
 import pytest
 
-from utt.errors import BadIndexError, ContextMismatchError
+from conftest import dense_product
+from utt.errors import BadIndexError, ContextMismatchError, InvariantError
 from utt.ops import (
+    _times_bidiagonal,
     alpha,
     build_D,
     build_R,
@@ -103,6 +105,26 @@ def test_xn_recursion_and_base(ctx):
         build_Xn(ctx, -1, 6)
 
 
+def _dense_xn(ctx, n, W):
+    """X_n as a chain of dense oracle products of build_Rn windows."""
+    acc = UTWindow.identity(ctx, W)
+    for m in range(1, n + 1):
+        acc = dense_product(acc, build_Rn(ctx, m, W))
+    return acc
+
+
+@pytest.mark.parametrize("size", [1, 5, 9])
+def test_xn_matches_dense_chain(ctx, size):
+    for n in sorted({0, 1, size - 1, size, size + 2}):
+        assert build_Xn(ctx, n, size) == _dense_xn(ctx, n, size), n
+
+
+def test_bidiagonal_step_rejects_wider_factor(ctx):
+    r = build_R(ctx, 4)
+    with pytest.raises(InvariantError):
+        _times_bidiagonal(UTWindow.identity(ctx, 4), r * r)
+
+
 def test_xn_filtration_and_band(ctx):
     for n in range(NMAX + 1):
         xn = build_Xn(ctx, n, W)
@@ -157,6 +179,15 @@ def test_alpha_column_stabilization(ctx):
         part = alpha(coeffs[: j + 1], 8)
         for i in range(j + 1):
             assert part.entry(i, j) == full.entry(i, j), (i, j)
+
+
+def test_alpha_matches_dense_chain_sum(ctx):
+    rng = random.Random(8)
+    coeffs = [ctx.from_int(rng.randrange(ctx.modulus)) for _ in range(9)]
+    want = UTWindow.zero(ctx, 7)
+    for n, a in enumerate(coeffs):
+        want = want + _dense_xn(ctx, n, 7).scale(a)
+    assert alpha(coeffs, 7) == want
 
 
 def test_alpha_rejects_bad_input(ctx):

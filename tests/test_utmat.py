@@ -27,6 +27,25 @@ def test_from_fn_frozen_examples(ctx):
     assert ladder.entry(1, 1).residue == 1
 
 
+def test_from_fn_reduces_to_canonical_residues(ctx):
+    m = ctx.modulus
+    canonical = UTWindow.from_fn(ctx, 4, lambda i, j: 3 * i + j)
+    for shift in (-m, m, 5 * m, -7 * m):
+        raw = UTWindow.from_fn(ctx, 4, lambda i, j: 3 * i + j + shift)
+        assert raw == canonical and hash(raw) == hash(canonical)
+    negative = UTWindow.from_fn(ctx, 3, lambda i, j: -1)
+    assert negative.entry(0, 2).residue == m - 1
+
+
+def test_entry_is_padic_int_in_window_context(ctx):
+    w = UTWindow.from_fn(ctx, 3, lambda i, j: i + 2 * j)
+    for i in range(3):
+        for j in range(3):
+            e = w.entry(i, j)
+            assert isinstance(e, PadicInt) and e.ctx is ctx
+            assert e.residue == (i + 2 * j if i <= j else 0)
+
+
 def test_entry_below_diagonal_is_zero(ctx):
     w = random_window(ctx, 5, random.Random(1))
     for i in range(5):
@@ -100,6 +119,10 @@ def test_context_and_size_mismatch(ctx):
     from utt.errors import SizeMismatchError
     with pytest.raises(SizeMismatchError):
         a + UTWindow.identity(ctx, 4)
+    with pytest.raises(ContextMismatchError):
+        a.scale(other.from_int(2))
+    with pytest.raises(ContextMismatchError):
+        UTWindow.from_fn(ctx, 2, lambda i, j: other.one())
 
 
 # --------------------------------------------------------------- inversion

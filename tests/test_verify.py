@@ -140,3 +140,16 @@ def test_alpha_failure_names_unstable_column(ctx3, monkeypatch):
     bad = _failures(ctx3, "alpha")
     assert len(bad) == verify.ALPHA_TRIALS
     assert {r.detail for r in bad} == {"column 2 unstable at row 1"}
+
+
+def test_qbinom_matrix_failure_names_only_the_wrong_n(ctx3, monkeypatch):
+    real = verify.qbinom_eval
+
+    def off_by_one_at_3_1(n, i, q):
+        value = real(n, i, q)
+        return value + 1 if (n, i) == (3, 1) else value
+
+    monkeypatch.setattr(verify, "qbinom_eval", off_by_one_at_3_1)
+    (bad,) = _failures(ctx3, "qbinom-matrix")
+    assert bad.name == "qbinom-matrix/n=3"
+    assert bad.detail.startswith("first mismatch at")
