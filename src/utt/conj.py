@@ -15,17 +15,31 @@ pins each row down from the previous one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from operator import mul
 from typing import Mapping, Sequence
 
-from .errors import BadIndexError, DomainError, InvariantError, NotAUnitError
+from .errors import BadIndexError, ContextMismatchError, DomainError, InvariantError, NotAUnitError
 from .ops import build_R
 from .padic import PadicContext, PadicInt
 from .utmat import UTWindow
 
 
-def _as_padic(ctx: PadicContext, v: PadicInt | int) -> PadicInt:
-    return v if isinstance(v, PadicInt) else PadicInt(ctx, v)
+def _residue(ctx: PadicContext, v: PadicInt | int) -> int:
+    if isinstance(v, PadicInt):
+        if v.ctx is not ctx and v.ctx != ctx:
+            raise ContextMismatchError(f"{v!r} is not in {ctx}")
+        return v.residue
+    return v % ctx.modulus
+
+
+def _unit_residues(ctx: PadicContext, superdiag: Sequence[PadicInt | int]) -> list[int]:
+    """Residues of superdiagonal entries, each required to be a unit of ctx."""
+    units = [_residue(ctx, v) for v in superdiag]
+    for i, u in enumerate(units):
+        if u % ctx.p == 0:
+            raise NotAUnitError(f"superdiagonal entry {i} is not a unit")
+    return units
 
 
 class AFormMatrix:
@@ -34,7 +48,7 @@ class AFormMatrix:
     A C-form is the special case whose superdiagonal is all ones.
     """
 
-    __slots__ = ("ctx", "W", "superdiag", "upper")
+    __slots__ = ("ctx", "W", "_win")
 
     def __init__(
         self,
@@ -45,61 +59,47 @@ class AFormMatrix:
     ):
         if len(superdiag) != W - 1:
             raise BadIndexError(f"need {W - 1} superdiagonal entries, got {len(superdiag)}")
-        sd = tuple(_as_padic(ctx, v) for v in superdiag)
-        for i, v in enumerate(sd):
-            if not v.is_unit():
-                raise NotAUnitError(f"superdiagonal entry {i} is not a unit")
-        up = {}
+        sd = _unit_residues(ctx, superdiag)
+        free = {}
         for (i, j), v in upper.items():
             if not (0 <= i and i + 2 <= j < W):
                 raise BadIndexError(f"upper entry ({i},{j}) not strictly above the superdiagonal")
-            up[(i, j)] = _as_padic(ctx, v)
-        self.ctx = ctx
-        self.W = W
-        self.superdiag = sd
-        self.upper = up
+            free[i, j] = _residue(ctx, v)
+        q_hat, m = ctx.q_hat_residue, ctx.modulus
+        self.ctx, self.W = ctx, W
+        self._win = UTWindow(ctx, W, [
+            pow(q_hat, i, m) if j == i else sd[i] if j == i + 1 else free.get((i, j), 0)
+            for i in range(W) for j in range(i, W)
+        ])
+
+    @property
+    def superdiag(self) -> tuple[int, ...]:
+        """Residues of the entries (i, i+1)."""
+        return tuple(row[1] for row in self._win.rows()[:-1])
 
     def is_c_form(self) -> bool:
-        return all(v.residue == 1 for v in self.superdiag)
-
-    def c(self, i: int, j: int) -> PadicInt:
-        """Free entry at (i, j), j >= i + 2; zero when unset."""
-        return self.upper.get((i, j), self.ctx.zero())
+        return all(v == 1 for v in self.superdiag)
 
     def to_window(self) -> UTWindow:
-        def fn(i: int, j: int) -> PadicInt:
-            if i == j:
-                return self.ctx.q_hat_pow(i)
-            if j == i + 1:
-                return self.superdiag[i]
-            return self.c(i, j)
-
-        return UTWindow.from_fn(self.ctx, self.W, fn)
+        return self._win
 
     @classmethod
     def from_window(cls, win: UTWindow) -> "AFormMatrix":
-        ctx, W = win.ctx, win.W
-        for i in range(W):
-            if win.entry(i, i) != ctx.q_hat_pow(i):
+        """Wrap `win` after checking its diagonal q_hat**i and unit superdiagonal."""
+        ctx, rows = win.ctx, win.rows()
+        for i, row in enumerate(rows):
+            if row[0] != pow(ctx.q_hat_residue, i, ctx.modulus):
                 raise DomainError(f"diagonal entry ({i},{i}) is not q_hat**{i}")
-        superdiag = [win.entry(i, i + 1) for i in range(W - 1)]
-        upper = {
-            (i, j): win.entry(i, j)
-            for i in range(W)
-            for j in range(i + 2, W)
-            if not win.entry(i, j).is_zero()
-        }
-        return cls(ctx, W, superdiag, upper)
+        _unit_residues(ctx, [row[1] for row in rows[:-1]])
+        a = cls.__new__(cls)
+        a.ctx, a.W, a._win = ctx, win.W, win
+        return a
 
     @classmethod
     def random(cls, ctx: PadicContext, W: int, rng: random.Random, c_form: bool = False) -> "AFormMatrix":
         """Random free part; the superdiagonal is all ones if c_form, else random units."""
         superdiag = [1] * (W - 1) if c_form else [_random_unit(ctx, rng) for _ in range(W - 1)]
-        upper = {
-            (i, j): rng.randrange(ctx.modulus)
-            for i in range(W)
-            for j in range(i + 2, W)
-        }
+        upper = {(i, j): rng.randrange(ctx.modulus) for i in range(W) for j in range(i + 2, W)}
         return cls(ctx, W, superdiag, upper)
 
 
@@ -116,60 +116,56 @@ def build_E(ctx: PadicContext, superdiag: Sequence[PadicInt | int], W: int) -> U
     superdiagonal of an A-form matrix to all ones."""
     if len(superdiag) < W - 1:
         raise BadIndexError(f"need {W - 1} superdiagonal entries, got {len(superdiag)}")
-    units = [_as_padic(ctx, v) for v in superdiag[: W - 1]]
-    for i, u in enumerate(units):
-        if not u.is_unit():
-            raise NotAUnitError(f"superdiagonal entry {i} is not a unit")
-    diag = [ctx.one()]
-    for u in units:
-        diag.append(diag[-1] * u)
-    return UTWindow.from_fn(ctx, W, lambda i, j: diag[i] if i == j else ctx.zero())
+    diag = [1]
+    for u in _unit_residues(ctx, superdiag[: W - 1]):
+        diag.append(diag[-1] * u % ctx.modulus)
+    return UTWindow(ctx, W, [diag[i] if j == i else 0 for i in range(W) for j in range(i, W)])
 
 
 def normalize_superdiag(a: AFormMatrix) -> AFormMatrix:
     """Conjugate by build_E to make every superdiagonal entry exactly 1.
 
-    The result is read back through from_window, which rejects a
-    disturbed diagonal; build_U rejects a superdiagonal that is not 1.
+    E is diagonal, so E*A*E**-1 is A with entry (i, j) rescaled by
+    e_i * e_j**-1.  The result is read back through from_window, which
+    rejects a disturbed diagonal; build_U rejects a superdiagonal that
+    is not 1.
     """
-    e = build_E(a.ctx, a.superdiag, a.W)
-    return AFormMatrix.from_window(e * a.to_window() * e.inverse())
+    ctx, m = a.ctx, a.ctx.modulus
+    e = [row[0] for row in build_E(ctx, a.superdiag, a.W).rows()]
+    e_inv = [pow(v, -1, m) for v in e]
+    rows = a.to_window().rows()
+    return AFormMatrix.from_window(UTWindow(ctx, a.W, [
+        e[i] * v * e_inv[i + k] for i, row in enumerate(rows) for k, v in enumerate(row)
+    ]))
 
 
 def build_U(c_mat: AFormMatrix) -> UTWindow:
     """Solve U*C = R*U row by row, starting from U[0] = (1, 0, 0, ...).
 
-    Row i+1 is forced by row i:
+    Row i of U*C = R*U reads U[i]*C = q_hat**i * U[i] + U[i+1], so row
+    i+1 is forced by row i:
 
-        U[i+1][j] = sum_{s=i}^{j-2} U[i][s]*c(s,j)
-                    + U[i][j-1]
-                    + (q_hat**j - q_hat**i) * U[i][j]
+        U[i+1] = U[i]*C - q_hat**i * U[i].
 
-    The result is upper-triangular with a unit diagonal; both facts are
-    checked rather than assumed.  c_mat must be a C-form.
+    Rows are kept at full length W, so that the result being
+    upper-triangular with a unit diagonal is checked rather than
+    assumed.  c_mat must be a C-form.
     """
-    ctx, W = c_mat.ctx, c_mat.W
+    ctx, W, m = c_mat.ctx, c_mat.W, c_mat.ctx.modulus
     if not c_mat.is_c_form():
         raise DomainError("build_U needs a C-form: every superdiagonal entry must be 1")
-    zero = ctx.zero()
-    grid = [[zero] * W for _ in range(W)]
-    grid[0][0] = ctx.one()
+    cols = c_mat.to_window().columns()
+    grid = [[1] + [0] * (W - 1)]
     for i in range(W - 1):
-        row, nxt = grid[i], grid[i + 1]
-        for j in range(W):
-            acc = zero
-            for s in range(i, j - 1):
-                acc = acc + row[s] * c_mat.c(s, j)
-            if j >= 1:
-                acc = acc + row[j - 1]
-            acc = acc + (ctx.q_hat_pow(j) - ctx.q_hat_pow(i)) * row[j]
-            nxt[j] = acc
-    for i in range(W):
-        if not all(grid[i][j].is_zero() for j in range(i)):
+        row, q_i = grid[i], pow(ctx.q_hat_residue, i, m)
+        # map() stops at the shorter operand: column j of C has j+1 entries.
+        grid.append([(sum(map(mul, row, col)) - q_i * v) % m for col, v in zip(cols, row)])
+    for i, row in enumerate(grid):
+        if any(row[:i]):
             raise InvariantError(f"U row {i} is nonzero below the diagonal")
-        if not grid[i][i].is_unit():
+        if row[i] % ctx.p == 0:
             raise InvariantError(f"U[{i}][{i}] is not a unit")
-    return UTWindow.from_fn(ctx, W, lambda i, j: grid[i][j])
+    return UTWindow(ctx, W, [v for i, row in enumerate(grid) for v in row[i:]])
 
 
 @dataclass(frozen=True)
@@ -184,14 +180,7 @@ class ConjugationReport:
     u_in_unit_group: bool
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "W": self.W,
-            "ok": self.ok,
-            "mismatches": self.mismatches,
-            "u_is_invertible": self.u_is_invertible,
-            "u_in_unit_group": self.u_in_unit_group,
-        }
+        return asdict(self)
 
 
 def verify_conjugation(c_mat: AFormMatrix) -> ConjugationReport:
@@ -200,12 +189,7 @@ def verify_conjugation(c_mat: AFormMatrix) -> ConjugationReport:
     u = build_U(c_mat)
     lhs = u * c_mat.to_window()
     rhs = build_R(ctx, W) * u
-    mismatches = sum(
-        1
-        for i in range(W)
-        for j in range(i, W)
-        if lhs.entry(i, j) != rhs.entry(i, j)
-    )
+    mismatches = sum(x != y for lrow, rrow in zip(lhs.rows(), rhs.rows()) for x, y in zip(lrow, rrow))
     mem = u.membership()
     return ConjugationReport(
         p=ctx.p,

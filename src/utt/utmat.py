@@ -98,7 +98,7 @@ class UTWindow:
             off += W - i
         return out
 
-    def _columns(self) -> list[list[int]]:
+    def columns(self) -> list[list[int]]:
         """Column j as the residues of the entries (0, j), (1, j), ..., (j, j)."""
         cols: list[list[int]] = [[] for _ in range(self.W)]
         for i, row in enumerate(self.rows()):
@@ -133,7 +133,7 @@ class UTWindow:
     def __mul__(self, other: "UTWindow") -> "UTWindow":
         """Entry (i, j) is the sum over i <= k <= j of self(i, k) * other(k, j)."""
         self._check(other)
-        cols = other._columns()
+        cols = other.columns()
         out = []
         for i, row in enumerate(self.rows()):
             # map() stops at the shorter operand, so k runs exactly from i to j.
@@ -188,7 +188,7 @@ class UTWindow:
 
         Returns W when the whole window vanishes, meaning "at least W".
         """
-        for j, col in enumerate(self._columns()):
+        for j, col in enumerate(self.columns()):
             if any(col):
                 return j
         return self.W

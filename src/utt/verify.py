@@ -150,16 +150,15 @@ def suite_xn(ctx: PadicContext, W: int, nmax: int) -> list[CheckResult]:
     filtration checks run to nmax.
     """
     out = []
-    for n in range(nmax + 1):
-        xn = build_Xn(ctx, n, W)
+    windows = [build_Xn(ctx, n, W) for n in range(nmax + 1)]
+    for n, xn in enumerate(windows):
         level_ok = xn.filtration_level() >= min(n, W)
         band_ok = not any(any(row[n + 1:]) for row in xn.rows())  # row[c] is entry (s, s+c)
         out.append(_check(
             f"xn/filtration/n={n}", ANCHOR_XN_FILTRATION, level_ok and band_ok, ctx,
             lambda: f"filtration_ok={level_ok} band_ok={band_ok}", W=W, n=n,
         ))
-    for n in range(min(nmax, 6) + 1):
-        direct = build_Xn(ctx, n, W)
+    for n, direct in enumerate(windows[:7]):
         closed = UTWindow.from_fn(ctx, W, lambda i, j: xn_closed(ctx, n, i, j - i))
         expanded = xn_expand_binomial(ctx, n, W)
         out.append(_check(

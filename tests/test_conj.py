@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import dense_product
 
 from utt.conj import (
     AFormMatrix,
@@ -15,7 +16,7 @@ from utt.conj import (
     normalize_superdiag,
     verify_conjugation,
 )
-from utt.errors import BadIndexError, NotAUnitError
+from utt.errors import BadIndexError, ContextMismatchError, NotAUnitError
 from utt.ops import build_R
 from utt.utmat import UTWindow
 
@@ -68,7 +69,7 @@ def test_c_form_window_layout(ctx):
     assert win.entry(0, 2).residue == 3
     assert win.entry(1, 3).residue == 9
     assert win.entry(0, 3).residue == 0
-    assert AFormMatrix.from_window(win).c(0, 2).residue == 3
+    assert AFormMatrix.from_window(win).to_window().entry(0, 2).residue == 3
 
 
 def test_c_form_from_window_rejects_wrong_shape(ctx):
@@ -80,8 +81,29 @@ def test_c_form_from_window_rejects_wrong_shape(ctx):
 def test_a_form_from_window_round_trip(ctx):
     a = AFormMatrix.random(ctx, W, random.Random(8))
     back = AFormMatrix.from_window(a.to_window())
-    assert back.superdiag == a.superdiag and back.upper == a.upper
+    assert back.superdiag == a.superdiag and back.to_window() == a.to_window()
     assert not back.is_c_form()
+
+
+def test_from_window_wraps_the_checked_window(ctx):
+    win = AFormMatrix.random(ctx, W, random.Random(9)).to_window()
+    assert AFormMatrix.from_window(win).to_window() is win
+    bad_sd = UTWindow.from_fn(ctx, 3, lambda i, j: ctx.q_hat_pow(i) if i == j else ctx.p)
+    with pytest.raises(NotAUnitError):
+        AFormMatrix.from_window(bad_sd)
+
+
+def test_foreign_context_rejected_at_construction(ctx3, ctx5):
+    """3 is a unit mod 5 but not mod 3: the context must be checked first."""
+    with pytest.raises(ContextMismatchError):
+        AFormMatrix(ctx3, 3, [ctx5.from_int(3), 1], {})
+    with pytest.raises(ContextMismatchError):
+        AFormMatrix(ctx3, 3, [1, 1], {(0, 2): ctx5.from_int(1)})
+    with pytest.raises(ContextMismatchError):
+        build_E(ctx3, [ctx5.from_int(3)], 2)
+    own = AFormMatrix(ctx3, 3, [ctx3.from_int(2), 1], {(0, 2): ctx3.from_int(4)})
+    assert own.superdiag == (2, 1)
+    assert own.to_window().entry(0, 2).residue == 4
 
 
 def test_build_u_rejects_non_c_form(ctx):
@@ -165,6 +187,28 @@ def test_end_to_end_conjugation(ctx):
         assert b * a.to_window() * b.inverse() == r
         # b = U * E: invertible, but E's diagonal need not be in 1 + pZ_p
         assert b.membership().is_invertible
+
+
+@pytest.mark.parametrize("w", [1, 2, 5, 9])
+def test_build_u_against_dense_oracle(ctx, w):
+    """U*C = R*U with both sides from the dense schoolbook product."""
+    rng = random.Random(3000 + w)
+    r = build_R(ctx, w)
+    for _ in range(5):
+        c = AFormMatrix.random(ctx, w, rng, c_form=True)
+        u = build_U(c)
+        assert dense_product(u, c.to_window()) == dense_product(r, u)
+        assert u.membership().is_in_unit_group
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_conjugator_against_dense_oracle(ctx, w):
+    rng = random.Random(4000 + w)
+    r = build_R(ctx, w)
+    for _ in range(5):
+        a = AFormMatrix.random(ctx, w, rng)
+        b = conjugator(a)
+        assert dense_product(dense_product(b, a.to_window()), b.inverse()) == r
 
 
 def test_report_json_shape(ctx):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from utt import verify
+from utt import cli, conj, verify
 from utt.padic import make_context
 from utt.utmat import UTWindow
 from utt.verify import (
@@ -153,3 +153,18 @@ def test_qbinom_matrix_failure_names_only_the_wrong_n(ctx3, monkeypatch):
     (bad,) = _failures(ctx3, "qbinom-matrix")
     assert bad.name == "qbinom-matrix/n=3"
     assert bad.detail.startswith("first mismatch at")
+
+
+def test_conjugation_failure_counts_mismatches(ctx3, monkeypatch, capsys):
+    real = conj.build_U
+
+    def corner_off_by_one(c_mat):
+        u = real(c_mat)
+        return UTWindow.from_fn(ctx3, u.W, lambda i, j: u.entry(i, j) + (i == 0 and j == u.W - 1))
+
+    monkeypatch.setattr(conj, "build_U", corner_off_by_one)
+    bad = [r for r in _failures(ctx3, "conjugation") if r.name.startswith("conjugation/uc-ru/")]
+    assert [r.name for r in bad] == [f"conjugation/uc-ru/trial={t}" for t in range(FAST_CFG["trials"])]
+    assert {r.detail for r in bad} == {"mismatches=1"}
+    assert cli.main(["verify", "conjugation", "--p", "3", "--q", "2", "--N", "20", "--W", "8"]) == 1
+    assert '"pass": false' in capsys.readouterr().out
