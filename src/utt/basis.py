@@ -1,6 +1,6 @@
 """Bivariate polynomials over scaled p-adics and the integral basis.
 
-Polynomials live in span{u**a * v**b} with PadicScaled coefficients, so
+Polynomials live in span{u**a * v**b} with scaled p-adic coefficients, so
 negative powers of p are first-class.  The distinguished family
 
     c_k = prod_{i<k} (v - q_hat**i * u) / (q_hat**k - q_hat**i)
@@ -21,10 +21,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import BadIndexError, ContextMismatchError, DomainError, PrecisionExhaustedError
-from .padic import PadicContext, PadicInt, PadicScaled, nu_factorial, nu_int
+from .padic import (
+    PadicContext,
+    PadicInt,
+    PadicScaled,
+    Triple,
+    nu_factorial,
+    nu_int,
+    scaled_add,
+    scaled_eq,
+    scaled_from_residue,
+    scaled_mul,
+    scaled_neg,
+    scaled_shift,
+)
 from .qcalc import qbinom_eval
 
 # Extra p-adic digits demanded beyond the worst denominator; keeps the
@@ -35,6 +48,14 @@ GUARD_DIGITS = 4
 def required_precision(p: int, kmax: int) -> int:
     """Minimal context precision N for building c_k up to k = kmax."""
     return nu_factorial(p, kmax) + kmax + GUARD_DIGITS
+
+
+def _residue(ctx: PadicContext, v: PadicInt | int) -> int:
+    if isinstance(v, PadicInt):
+        if v.ctx is not ctx and v.ctx != ctx:
+            raise ContextMismatchError(f"{ctx} vs {v.ctx}")
+        return v.residue
+    return v % ctx.modulus
 
 
 def _to_scaled(ctx: PadicContext, v) -> PadicScaled:
@@ -52,11 +73,14 @@ def _to_scaled(ctx: PadicContext, v) -> PadicScaled:
 
 
 class BivarPoly:
-    """Polynomial in two variables u, v with PadicScaled coefficients.
+    """Polynomial in two variables u, v with scaled p-adic coefficients.
 
-    Terms are kept in a dict keyed by (a, b) exponent pairs; zero
-    coefficients are dropped on construction and instances are never
-    mutated afterwards.
+    Terms are kept in a dict from (a, b) exponent pairs to the
+    (val, unit, sig) triples of utt.padic; zero coefficients are never
+    stored and instances are never mutated afterwards.  Coefficients
+    cross the API as PadicScaled: the constructor takes them and
+    coefficient() returns them.  Sums are accumulated in dict order, and
+    that order decides where realignment loses digits.
     """
 
     __slots__ = ("ctx", "terms")
@@ -66,18 +90,32 @@ class BivarPoly:
         for (a, b), coeff in terms.items():
             if a < 0 or b < 0:
                 raise BadIndexError(f"negative exponent pair ({a},{b})")
-            if not coeff.is_zero():
-                clean[(a, b)] = coeff
+            t = _to_scaled(ctx, coeff).triple()
+            if t is not None:
+                clean[(a, b)] = t
         self.ctx = ctx
         self.terms = clean
 
     @classmethod
+    def _clean(cls, ctx: PadicContext, terms: dict[tuple[int, int], Triple]) -> "BivarPoly":
+        """Wrap terms as is: exponents >= 0 and no zero (None) coefficient."""
+        poly = object.__new__(cls)
+        poly.ctx = ctx
+        poly.terms = terms
+        return poly
+
+    @classmethod
+    def _sum(cls, ctx: PadicContext, acc: dict[tuple[int, int], Triple]) -> "BivarPoly":
+        """Wrap accumulated terms, dropping the ones that cancelled to zero."""
+        return cls._clean(ctx, {key: t for key, t in acc.items() if t is not None})
+
+    @classmethod
     def zero(cls, ctx: PadicContext) -> "BivarPoly":
-        return cls(ctx, {})
+        return cls._clean(ctx, {})
 
     @classmethod
     def monomial(cls, ctx: PadicContext, a: int, b: int, coeff=1) -> "BivarPoly":
-        return cls(ctx, {(a, b): _to_scaled(ctx, coeff)})
+        return cls(ctx, {(a, b): coeff})
 
     @classmethod
     def one(cls, ctx: PadicContext) -> "BivarPoly":
@@ -94,16 +132,13 @@ class BivarPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _sorted_items(self) -> Iterator[tuple[tuple[int, int], PadicScaled]]:
-        return iter(sorted(self.terms.items()))
-
     def weight(self) -> int | None:
         """Common total degree of all terms, or None if mixed or zero."""
         degrees = {a + b for a, b in self.terms}
         return degrees.pop() if len(degrees) == 1 else None
 
     def coefficient(self, a: int, b: int) -> PadicScaled:
-        return self.terms.get((a, b), PadicScaled.zero(self.ctx))
+        return PadicScaled._from_triple(self.ctx, self.terms.get((a, b)))
 
     def _check(self, other: "BivarPoly") -> None:
         if self.ctx != other.ctx:
@@ -111,72 +146,84 @@ class BivarPoly:
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
         self._check(other)
+        p = self.ctx.p
         acc = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc[key] = acc[key] + coeff if key in acc else coeff
-        return BivarPoly(self.ctx, acc)
+        for key, t in other.terms.items():
+            acc[key] = scaled_add(p, acc[key], t) if key in acc else t
+        return BivarPoly._sum(self.ctx, acc)
 
     def __neg__(self) -> "BivarPoly":
-        return BivarPoly(self.ctx, {k: -c for k, c in self.terms.items()})
+        p = self.ctx.p
+        return BivarPoly._clean(self.ctx, {k: scaled_neg(p, t) for k, t in self.terms.items()})
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
         return self + (-other)
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
         self._check(other)
-        acc: dict[tuple[int, int], PadicScaled] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
+        p = self.ctx.p
+        acc: dict[tuple[int, int], Triple] = {}
+        for (a1, b1), x in self.terms.items():
+            for (a2, b2), y in other.terms.items():
                 key = (a1 + a2, b1 + b2)
-                prod = c1 * c2
-                acc[key] = acc[key] + prod if key in acc else prod
-        return BivarPoly(self.ctx, acc)
+                prod = scaled_mul(p, x, y)
+                acc[key] = scaled_add(p, acc[key], prod) if key in acc else prod
+        return BivarPoly._sum(self.ctx, acc)
 
     def scale(self, factor) -> "BivarPoly":
-        f = _to_scaled(self.ctx, factor)
-        if f.is_zero():
+        p, f = self.ctx.p, _to_scaled(self.ctx, factor).triple()
+        if f is None:
             return BivarPoly.zero(self.ctx)
-        return BivarPoly(self.ctx, {k: c * f for k, c in self.terms.items()})
+        return BivarPoly._clean(self.ctx, {k: scaled_mul(p, t, f) for k, t in self.terms.items()})
 
     def scale_p(self, m: int) -> "BivarPoly":
         """Multiply by p**m (m may be negative)."""
-        return BivarPoly(self.ctx, {k: c.scale_by_p_power(m) for k, c in self.terms.items()})
+        return BivarPoly._clean(self.ctx, {k: scaled_shift(t, m) for k, t in self.terms.items()})
 
-    def substitute(self, u_value: PadicInt, v_value: PadicInt) -> PadicScaled:
-        """Evaluate at ring elements (u, v) = (u_value, v_value)."""
-        acc = PadicScaled.zero(self.ctx)
-        for (a, b), coeff in self._sorted_items():
-            acc = acc + coeff * (u_value**a * v_value**b)
-        return acc
+    def substitute(self, u_value: PadicInt | int, v_value: PadicInt | int) -> PadicScaled:
+        """Evaluate at ring elements (u, v) = (u_value, v_value).
+
+        Each monomial is evaluated on residues; the terms are summed in
+        sorted exponent order.
+        """
+        ctx = self.ctx
+        p, N, M = ctx.p, ctx.N, ctx.modulus
+        u, v = _residue(ctx, u_value), _residue(ctx, v_value)
+        acc = None
+        for (a, b), t in sorted(self.terms.items()):
+            r = scaled_from_residue(p, N, pow(u, a, M) * pow(v, b, M) % M)
+            acc = scaled_add(p, acc, scaled_mul(p, t, r))
+        return PadicScaled._from_triple(ctx, acc)
 
     def graded_parts(self) -> dict[int, "BivarPoly"]:
         """Split into homogeneous pieces keyed by total degree."""
-        parts: dict[int, dict[tuple[int, int], PadicScaled]] = {}
-        for (a, b), coeff in self.terms.items():
-            parts.setdefault(a + b, {})[(a, b)] = coeff
-        return {d: BivarPoly(self.ctx, t) for d, t in sorted(parts.items())}
+        parts: dict[int, dict[tuple[int, int], Triple]] = {}
+        for (a, b), t in self.terms.items():
+            parts.setdefault(a + b, {})[(a, b)] = t
+        return {d: BivarPoly._clean(self.ctx, t) for d, t in sorted(parts.items())}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        if self.ctx != other.ctx or set(self.terms) != set(other.terms):
+        if self.ctx != other.ctx or self.terms.keys() != other.terms.keys():
             return False
-        return all(self.terms[k] == other.terms[k] for k in self.terms)
+        p = self.ctx.p
+        return all(scaled_eq(p, t, other.terms[k]) for k, t in self.terms.items())
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "BivarPoly(0)"
-        bits = [f"u^{a}v^{b}:{c!r}" for (a, b), c in self._sorted_items()]
+        bits = [f"u^{a}v^{b}:{self.coefficient(a, b)!r}" for a, b in sorted(self.terms)]
         return "BivarPoly(" + ", ".join(bits) + ")"
 
     def to_json(self) -> dict:
         return {
             "weight": self.weight(),
             "terms": [
-                {"a": a, "b": b, **coeff.to_json()}
-                for (a, b), coeff in self._sorted_items()
+                {"a": a, "b": b, **self.coefficient(a, b).to_json()}
+                for a, b in sorted(self.terms)
             ],
         }
 
@@ -188,7 +235,13 @@ class BivarPoly:
         return cls(ctx, terms)
 
 
-@lru_cache(maxsize=None)
+# Bounded because the context is part of the key: a sweep over contexts
+# would otherwise keep every polynomial it built.  256 is well above the
+# 82 entries kmax = 40 needs at two contexts.
+C_POLY_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=C_POLY_CACHE_SIZE)
 def c_poly(ctx: PadicContext, k: int) -> BivarPoly:
     """The k-th interpolation polynomial, homogeneous of weight k.
 
@@ -229,9 +282,8 @@ def c_poly(ctx: PadicContext, k: int) -> BivarPoly:
         if coeff == 0:
             continue
         v = nu_int(p, coeff)
-        unit = (coeff // p**v) * den_unit_inv
-        terms[(a, b)] = PadicScaled(ctx, v - d, unit, ctx.N)
-    return BivarPoly(ctx, terms)
+        terms[(a, b)] = (v - d, (coeff // p**v) * den_unit_inv % ctx.modulus, ctx.N)
+    return BivarPoly._clean(ctx, terms)
 
 
 def f_poly(ctx: PadicContext, k: int) -> BivarPoly:
@@ -240,7 +292,10 @@ def f_poly(ctx: PadicContext, k: int) -> BivarPoly:
 
 
 def big_F(ctx: PadicContext, i: int, j: int, k: int, raw: bool = False) -> BivarPoly:
-    """u**i * (u/p)**j * f_k.
+    """u**i * (u/p)**j * f_k, built from c_k in one pass.
+
+    Every term of c_k moves by u**(i+j) and is rescaled by
+    p**(nu(k!) - j); no digit is gained or lost.
 
     With raw=False the indices must name a basis element: j <= nu(k!),
     and i = 0 unless j = nu(k!).  raw=True lifts those constraints (any
@@ -248,13 +303,16 @@ def big_F(ctx: PadicContext, i: int, j: int, k: int, raw: bool = False) -> Bivar
     """
     if k < 0 or i < 0 or j < 0:
         raise BadIndexError(f"big_F needs i, j, k >= 0, got ({i},{j},{k})")
+    nu = nu_factorial(ctx.p, k)
     if not raw:
-        nu = nu_factorial(ctx.p, k)
         if j > nu:
             raise BadIndexError(f"basis element needs j <= nu({k}!) = {nu}, got j={j}")
         if j < nu and i != 0:
             raise BadIndexError(f"basis element with j < nu({k}!) = {nu} needs i = 0, got i={i}")
-    return (f_poly(ctx, k) * BivarPoly.monomial(ctx, i + j, 0)).scale_p(-j)
+    shift, m = i + j, nu - j
+    return BivarPoly._clean(
+        ctx, {(a + shift, b): scaled_shift(t, m) for (a, b), t in c_poly(ctx, k).terms.items()}
+    )
 
 
 def g_poly(ctx: PadicContext, m: int, l: int) -> BivarPoly:
@@ -279,9 +337,11 @@ def beta(p: int, m: int, i: int) -> int:
 def psi_action(f: BivarPoly) -> BivarPoly:
     """The ring map fixing u and sending v to q_hat * v."""
     ctx = f.ctx
-    return BivarPoly(
-        ctx, {(a, b): coeff * ctx.q_hat_pow(b) for (a, b), coeff in f.terms.items()}
-    )
+    p, N, M, q_hat = ctx.p, ctx.N, ctx.modulus, ctx.q_hat_residue
+    return BivarPoly._clean(ctx, {
+        (a, b): scaled_mul(p, t, scaled_from_residue(p, N, pow(q_hat, b, M)))
+        for (a, b), t in f.terms.items()
+    })
 
 
 def expand_in_c_basis(f: BivarPoly) -> list[PadicScaled]:
@@ -295,7 +355,8 @@ def expand_in_c_basis(f: BivarPoly) -> list[PadicScaled]:
         f(1, q_hat**s) = sum_{r <= s} lambda_r * c_r(1, q_hat**s)
 
     whose multipliers c_r(1, q_hat**s) are exactly the Gaussian
-    binomials [s, r] at q_hat, honest ring elements.  Solving this way
+    binomials [s, r] at q_hat, honest ring elements, evaluated on
+    integers from the qbinom polynomials.  Solving this way
     never multiplies one extracted coefficient back into the negative
     powers of p inside a c polynomial, so precision loss does not
     compound across steps.  The expansion is verified by rebuilding f;
@@ -305,14 +366,13 @@ def expand_in_c_basis(f: BivarPoly) -> list[PadicScaled]:
     n = f.weight()
     if n is None:
         raise DomainError("expansion needs a nonzero homogeneous polynomial")
-    one = ctx.one()
-    q_hat = ctx.q_hat()
+    q_hat, M = ctx.q_hat_residue, ctx.modulus
     out: list[PadicScaled] = []
     for s in range(n + 1):
-        acc = f.substitute(one, ctx.q_hat_pow(s))
+        acc = f.substitute(1, pow(q_hat, s, M))
         for r, lam in enumerate(out):
             if not lam.is_zero():
-                acc = acc - lam * qbinom_eval(s, r, q_hat)
+                acc = acc - lam * (qbinom_eval(s, r, q_hat) % M)
         out.append(acc)
     rebuilt = BivarPoly.zero(ctx)
     for s, lam in enumerate(out):
@@ -337,10 +397,7 @@ class IntegralityResult:
 def check_integrality(f: BivarPoly) -> IntegralityResult:
     lambdas = expand_in_c_basis(f)
     cond1 = all(lam.is_padic_integer() for lam in lambdas)
-    cond2 = all(
-        coeff.val is None or coeff.val >= -(a + b)
-        for (a, b), coeff in f.terms.items()
-    )
+    cond2 = all(val >= -(a + b) for (a, b), (val, _, _) in f.terms.items())
     return IntegralityResult(cond1=cond1, cond2=cond2)
 
 

@@ -95,33 +95,36 @@ def rpower_closed(ctx: PadicContext, n: int, s: int, c: int) -> PadicInt:
     """Entry (s, s+c) of R**n: qbinom(n, n-c)(q_hat) * q_hat**(s*(n-c)).
 
     Zero whenever c is outside [0, n]; s is the 0-based row index.
+    Evaluated on int residues; the result is the only PadicInt built.
     """
     if n < 0 or s < 0:
         raise BadIndexError(f"rpower_closed needs n >= 0 and s >= 0, got n={n}, s={s}")
     if c < 0 or c > n:
         return ctx.zero()
-    return qbinom_eval(n, n - c, ctx.q_hat()) * ctx.q_hat_pow(row_exponent(s, n - c))
+    q_hat, M = ctx.q_hat_residue, ctx.modulus
+    return PadicInt(ctx, qbinom_eval(n, n - c, q_hat) * pow(q_hat, row_exponent(s, n - c), M))
 
 
 def xn_closed(ctx: PadicContext, n: int, s: int, c: int) -> PadicInt:
     """Entry (s, s+c) of X_n as a signed double q-binomial sum.
 
     Zero whenever c is outside [0, n]; s is the 0-based row index.
+    Summed on ints and reduced once, into the only PadicInt built.
     """
     if n < 0 or s < 0:
         raise BadIndexError(f"xn_closed needs n >= 0 and s >= 0, got n={n}, s={s}")
     if c < 0 or c > n:
         return ctx.zero()
-    q_hat = ctx.q_hat()
-    acc = ctx.zero()
+    q_hat, M = ctx.q_hat_residue, ctx.modulus
+    acc = 0
     for i in range(c, n + 1):
         term = (
-            ctx.q_hat_pow(binom(n - i, 2) + row_exponent(s, i - c))
+            pow(q_hat, binom(n - i, 2) + row_exponent(s, i - c), M)
             * qbinom_eval(n, i, q_hat)
             * qbinom_eval(i, i - c, q_hat)
         )
-        acc = acc + (term if (n - i) % 2 == 0 else -term)
-    return acc
+        acc += term if (n - i) % 2 == 0 else -term
+    return PadicInt(ctx, acc)
 
 
 def xn_expand_binomial(ctx: PadicContext, n: int, W: int) -> UTWindow:

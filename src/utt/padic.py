@@ -14,6 +14,11 @@ Two value types live here:
 
 Both are immutable.  Mixing values from different contexts raises
 ContextMismatchError rather than guessing.
+
+The precision rules of PadicScaled live in the scaled_* functions, which
+work on plain (val, unit, sig) triples with None for zero.  PadicScaled
+calls them, and so does every BivarPoly coefficient, so there is one copy
+of the rules.
 """
 
 from __future__ import annotations
@@ -153,6 +158,83 @@ def make_context(p: int, q: int, N: int) -> PadicContext:
 
 IntLike = Union["PadicInt", int]
 
+# A scaled p-adic as a plain triple: None for zero, else (val, unit, sig)
+# with 1 <= sig <= N and unit a canonical residue mod p**sig prime to p.
+Triple = Union[tuple[int, int, int], None]
+
+
+def scaled_from_residue(p: int, N: int, r: int) -> Triple:
+    """The triple of a canonical residue r in [0, p**N)."""
+    if r == 0:
+        return None
+    v = 0
+    while r % p == 0:
+        r //= p
+        v += 1
+    return (v, r, N - v)
+
+
+def scaled_mul(p: int, x: Triple, y: Triple) -> Triple:
+    """x * y; the product knows as many digits as the vaguer factor."""
+    if x is None or y is None:
+        return None
+    s = min(x[2], y[2])
+    return (x[0] + y[0], x[1] * y[1] % p**s, s)
+
+
+def scaled_add(p: int, x: Triple, y: Triple) -> Triple:
+    """x + y after aligning valuations.
+
+    Digits of the sum are trustworthy only where both summands are, and
+    the valuation the sum gains costs as many digits.  Cancellation
+    through the whole known range gives the canonical zero, which keeps
+    no record of the digits it was known to, so the order of a longer
+    sum matters once a partial sum cancels.  A summand that knows no
+    digit (sig < 1, never true of a canonical triple) raises
+    PrecisionExhaustedError.
+    """
+    if x is None:
+        return y
+    if y is None:
+        return x
+    if x[0] > y[0]:
+        x, y = y, x
+    delta = y[0] - x[0]
+    s = min(x[2], delta + y[2])
+    if s < 1:
+        raise PrecisionExhaustedError("addition lost every significant digit")
+    r = (x[1] + y[1] * p**delta) % p**s
+    if r == 0:
+        return None
+    w = 0
+    while r % p == 0:
+        r //= p
+        w += 1
+    return (x[0] + w, r, s - w)
+
+
+def scaled_neg(p: int, x: Triple) -> Triple:
+    if x is None:
+        return None
+    return (x[0], -x[1] % p ** x[2], x[2])
+
+
+def scaled_shift(x: Triple, m: int) -> Triple:
+    """x * p**m for any integer m; no digit is gained or lost."""
+    if x is None:
+        return None
+    return (x[0] + m, x[1], x[2])
+
+
+def scaled_eq(p: int, x: Triple, y: Triple) -> bool:
+    """Equality on the digits both sides know."""
+    if x is None or y is None:
+        return x is y
+    if x[0] != y[0]:
+        return False
+    m = p ** min(x[2], y[2])
+    return x[1] % m == y[1] % m
+
 
 class PadicInt:
     """Element of Z/p**N treated as a p-adic integer known to N digits."""
@@ -269,6 +351,7 @@ class PadicScaled:
     __slots__ = ("ctx", "val", "unit", "sig")
 
     def __init__(self, ctx: PadicContext, val: int | None, unit: int, sig: int):
+        """Validate and reduce; see _from_triple for canonical input."""
         if val is None:
             unit, sig = 0, ctx.N
         else:
@@ -284,15 +367,27 @@ class PadicScaled:
         self.sig = sig
 
     @classmethod
+    def _from_triple(cls, ctx: PadicContext, t: Triple) -> "PadicScaled":
+        """Wrap a canonical triple of ctx as is, without re-validation."""
+        x = object.__new__(cls)
+        x.ctx = ctx
+        if t is None:
+            x.val, x.unit, x.sig = None, 0, ctx.N
+        else:
+            x.val, x.unit, x.sig = t
+        return x
+
+    def triple(self) -> Triple:
+        """(val, unit, sig), or None for zero."""
+        return None if self.val is None else (self.val, self.unit, self.sig)
+
+    @classmethod
     def zero(cls, ctx: PadicContext) -> "PadicScaled":
-        return cls(ctx, None, 0, ctx.N)
+        return cls._from_triple(ctx, None)
 
     @classmethod
     def from_padic_int(cls, a: PadicInt) -> "PadicScaled":
-        if a.residue == 0:
-            return cls.zero(a.ctx)
-        v = nu_int(a.ctx.p, a.residue)
-        return cls(a.ctx, v, a.residue // a.ctx.p**v, a.ctx.N - v)
+        return cls._from_triple(a.ctx, scaled_from_residue(a.ctx.p, a.ctx.N, a.residue))
 
     @classmethod
     def from_int(cls, ctx: PadicContext, n: int) -> "PadicScaled":
@@ -324,30 +419,12 @@ class PadicScaled:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        a, b = (self, other) if self.val <= other.val else (other, self)
-        delta = b.val - a.val
-        # Digits of the sum are trustworthy only where both summands are.
-        s = min(a.sig, delta + b.sig)
-        if s < 1:
-            raise PrecisionExhaustedError("addition lost every significant digit")
-        p = self.ctx.p
-        r = (a.unit + b.unit * p**delta) % p**s
-        if r == 0:
-            # Cancellation through the whole known range: canonical zero.
-            return PadicScaled.zero(self.ctx)
-        w = nu_int(p, r)
-        return PadicScaled(self.ctx, a.val + w, r // p**w, s - w)
+        return PadicScaled._from_triple(self.ctx, scaled_add(self.ctx.p, self.triple(), other.triple()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "PadicScaled":
-        if self.is_zero():
-            return self
-        return PadicScaled(self.ctx, self.val, -self.unit, self.sig)
+        return PadicScaled._from_triple(self.ctx, scaled_neg(self.ctx.p, self.triple()))
 
     def __sub__(self, other) -> "PadicScaled":
         other = self._coerce(other)
@@ -365,10 +442,7 @@ class PadicScaled:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return PadicScaled.zero(self.ctx)
-        s = min(self.sig, other.sig)
-        return PadicScaled(self.ctx, self.val + other.val, self.unit * other.unit, s)
+        return PadicScaled._from_triple(self.ctx, scaled_mul(self.ctx.p, self.triple(), other.triple()))
 
     __rmul__ = __mul__
 
@@ -379,9 +453,7 @@ class PadicScaled:
         return PadicScaled(self.ctx, -self.val, pow(self.unit, -1, p_sig), self.sig)
 
     def scale_by_p_power(self, m: int) -> "PadicScaled":
-        if self.is_zero():
-            return self
-        return PadicScaled(self.ctx, self.val + m, self.unit, self.sig)
+        return PadicScaled._from_triple(self.ctx, scaled_shift(self.triple(), m))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (PadicInt, int)):
@@ -390,12 +462,7 @@ class PadicScaled:
             return NotImplemented
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             return False
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        if self.val != other.val:
-            return False
-        m = self.ctx.p ** min(self.sig, other.sig)
-        return self.unit % m == other.unit % m
+        return scaled_eq(self.ctx.p, self.triple(), other.triple())
 
     __hash__ = None  # type: ignore[assignment]
 

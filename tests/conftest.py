@@ -114,3 +114,67 @@ def random_unit_diag_window(ctx: PadicContext, W: int, rng: random.Random):
         return PadicInt(ctx, r)
 
     return UTWindow.from_fn(ctx, W, gen)
+
+
+# Reference copies of the PadicScaled precision rules as they stood before
+# the rules moved into the triple kernels of utt.padic.  They build every
+# result through the validating PadicScaled constructor and call none of
+# the operators under test, so they stay an independent oracle.
+
+
+def ref_scaled_add(a, b):
+    """a + b under the realignment rule, as PadicScaled.__add__ defined it."""
+    from utt.errors import PrecisionExhaustedError
+    from utt.padic import PadicScaled, nu_int
+
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    if a.val > b.val:
+        a, b = b, a
+    delta = b.val - a.val
+    s = min(a.sig, delta + b.sig)
+    if s < 1:
+        raise PrecisionExhaustedError("addition lost every significant digit")
+    p = a.ctx.p
+    r = (a.unit + b.unit * p**delta) % p**s
+    if r == 0:
+        return PadicScaled.zero(a.ctx)
+    w = nu_int(p, r)
+    return PadicScaled(a.ctx, a.val + w, r // p**w, s - w)
+
+
+def ref_scaled_mul(a, b):
+    """a * b keeping the smaller significant-digit count."""
+    from utt.padic import PadicScaled
+
+    if a.is_zero() or b.is_zero():
+        return PadicScaled.zero(a.ctx)
+    return PadicScaled(a.ctx, a.val + b.val, a.unit * b.unit, min(a.sig, b.sig))
+
+
+def ref_scaled_eq(a, b):
+    """Equality on the digits both sides know."""
+    if a.is_zero() or b.is_zero():
+        return a.is_zero() and b.is_zero()
+    if a.val != b.val:
+        return False
+    m = a.ctx.p ** min(a.sig, b.sig)
+    return a.unit % m == b.unit % m
+
+
+def ref_bivar_product(x, y):
+    """Product of two {(a, b): PadicScaled} dicts, summed in dict order.
+
+    The summation order is part of the oracle: realignment loses digits
+    differently depending on which partial sum comes first.  Zero
+    coefficients are dropped at the end.
+    """
+    acc = {}
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            key = (a1 + a2, b1 + b2)
+            prod = ref_scaled_mul(c1, c2)
+            acc[key] = ref_scaled_add(acc[key], prod) if key in acc else prod
+    return {k: c for k, c in acc.items() if not c.is_zero()}

@@ -5,8 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import ref_bivar_product, ref_scaled_add, ref_scaled_mul
 from utt.basis import (
+    C_POLY_CACHE_SIZE,
     BivarPoly,
     beta,
     big_F,
@@ -20,7 +24,7 @@ from utt.basis import (
     required_precision,
     sample_integrality,
 )
-from utt.errors import BadIndexError, PrecisionExhaustedError
+from utt.errors import BadIndexError, ContextMismatchError, PrecisionExhaustedError
 from utt.padic import PadicScaled, make_context, nu_factorial, nu_int
 from utt.qcalc import qbinom_eval
 
@@ -77,6 +81,77 @@ def test_bivar_ring_laws(ctx):
         assert a * (b + c) == a * b + a * c
         assert (a - a).is_zero()
         assert a * BivarPoly.one(ctx) == a
+
+
+LOW_CTX = make_context(3, 2, 6)  # few digits, so products realign and cancel
+
+
+@st.composite
+def low_precision_terms(draw):
+    """{(a, b): PadicScaled} in LOW_CTX with colliding exponents."""
+    p, N = LOW_CTX.p, LOW_CTX.N
+    out = {}
+    for _ in range(draw(st.integers(0, 5))):
+        key = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        sig = draw(st.integers(1, N))
+        unit = draw(st.integers(1, p**sig - 1).filter(lambda u: u % p))
+        out[key] = PadicScaled(LOW_CTX, draw(st.integers(-3, 3)), unit, sig)
+    return out
+
+
+@settings(max_examples=200)
+@given(low_precision_terms(), low_precision_terms())
+def test_bivar_product_matches_reference(x, y):
+    """Same coefficients to the digit, in the same dict order, as the oracle."""
+    got = BivarPoly(LOW_CTX, x) * BivarPoly(LOW_CTX, y)
+    want = ref_bivar_product(x, y)
+    assert list(got.terms.items()) == [(key, (c.val, c.unit, c.sig)) for key, c in want.items()]
+
+
+@settings(max_examples=200)
+@given(low_precision_terms(), st.integers(0, 3**6 - 1), st.integers(0, 3**6 - 1))
+def test_bivar_substitute_matches_reference(terms, u, v):
+    """Evaluation sums the terms in sorted exponent order; digit loss depends on it."""
+    want = PadicScaled.zero(LOW_CTX)
+    for (a, b), c in sorted(terms.items()):
+        value = LOW_CTX.from_int(u**a * v**b).to_scaled()
+        want = ref_scaled_add(want, ref_scaled_mul(c, value))
+    got = BivarPoly(LOW_CTX, terms).substitute(u, LOW_CTX.from_int(v))
+    assert (got.val, got.unit, got.sig) == (want.val, want.unit, want.sig)
+
+
+def test_bivar_substitute_sums_in_sorted_order():
+    """A partial sum that cancels to zero forgets its precision, so the order shows.
+
+    In sorted order 1 + (-1), both known to 2 digits, cancels first and the
+    full-precision u**2 term is added to zero.  Any order that adds the
+    u**2 term before the cancellation keeps only 2 digits.
+    """
+    p = LOW_CTX.p
+    poly = BivarPoly(LOW_CTX, {
+        (2, 0): PadicScaled(LOW_CTX, 0, 1, 6),
+        (1, 0): PadicScaled(LOW_CTX, 0, p**2 - 1, 2),
+        (0, 0): PadicScaled(LOW_CTX, 0, 1, 2),
+    })
+    got = poly.substitute(1, 1)
+    assert (got.val, got.unit, got.sig) == (0, 1, 6)
+
+
+def test_bivar_coefficients_cross_the_api_as_scaled(ctx):
+    poly = BivarPoly(ctx, {(1, 0): PadicScaled(ctx, -2, 2, 7), (0, 1): 3, (2, 0): ctx.from_int(0)})
+    assert list(poly.terms) == [(1, 0), (0, 1)]
+    c = poly.coefficient(1, 0)
+    assert isinstance(c, PadicScaled) and (c.val, c.unit, c.sig) == (-2, 2, 7)
+    assert poly.coefficient(5, 5).is_zero()
+    assert BivarPoly.parse(poly.to_json(), ctx) == poly
+    assert repr(poly) == f"BivarPoly(u^0v^1:{PadicScaled.from_int(ctx, 3)!r}, u^1v^0:{c!r})"
+
+
+def test_bivar_rejects_foreign_coefficients(ctx3, ctx5):
+    with pytest.raises(ContextMismatchError):
+        BivarPoly(ctx3, {(0, 0): PadicScaled.from_int(ctx5, 2)})
+    with pytest.raises(ContextMismatchError):
+        BivarPoly.one(ctx3).substitute(ctx5.one(), ctx3.one())
 
 
 def test_bivar_substitute_is_evaluation(ctx):
@@ -157,12 +232,23 @@ def test_c_poly_guards():
         c_poly(small, 8)
 
 
+def test_c_poly_cache_is_bounded():
+    """The cache is keyed on the context; a sweep over contexts stays within maxsize."""
+    info = c_poly.cache_info()
+    assert info.maxsize == C_POLY_CACHE_SIZE > 2 * 41  # kmax = 40 at two contexts fits
+    c_poly.cache_clear()
+    for N in range(4, 304):
+        c_poly(make_context(3, 2, N), 0)
+    assert c_poly.cache_info().currsize <= C_POLY_CACHE_SIZE
+    c_poly.cache_clear()
+
+
 def test_c_poly_weight_and_span(ctx):
     for k in range(KMAX + 1):
         ck = c_poly(ctx, k)
         assert ck.weight() == k
         # every monomial u**a v**b with a + b = k appears
-        assert sorted(a for (a, b), _ in ck.terms.items()) == list(range(k + 1))
+        assert sorted(a for a, b in ck.terms) == list(range(k + 1))
 
 
 def test_c_poly_evaluations_are_gaussian_binomials(ctx):
@@ -218,8 +304,8 @@ def test_f_poly_coefficient_valuations(ctx):
     """Every coefficient of f_k has valuation >= -k (sharp at v**k)."""
     for k in range(KMAX + 1):
         fk = f_poly(ctx, k)
-        for (a, b), coeff in fk.terms.items():
-            assert coeff.val >= -k, (k, a, b)
+        for a, b in fk.terms:
+            assert fk.coefficient(a, b).val >= -k, (k, a, b)
         assert fk.coefficient(0, k).val == -k
 
 
@@ -229,6 +315,17 @@ def test_big_f_raw_is_plain_product(ctx):
         * BivarPoly.monomial(ctx, 5, 0)
     ).scale_p(-3)
     assert big_F(ctx, 2, 3, 1, raw=True) == want
+
+
+def test_big_f_shift_equals_product_route_exactly(ctx):
+    """The one-pass shift gives the product route's terms, digit for digit and in order."""
+    for k in range(KMAX + 1):
+        nu = nu_factorial(ctx.p, k)
+        for i in range(3):
+            for j in range(nu + 2):
+                want = (f_poly(ctx, k) * BivarPoly.monomial(ctx, i + j, 0)).scale_p(-j)
+                got = big_F(ctx, i, j, k, raw=True)
+                assert list(got.terms.items()) == list(want.terms.items()), (i, j, k)
 
 
 def test_big_f_basis_constraints():

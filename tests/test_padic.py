@@ -5,9 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ref_scaled_add, ref_scaled_eq, ref_scaled_mul
 from utt.errors import (
     BadPrecisionError,
     ContextMismatchError,
@@ -25,6 +26,12 @@ from utt.padic import (
     multiplicative_order,
     nu_factorial,
     nu_int,
+    scaled_add,
+    scaled_eq,
+    scaled_from_residue,
+    scaled_mul,
+    scaled_neg,
+    scaled_shift,
 )
 
 # ---------------------------------------------------------------- contexts
@@ -343,3 +350,106 @@ def test_from_padic_int_sig_reflects_known_digits(ctx):
     x = ctx.from_int(ctx.p**v * 2).to_scaled()
     assert (x.val, x.unit, x.sig) == (v, 2, ctx.N - v)
     assert ctx.zero().to_scaled().is_zero()
+
+
+# ----------------------------------------------------- scaled triple kernels
+
+KERNEL_CTX = make_context(3, 2, 6)  # few digits, so realignment exhausts them
+
+
+@st.composite
+def scaled_triples(draw, ctx=KERNEL_CTX):
+    """None (zero) or a canonical (val, unit, sig) triple of ctx."""
+    if draw(st.integers(0, 7)) == 0:
+        return None
+    sig = draw(st.integers(1, ctx.N))
+    unit = draw(st.integers(1, ctx.p**sig - 1).filter(lambda u: u % ctx.p))
+    return (draw(st.integers(-4, 4)), unit, sig)
+
+
+@st.composite
+def near_pairs(draw, ctx=KERNEL_CTX):
+    """(x, y) with y often close to -x, so that x + y cancels digits.
+
+    Canonical summands always leave the sum a digit (s >= 1), so x is
+    sometimes a spent value that knows no digit at all, which is the only
+    way to reach PrecisionExhaustedError.
+    """
+    x, y = draw(scaled_triples()), draw(scaled_triples())
+    if x is not None and draw(st.booleans()):
+        sig = draw(st.integers(1, ctx.N))
+        d = draw(st.integers(1, sig))
+        unit = (-x[1] + ctx.p**d * draw(st.integers(0, ctx.p**sig))) % ctx.p**sig
+        y = (x[0], unit, sig) if unit % ctx.p else y
+    if x is not None and draw(st.integers(0, 9)) == 0:
+        x = (x[0], 1, 0)
+    return x, y
+
+
+def _scaled(t):
+    return PadicScaled._from_triple(KERNEL_CTX, t)
+
+
+def _as_triple(x: PadicScaled):
+    return None if x.is_zero() else (x.val, x.unit, x.sig)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionExhaustedError:
+        return "exhausted"
+
+
+@settings(max_examples=400)
+@given(near_pairs())
+def test_scaled_add_matches_reference(pair):
+    x, y = pair
+    p = KERNEL_CTX.p
+    want = _outcome(lambda: _as_triple(ref_scaled_add(_scaled(x), _scaled(y))))
+    assert _outcome(scaled_add, p, x, y) == want
+    assert _outcome(lambda: _as_triple(_scaled(x) + _scaled(y))) == want
+
+
+@settings(max_examples=400)
+@given(scaled_triples(), scaled_triples())
+def test_scaled_mul_and_eq_match_reference(x, y):
+    p = KERNEL_CTX.p
+    want = _as_triple(ref_scaled_mul(_scaled(x), _scaled(y)))
+    assert scaled_mul(p, x, y) == want
+    assert _as_triple(_scaled(x) * _scaled(y)) == want
+    assert scaled_eq(p, x, y) == ref_scaled_eq(_scaled(x), _scaled(y))
+    assert (_scaled(x) == _scaled(y)) == ref_scaled_eq(_scaled(x), _scaled(y))
+
+
+@given(scaled_triples(), st.integers(-5, 5))
+def test_scaled_neg_and_shift(x, m):
+    p = KERNEL_CTX.p
+    assert scaled_add(p, x, scaled_neg(p, x)) is None
+    assert _as_triple(-_scaled(x)) == scaled_neg(p, x)
+    shifted = scaled_shift(x, m)
+    assert _as_triple(_scaled(x).scale_by_p_power(m)) == shifted
+    assert shifted is None if x is None else shifted == (x[0] + m, x[1], x[2])
+
+
+def test_scaled_add_cancels_and_exhausts():
+    p = KERNEL_CTX.p
+    assert scaled_add(p, (0, 1, 6), (0, p**6 - 1, 6)) is None  # 1 + (-1)
+    assert scaled_add(p, (0, 1, 6), (0, p**6 - 1 - p**2, 6)) == (2, p**4 - 1, 4)
+    spent, y = (0, 1, 0), (1, 1, 3)  # a summand with no digit left
+    with pytest.raises(PrecisionExhaustedError):
+        scaled_add(p, spent, y)
+    with pytest.raises(PrecisionExhaustedError):
+        ref_scaled_add(_scaled(spent), _scaled(y))
+
+
+def test_scaled_from_residue_matches_to_scaled(ctx):
+    for r in (0, 1, ctx.p, ctx.p**3 * 7, ctx.modulus - ctx.p):
+        assert scaled_from_residue(ctx.p, ctx.N, r) == _as_triple(ctx.from_int(r).to_scaled())
+
+
+def test_from_triple_wraps_without_copying(ctx):
+    x = PadicScaled._from_triple(ctx, (2, 5, 7))
+    assert (x.val, x.unit, x.sig, x.triple()) == (2, 5, 7, (2, 5, 7))
+    z = PadicScaled._from_triple(ctx, None)
+    assert z.is_zero() and z.triple() is None and z == PadicScaled.zero(ctx)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from utt import cli, conj, verify
-from utt.padic import make_context
+from utt.padic import PadicInt, make_context
 from utt.utmat import UTWindow
 from utt.verify import (
     ALL_ANCHORS,
@@ -168,3 +168,24 @@ def test_conjugation_failure_counts_mismatches(ctx3, monkeypatch, capsys):
     assert {r.detail for r in bad} == {"mismatches=1"}
     assert cli.main(["verify", "conjugation", "--p", "3", "--q", "2", "--N", "20", "--W", "8"]) == 1
     assert '"pass": false' in capsys.readouterr().out
+
+
+# ------------------------------------------------------- residue-level work
+
+
+def test_rpower_builds_at_most_one_padic_int_per_entry(monkeypatch, capsys):
+    """The closed formula runs on int residues and wraps one PadicInt per entry."""
+    W, nmax = 24, 22
+    built = 0
+    real = PadicInt.__init__
+
+    def counted(self, ctx, value):
+        nonlocal built
+        built += 1
+        real(self, ctx, value)
+
+    monkeypatch.setattr(PadicInt, "__init__", counted)
+    argv = ["verify", "rpower", "--p", "3", "--q", "2", "--N", "40", "--W", str(W), "--nmax", str(nmax)]
+    assert cli.main(argv) == 0
+    assert '"failed": 0' in capsys.readouterr().out
+    assert 0 < built <= (nmax + 1) * W * (W + 1) // 2
