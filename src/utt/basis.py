@@ -50,26 +50,13 @@ def required_precision(p: int, kmax: int) -> int:
     return nu_factorial(p, kmax) + kmax + GUARD_DIGITS
 
 
-def _residue(ctx: PadicContext, v: PadicInt | int) -> int:
-    if isinstance(v, PadicInt):
-        if v.ctx is not ctx and v.ctx != ctx:
-            raise ContextMismatchError(f"{ctx} vs {v.ctx}")
-        return v.residue
-    return v % ctx.modulus
-
-
-def _to_scaled(ctx: PadicContext, v) -> PadicScaled:
+def _to_triple(ctx: PadicContext, v: PadicScaled | PadicInt | int) -> Triple:
+    """The triple of a coefficient: a PadicScaled, or a ring value of ctx."""
     if isinstance(v, PadicScaled):
         if v.ctx != ctx:
             raise ContextMismatchError(f"{ctx} vs {v.ctx}")
-        return v
-    if isinstance(v, PadicInt):
-        if v.ctx != ctx:
-            raise ContextMismatchError(f"{ctx} vs {v.ctx}")
-        return v.to_scaled()
-    if isinstance(v, int):
-        return PadicScaled.from_int(ctx, v)
-    raise TypeError(f"cannot use {type(v).__name__} as a coefficient")
+        return v.triple()
+    return scaled_from_residue(ctx.p, ctx.N, ctx.residue(v))
 
 
 class BivarPoly:
@@ -90,7 +77,7 @@ class BivarPoly:
         for (a, b), coeff in terms.items():
             if a < 0 or b < 0:
                 raise BadIndexError(f"negative exponent pair ({a},{b})")
-            t = _to_scaled(ctx, coeff).triple()
+            t = _to_triple(ctx, coeff)
             if t is not None:
                 clean[(a, b)] = t
         self.ctx = ctx
@@ -171,7 +158,7 @@ class BivarPoly:
         return BivarPoly._sum(self.ctx, acc)
 
     def scale(self, factor) -> "BivarPoly":
-        p, f = self.ctx.p, _to_scaled(self.ctx, factor).triple()
+        p, f = self.ctx.p, _to_triple(self.ctx, factor)
         if f is None:
             return BivarPoly.zero(self.ctx)
         return BivarPoly._clean(self.ctx, {k: scaled_mul(p, t, f) for k, t in self.terms.items()})
@@ -188,7 +175,7 @@ class BivarPoly:
         """
         ctx = self.ctx
         p, N, M = ctx.p, ctx.N, ctx.modulus
-        u, v = _residue(ctx, u_value), _residue(ctx, v_value)
+        u, v = ctx.residue(u_value), ctx.residue(v_value)
         acc = None
         for (a, b), t in sorted(self.terms.items()):
             r = scaled_from_residue(p, N, pow(u, a, M) * pow(v, b, M) % M)
@@ -428,15 +415,15 @@ def sample_integrality(f: BivarPoly, trials: int, rng) -> bool:
     u, v in 1 + pZ_p as independent spot checks.
     """
     ctx = f.ctx
+    p, M = ctx.p, ctx.modulus
     parts = f.graded_parts()
-    one = ctx.one()
     for weight, part in parts.items():
         for j in range(weight + 1):
-            if not part.substitute(one, ctx.q_hat_pow(j)).is_padic_integer():
+            if not part.substitute(1, pow(ctx.q_hat_residue, j, M)).is_padic_integer():
                 return False
     for _ in range(trials):
-        u_val = ctx.from_int(1 + ctx.p * rng.randrange(ctx.modulus // ctx.p))
-        v_val = ctx.from_int(1 + ctx.p * rng.randrange(ctx.modulus // ctx.p))
+        u_val = 1 + p * rng.randrange(M // p)
+        v_val = 1 + p * rng.randrange(M // p)
         for part in parts.values():
             if not part.substitute(u_val, v_val).is_padic_integer():
                 return False

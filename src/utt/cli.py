@@ -126,10 +126,7 @@ def emit_window(win: UTWindow, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(win.to_json())
     if fmt == "csv":
-        return "\n".join(
-            ",".join(str(win.entry(i, j).residue) for j in range(win.W))
-            for i in range(win.W)
-        )
+        return "\n".join(",".join(["0"] * i + [str(v) for v in row]) for i, row in enumerate(win.rows()))
     return win.pretty()
 
 

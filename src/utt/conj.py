@@ -19,23 +19,15 @@ from dataclasses import asdict, dataclass
 from operator import mul
 from typing import Mapping, Sequence
 
-from .errors import BadIndexError, ContextMismatchError, DomainError, InvariantError, NotAUnitError
+from .errors import BadIndexError, DomainError, InvariantError, NotAUnitError
 from .ops import build_R
 from .padic import PadicContext, PadicInt
 from .utmat import UTWindow
 
 
-def _residue(ctx: PadicContext, v: PadicInt | int) -> int:
-    if isinstance(v, PadicInt):
-        if v.ctx is not ctx and v.ctx != ctx:
-            raise ContextMismatchError(f"{v!r} is not in {ctx}")
-        return v.residue
-    return v % ctx.modulus
-
-
 def _unit_residues(ctx: PadicContext, superdiag: Sequence[PadicInt | int]) -> list[int]:
     """Residues of superdiagonal entries, each required to be a unit of ctx."""
-    units = [_residue(ctx, v) for v in superdiag]
+    units = [ctx.residue(v) for v in superdiag]
     for i, u in enumerate(units):
         if u % ctx.p == 0:
             raise NotAUnitError(f"superdiagonal entry {i} is not a unit")
@@ -64,7 +56,7 @@ class AFormMatrix:
         for (i, j), v in upper.items():
             if not (0 <= i and i + 2 <= j < W):
                 raise BadIndexError(f"upper entry ({i},{j}) not strictly above the superdiagonal")
-            free[i, j] = _residue(ctx, v)
+            free[i, j] = ctx.residue(v)
         q_hat, m = ctx.q_hat_residue, ctx.modulus
         self.ctx, self.W = ctx, W
         self._win = UTWindow(ctx, W, [

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import BadIndexError, ContextMismatchError, InvariantError
+from .errors import BadIndexError, InvariantError
 from .padic import PadicContext, PadicInt
 from .qcalc import binom, qbinom_eval
 from .utmat import UTWindow
@@ -59,7 +59,7 @@ def build_Rn(ctx: PadicContext, n: int, W: int) -> UTWindow:
     """R - q_hat**(n-1) * I, whose (n-1, n-1) entry vanishes; n >= 1."""
     if n < 1:
         raise BadIndexError(f"R_n needs n >= 1, got {n}")
-    shift = UTWindow.identity(ctx, W).scale(ctx.q_hat_pow(n - 1))
+    shift = UTWindow.identity(ctx, W).scale(pow(ctx.q_hat_residue, n - 1, ctx.modulus))
     return build_R(ctx, W) - shift
 
 
@@ -146,8 +146,11 @@ def xn_expand_binomial(ctx: PadicContext, n: int, W: int) -> UTWindow:
     return acc
 
 
-def alpha(coeffs: Sequence[PadicInt], W: int) -> UTWindow:
+def alpha(coeffs: Sequence[PadicInt | int], W: int) -> UTWindow:
     """The window of sum_n coeffs[n] * X_n.
+
+    coeffs[0] is a PadicInt and names the context; the other
+    coefficients are ints or PadicInts of that context.
 
     Column j of the result is already exact after the first j+1 terms:
     X_n kills the leading n columns, which is checked for every term
@@ -156,12 +159,10 @@ def alpha(coeffs: Sequence[PadicInt], W: int) -> UTWindow:
     if not coeffs:
         raise BadIndexError("alpha needs at least one coefficient")
     ctx = coeffs[0].ctx
-    for a in coeffs:
-        if a.ctx is not ctx and a.ctx != ctx:
-            raise ContextMismatchError("alpha coefficients from mixed contexts")
+    residues = [ctx.residue(a) for a in coeffs]
     acc = UTWindow.zero(ctx, W)
     xn = UTWindow.identity(ctx, W)
-    for n, a in enumerate(coeffs):
+    for n, a in enumerate(residues):
         if n >= W:
             break
         if n > 0:

@@ -15,6 +15,11 @@ Two value types live here:
 Both are immutable.  Mixing values from different contexts raises
 ContextMismatchError rather than guessing.
 
+Every ring value enters the package's int kernels through one door,
+PadicContext.residue: an int is reduced mod p**N, and a PadicInt must
+belong to the context.  The operators of both value types coerce their
+operands through it too.
+
 The precision rules of PadicScaled live in the scaled_* functions, which
 work on plain (val, unit, sig) triples with None for zero.  PadicScaled
 calls them, and so does every BivarPoly coefficient, so there is one copy
@@ -109,6 +114,21 @@ class PadicContext:
 
     def from_int(self, value: int) -> PadicInt:
         return PadicInt(self, value)
+
+    def residue(self, v: IntLike) -> int:
+        """The canonical residue of a ring value of this context.
+
+        An int is reduced mod p**N; a PadicInt must come from this
+        context (tested by identity first, then by value) and gives its
+        residue.  Anything else is a TypeError.
+        """
+        if isinstance(v, PadicInt):
+            if v.ctx is not self and v.ctx != self:
+                raise ContextMismatchError(f"{self} vs {v.ctx}")
+            return v.residue
+        if isinstance(v, int):
+            return v % self.modulus
+        raise TypeError(f"cannot use {type(v).__name__} as a ring value")
 
     def zero(self) -> PadicInt:
         return PadicInt(self, 0)
@@ -245,20 +265,17 @@ class PadicInt:
         self.ctx = ctx
         self.residue = value % ctx.modulus
 
-    def _coerce(self, other: IntLike) -> "PadicInt":
-        if isinstance(other, PadicInt):
-            if other.ctx is not self.ctx and other.ctx != self.ctx:
-                raise ContextMismatchError(f"{self.ctx} vs {other.ctx}")
-            return other
-        if isinstance(other, int):
-            return PadicInt(self.ctx, other)
+    def _coerce(self, other: IntLike) -> int:
+        """The residue of a ring value, or NotImplemented for any other type."""
+        if isinstance(other, (PadicInt, int)):
+            return self.ctx.residue(other)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other: IntLike) -> "PadicInt":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return PadicInt(self.ctx, self.residue + other.residue)
+        return PadicInt(self.ctx, self.residue + other)
 
     __radd__ = __add__
 
@@ -266,19 +283,19 @@ class PadicInt:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return PadicInt(self.ctx, self.residue - other.residue)
+        return PadicInt(self.ctx, self.residue - other)
 
     def __rsub__(self, other: IntLike) -> "PadicInt":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return PadicInt(self.ctx, other.residue - self.residue)
+        return PadicInt(self.ctx, other - self.residue)
 
     def __mul__(self, other: IntLike) -> "PadicInt":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return PadicInt(self.ctx, self.residue * other.residue)
+        return PadicInt(self.ctx, self.residue * other)
 
     __rmul__ = __mul__
 
@@ -297,8 +314,8 @@ class PadicInt:
             return NotImplemented
         return (self.ctx is other.ctx or self.ctx == other.ctx) and self.residue == other.residue
 
-    def __hash__(self) -> int:
-        return hash((self.ctx.p, self.ctx.N, self.ctx.q, self.residue))
+    # Unhashable: equal to the int of its residue, whose hash differs.
+    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return f"PadicInt({self.residue} mod {self.ctx.p}^{self.ctx.N})"
@@ -391,7 +408,7 @@ class PadicScaled:
 
     @classmethod
     def from_int(cls, ctx: PadicContext, n: int) -> "PadicScaled":
-        return cls.from_padic_int(PadicInt(ctx, n))
+        return cls._from_triple(ctx, scaled_from_residue(ctx.p, ctx.N, n % ctx.modulus))
 
     def is_zero(self) -> bool:
         return self.val is None
@@ -409,10 +426,8 @@ class PadicScaled:
             if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ContextMismatchError(f"{self.ctx} vs {other.ctx}")
             return other
-        if isinstance(other, PadicInt):
-            return self._coerce(other.to_scaled())
-        if isinstance(other, int):
-            return PadicScaled.from_int(self.ctx, other)
+        if isinstance(other, (PadicInt, int)):
+            return PadicScaled.from_int(self.ctx, self.ctx.residue(other))
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other) -> "PadicScaled":

@@ -92,13 +92,6 @@ class QPoly:
             acc = acc * x + c
         return acc
 
-    def eval_padic(self, x: PadicInt) -> PadicInt:
-        """Evaluate at a PadicInt by Horner's scheme in ring arithmetic."""
-        acc = x.ctx.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "QPoly(0)"
@@ -138,10 +131,10 @@ def qbinom(n: int, i: int) -> QPoly:
 
 
 def qbinom_eval(n: int, i: int, x: PadicInt | int):
-    """[n choose i]_q evaluated at x, in the ring of x."""
+    """[n choose i]_q at x: an exact int at an int, a PadicInt at a PadicInt."""
     poly = qbinom(n, i)
     if isinstance(x, PadicInt):
-        return poly.eval_padic(x)
+        return PadicInt(x.ctx, poly(x.residue))
     return poly(x)
 
 

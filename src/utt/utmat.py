@@ -62,16 +62,7 @@ class UTWindow:
     @classmethod
     def from_fn(cls, ctx: PadicContext, W: int, fn: Callable[[int, int], PadicInt | int]) -> "UTWindow":
         """Build from an entry generator fn(i, j) for i <= j."""
-        entries = []
-        for i in range(W):
-            for j in range(i, W):
-                v = fn(i, j)
-                if isinstance(v, PadicInt):
-                    if v.ctx is not ctx and v.ctx != ctx:
-                        raise ContextMismatchError(f"entry ({i},{j}) from {v.ctx}, window in {ctx}")
-                    v = v.residue
-                entries.append(v)
-        return cls(ctx, W, entries)
+        return cls(ctx, W, [ctx.residue(fn(i, j)) for i in range(W) for j in range(i, W)])
 
     @classmethod
     def identity(cls, ctx: PadicContext, W: int) -> "UTWindow":
@@ -121,10 +112,7 @@ class UTWindow:
         return UTWindow(self.ctx, self.W, [a - b for a, b in zip(self._e, other._e)])
 
     def scale(self, c: PadicInt | int) -> "UTWindow":
-        if isinstance(c, PadicInt):
-            if c.ctx is not self.ctx and c.ctx != self.ctx:
-                raise ContextMismatchError(f"{self.ctx} vs {c.ctx}")
-            c = c.residue
+        c = self.ctx.residue(c)
         return UTWindow(self.ctx, self.W, [c * a for a in self._e])
 
     def __neg__(self) -> "UTWindow":

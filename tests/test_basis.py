@@ -151,6 +151,10 @@ def test_bivar_rejects_foreign_coefficients(ctx3, ctx5):
     with pytest.raises(ContextMismatchError):
         BivarPoly(ctx3, {(0, 0): PadicScaled.from_int(ctx5, 2)})
     with pytest.raises(ContextMismatchError):
+        BivarPoly(ctx3, {(0, 0): ctx5.from_int(2)})
+    with pytest.raises(ContextMismatchError):
+        BivarPoly.one(ctx3).scale(ctx5.from_int(2))
+    with pytest.raises(ContextMismatchError):
         BivarPoly.one(ctx3).substitute(ctx5.one(), ctx3.one())
 
 

@@ -158,6 +158,36 @@ def test_context_mismatch_raises():
         _ = a + b
 
 
+def test_context_residue_is_the_one_door():
+    ctx = make_context(3, 2, 20)
+    assert ctx.residue(-1) == ctx.modulus - 1
+    assert ctx.residue(ctx.modulus + 7) == 7
+    assert ctx.residue(ctx.from_int(-2)) == ctx.modulus - 2
+    # An equal context built by a second call is the same context.
+    assert ctx.residue(make_context(3, 2, 20).from_int(5)) == 5
+    for foreign in (make_context(5, 2, 20), make_context(3, 2, 21)):
+        with pytest.raises(ContextMismatchError):
+            ctx.residue(foreign.from_int(1))
+    with pytest.raises(TypeError):
+        ctx.residue(PadicScaled.from_int(ctx, 1))
+
+
+def test_operators_coerce_through_the_door():
+    ctx, other = make_context(3, 2, 20), make_context(5, 2, 20)
+    with pytest.raises(ContextMismatchError):
+        _ = PadicScaled.from_int(ctx, 1) + other.from_int(1)
+    assert PadicScaled.from_int(ctx, 2) * ctx.from_int(-1) == PadicScaled.from_int(ctx, -2)
+    with pytest.raises(TypeError):
+        _ = ctx.from_int(1) + 1.5
+
+
+def test_padic_int_is_unhashable(ctx):
+    a = ctx.from_int(5)
+    assert a == 5  # so a hash would have to equal hash(5)
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_padic_int_json_round_trip(ctx):
     a = ctx.from_int(12345)
     data = a.to_json()

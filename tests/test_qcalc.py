@@ -149,11 +149,14 @@ def test_qpoly_trimming_and_degree():
     assert QPoly([1, 2, 0]).degree == 1
 
 
-def test_qpoly_eval_padic_matches_int_eval():
+def test_qbinom_eval_padic_matches_int_eval():
     ctx = make_context(5, 2, 20)
-    poly = QPoly([3, -1, 4, 1])
-    for x in (0, 1, 2, 17):
-        assert poly.eval_padic(ctx.from_int(x)) == ctx.from_int(poly(x))
+    for x in (0, 1, 2, 17, ctx.q_hat_residue):
+        for n in range(8):
+            for i in range(-1, n + 2):
+                got = qbinom_eval(n, i, ctx.from_int(x))
+                assert got.ctx is ctx
+                assert got.residue == qbinom_eval(n, i, x) % ctx.modulus
 
 
 @given(small_polys)
