@@ -5,6 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +117,25 @@ def test_fuzz_argv_keeps_exit_contract(command, flags):
     assert "Traceback" not in err.getvalue()
 
 
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+
+
+def test_benchmark_argvs_parse(monkeypatch):
+    """Every argv the benchmark hands to `cli.main` is accepted by the parser.
+
+    The workloads file is executed, read-only, in a fresh module that is
+    registered only for the test, since its dataclasses look their module up.
+    """
+    workloads = ModuleType("utt_bench_workloads")
+    monkeypatch.setitem(sys.modules, workloads.__name__, workloads)
+    exec(compile(WORKLOADS_PATH.read_text(), str(WORKLOADS_PATH), "exec"), vars(workloads))
+    parser = cli.build_parser()
+    argvs = [argv for w in workloads.WORKLOADS.values() for argv in w.argvs(7) + w.small_argvs(7)]
+    assert argvs
+    for argv in argvs:
+        assert parser.parse_args(argv).seed == 7
+
+
 # ------------------------------------------------------------- environment
 
 
@@ -131,10 +153,20 @@ def test_flag_wins_over_env(capsys, monkeypatch):
     assert json.loads(out)["p"] == 3
 
 
-def test_env_garbage_rejected(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "D", "--W", "2"],
+        ["qbinom", "--n", "4", "--k", "2"],  # needs no context, still reads the env prime
+        ["basis", "c", "--k", "1"],
+        ["verify", "rpower"],
+    ],
+    ids=["matrix", "qbinom", "basis", "verify"],
+)
+def test_env_garbage_rejected(capsys, monkeypatch, argv):
     monkeypatch.setenv(cli.ENV_DEFAULT_PRIME, "three")
-    code, _, err = run_cli(capsys, ["matrix", "D", "--W", "2"])
-    assert code == 2 and "UTT_DEFAULT_PRIME" in err
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and "UTT_DEFAULT_PRIME" in err
 
 
 # ------------------------------------------------------------ determinism
