@@ -205,22 +205,6 @@ class BivarPoly:
         bits = [f"u^{a}v^{b}:{self.coefficient(a, b)!r}" for a, b in sorted(self.terms)]
         return "BivarPoly(" + ", ".join(bits) + ")"
 
-    def to_json(self) -> dict:
-        return {
-            "weight": self.weight(),
-            "terms": [
-                {"a": a, "b": b, **self.coefficient(a, b).to_json()}
-                for a, b in sorted(self.terms)
-            ],
-        }
-
-    @classmethod
-    def parse(cls, data: dict, ctx: PadicContext) -> "BivarPoly":
-        terms = {}
-        for t in data["terms"]:
-            terms[(int(t["a"]), int(t["b"]))] = PadicScaled.parse(t, ctx)
-        return cls(ctx, terms)
-
 
 # Bounded because the context is part of the key: a sweep over contexts
 # would otherwise keep every polynomial it built.  256 is well above the
@@ -376,9 +360,6 @@ class IntegralityResult:
 
     cond1: bool  # every c-basis coefficient lies in Z_p
     cond2: bool  # coefficient of u**a * v**b has valuation >= -(a+b)
-
-    def to_json(self) -> dict:
-        return {"cond1": self.cond1, "cond2": self.cond2}
 
 
 def check_integrality(f: BivarPoly) -> IntegralityResult:

@@ -5,6 +5,11 @@ binomials, and runs the verification suites, emitting a deterministic
 report: identical configuration (including the seed) gives a
 byte-identical report.
 
+This module alone knows the command-line contract: the flags with their
+defaults, and the json, csv and pretty rendering of every printed type.
+The library types expose their data (window rows, polynomial term
+triples, q-polynomial coefficients, check fields) and no wire format.
+
 Exit codes: 0 all requested checks passed, 1 at least one check
 failed, 2 the configuration was rejected before any check ran.
 """
@@ -15,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .basis import BivarPoly, big_F, c_poly, f_poly, g_poly, required_precision
 from .errors import UttError
@@ -23,27 +27,9 @@ from .ops import build_Rn, build_Xn, build_basic
 from .padic import PadicContext, make_context
 from .qcalc import QPoly, qbinom
 from .utmat import UTWindow
-from .verify import BASIS_SUITES, MATRIX_SUITES, SUITE_ORDER, CheckResult, default_suite_config, run_suites
+from .verify import BASIS_SUITES, MATRIX_SUITES, SUITE_ORDER, CheckResult, run_suites
 
 ENV_DEFAULT_PRIME = "UTT_DEFAULT_PRIME"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run parameters; flags win over the environment default."""
-
-    p: int = 3
-    q: int = 2
-    N: int = 20
-    W: int = 12
-    seed: int = 0
-    fmt: str = "json"
-    kmax: int = 8
-    nmax: int = 8
-    trials: int = 50
-
-    def context(self) -> PadicContext:
-        return make_context(self.p, self.q, self.N)
 
 
 class ConfigError(UttError):
@@ -84,9 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     matrix = sub.add_parser("matrix", parents=[common],
                             help="print one of the named matrices on a window")
     matrix.add_argument("kind", choices=("D", "S", "R", "Rn", "Xn"))
-    qb = sub.add_parser("qbinom", parents=[common],
-                        help="print the Gaussian binomial [n, k]_q as a polynomial")
-    del qb
+    sub.add_parser("qbinom", parents=[common],
+                   help="print the Gaussian binomial [n, k]_q as a polynomial")
     basis = sub.add_parser("basis", parents=[common],
                            help="print one of the basis polynomials")
     basis.add_argument("which", choices=("c", "f", "F", "g"))
@@ -94,22 +79,22 @@ def build_parser() -> argparse.ArgumentParser:
                             help="run a verification suite and report each check")
     verify.add_argument("suite", choices=SUITE_ORDER + ("all",))
     sub.add_parser("all", parents=[common],
-                   help="shorthand for: verify all")
+                   help="shorthand for: verify all").set_defaults(suite="all")
     return parser
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    p = args.p
-    if p is None:
+def _resolve_prime(args: argparse.Namespace) -> None:
+    """Fill in --p from the environment default; runs before every command."""
+    if args.p is None:
         raw = os.environ.get(ENV_DEFAULT_PRIME, "3")
         try:
-            p = int(raw)
+            args.p = int(raw)
         except ValueError:
             raise ConfigError(f"${ENV_DEFAULT_PRIME}={raw!r} is not an integer") from None
-    return RunConfig(
-        p=p, q=args.q, N=args.N, W=args.W, seed=args.seed, fmt=args.fmt,
-        kmax=args.kmax, nmax=args.nmax, trials=args.trials,
-    )
+
+
+def _context(args: argparse.Namespace) -> PadicContext:
+    return make_context(args.p, args.q, args.N)
 
 
 def _require(args: argparse.Namespace, *names: str) -> list[int]:
@@ -123,42 +108,54 @@ def _require(args: argparse.Namespace, *names: str) -> list[int]:
 
 
 def emit_window(win: UTWindow, fmt: str) -> str:
+    rows = win.rows()
     if fmt == "json":
-        return json.dumps(win.to_json())
+        return json.dumps({"p": win.ctx.p, "N": win.ctx.N, "W": win.W,
+                           "rows": [[str(v) for v in row] for row in rows]})
+    # csv and pretty show the full grid, with explicit zeros below the diagonal.
+    grid = [["0"] * i + [str(v) for v in row] for i, row in enumerate(rows)]
     if fmt == "csv":
-        return "\n".join(",".join(["0"] * i + [str(v) for v in row]) for i, row in enumerate(win.rows()))
-    return win.pretty()
+        return "\n".join(",".join(row) for row in grid)
+    width = max(len(s) for row in grid for s in row)
+    return "\n".join(" ".join(s.rjust(width) for s in row) for row in grid)
 
 
 def emit_qpoly(poly: QPoly, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(poly.to_json())
+        return json.dumps(poly.coeffs)
     if fmt == "csv":
-        return ",".join(str(c) for c in poly.to_json())
+        return ",".join(str(c) for c in poly.coeffs)
     return repr(poly)
 
 
 def emit_bivar(poly: BivarPoly, fmt: str) -> str:
+    """One term per (a, b) in sorted order, with its (val, unit, sig) triple."""
+    terms = [(a, b, *t) for (a, b), t in sorted(poly.terms.items())]
     if fmt == "json":
-        return json.dumps(poly.to_json())
+        return json.dumps({
+            "weight": poly.weight(),
+            "terms": [{"a": a, "b": b, "val": val, "unit": str(unit), "sig": sig}
+                      for a, b, val, unit, sig in terms],
+        })
     if fmt == "csv":
-        lines = ["a,b,val,unit,sig"]
-        for t in poly.to_json()["terms"]:
-            lines.append(f"{t['a']},{t['b']},{t['val']},{t['unit']},{t['sig']}")
-        return "\n".join(lines)
-    if poly.is_zero():
+        return "\n".join(["a,b,val,unit,sig"] + [",".join(map(str, t)) for t in terms])
+    if not terms:
         return "0"
     lines = []
-    for t in poly.to_json()["terms"]:
-        val = t["val"]
+    for a, b, val, unit, sig in terms:
         scale = f"p^{val} * " if val else ""
-        lines.append(f"u^{t['a']} v^{t['b']}: {scale}{t['unit']} ({t['sig']} digits)")
+        lines.append(f"u^{a} v^{b}: {scale}{unit} ({sig} digits)")
     return "\n".join(lines)
 
 
 def emit_check(result: CheckResult, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(result.to_json())
+        out = {"check": result.name, "anchor": result.anchor, "pass": result.passed}
+        if result.params:
+            out["params"] = result.params
+        if result.detail:
+            out["detail"] = result.detail
+        return json.dumps(out)
     if fmt == "csv":
         detail = result.detail.replace(",", ";")
         return f"{result.name},{result.anchor},{'pass' if result.passed else 'FAIL'},{detail}"
@@ -167,28 +164,28 @@ def emit_check(result: CheckResult, fmt: str) -> str:
     return f"[{status}] {result.name} ({result.anchor}){suffix}"
 
 
-def cmd_matrix(cfg: RunConfig, args: argparse.Namespace) -> int:
-    ctx = cfg.context()
+def cmd_matrix(args: argparse.Namespace) -> int:
+    ctx = _context(args)
     if args.kind in ("D", "S", "R"):
-        win = build_basic(ctx, args.kind, cfg.W)
+        win = build_basic(ctx, args.kind, args.W)
     else:
         (n,) = _require(args, "n")
         builder = build_Rn if args.kind == "Rn" else build_Xn
-        win = builder(ctx, n, cfg.W)
-    print(emit_window(win, cfg.fmt))
+        win = builder(ctx, n, args.W)
+    print(emit_window(win, args.fmt))
     return 0
 
 
-def cmd_qbinom(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_qbinom(args: argparse.Namespace) -> int:
     n, k = _require(args, "n", "k")
     if n < 0:
         raise ConfigError(f"qbinom needs n >= 0, got {n}")
-    print(emit_qpoly(qbinom(n, k), cfg.fmt))
+    print(emit_qpoly(qbinom(n, k), args.fmt))
     return 0
 
 
-def cmd_basis(cfg: RunConfig, args: argparse.Namespace) -> int:
-    ctx = cfg.context()
+def cmd_basis(args: argparse.Namespace) -> int:
+    ctx = _context(args)
     if args.which == "c":
         (k,) = _require(args, "k")
         poly = c_poly(ctx, k)
@@ -201,56 +198,48 @@ def cmd_basis(cfg: RunConfig, args: argparse.Namespace) -> int:
     else:
         m, l = _require(args, "m", "l")
         poly = g_poly(ctx, m, l)
-    print(emit_bivar(poly, cfg.fmt))
+    print(emit_bivar(poly, args.fmt))
     return 0
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    names = list(SUITE_ORDER) if suite == "all" else [suite]
-    ctx = cfg.context()
+def cmd_verify(args: argparse.Namespace) -> int:
+    names = list(SUITE_ORDER) if args.suite == "all" else [args.suite]
+    ctx = _context(args)
     for flag in ("nmax", "kmax", "trials"):
-        if getattr(cfg, flag) < 0:
-            raise ConfigError(f"--{flag} must be >= 0, got {getattr(cfg, flag)}")
-    if MATRIX_SUITES.intersection(names) and cfg.W < cfg.nmax + 2:
-        raise ConfigError(f"matrix suites need W >= nmax + 2 = {cfg.nmax + 2}, got W={cfg.W}")
-    if not BASIS_SUITES.issuperset(names) and cfg.W < 2:
-        raise ConfigError(f"window suites need W >= 2, got W={cfg.W}")
+        if getattr(args, flag) < 0:
+            raise ConfigError(f"--{flag} must be >= 0, got {getattr(args, flag)}")
+    if MATRIX_SUITES.intersection(names) and args.W < args.nmax + 2:
+        raise ConfigError(f"matrix suites need W >= nmax + 2 = {args.nmax + 2}, got W={args.W}")
+    if not BASIS_SUITES.issuperset(names) and args.W < 2:
+        raise ConfigError(f"window suites need W >= 2, got W={args.W}")
     if BASIS_SUITES.intersection(names):
-        need = required_precision(cfg.p, cfg.kmax)
-        if cfg.N < need:
-            raise ConfigError(f"basis suites at kmax={cfg.kmax} need N >= {need}, got N={cfg.N}")
-    suite_cfg = default_suite_config(
-        W=cfg.W, nmax=cfg.nmax, kmax=cfg.kmax, trials=cfg.trials, seed=cfg.seed
-    )
+        need = required_precision(args.p, args.kmax)
+        if args.N < need:
+            raise ConfigError(f"basis suites at kmax={args.kmax} need N >= {need}, got N={args.N}")
     total = passed = 0
-    for result in run_suites(ctx, names, suite_cfg):
+    for result in run_suites(ctx, names, vars(args)):
         total += 1
         passed += result.passed
-        print(emit_check(result, cfg.fmt))
+        print(emit_check(result, args.fmt))
     summary = {"summary": {"checks": total, "passed": passed, "failed": total - passed}}
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps(summary))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         print(f"summary,,{'pass' if passed == total else 'FAIL'},{passed}/{total}")
     else:
         print(f"{passed}/{total} checks passed")
     return 0 if passed == total else 1
 
 
+COMMANDS = {"matrix": cmd_matrix, "qbinom": cmd_qbinom, "basis": cmd_basis,
+            "verify": cmd_verify, "all": cmd_verify}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        if args.command == "matrix":
-            return cmd_matrix(cfg, args)
-        if args.command == "qbinom":
-            return cmd_qbinom(cfg, args)
-        if args.command == "basis":
-            return cmd_basis(cfg, args)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite)
-        return cmd_verify(cfg, "all")
+        _resolve_prime(args)
+        return COMMANDS[args.command](args)
     except UttError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

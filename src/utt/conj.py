@@ -15,7 +15,7 @@ pins each row down from the previous one.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -170,9 +170,6 @@ class ConjugationReport:
     mismatches: int
     u_is_invertible: bool
     u_in_unit_group: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def verify_conjugation(c_mat: AFormMatrix) -> ConjugationReport:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import BadIndexError, InvariantError
+from .errors import BadIndexError, DomainError, InvariantError
 from .padic import PadicContext, PadicInt
 from .qcalc import binom, qbinom_eval
 from .utmat import UTWindow
@@ -158,6 +158,9 @@ def alpha(coeffs: Sequence[PadicInt | int], W: int) -> UTWindow:
     """
     if not coeffs:
         raise BadIndexError("alpha needs at least one coefficient")
+    if not isinstance(coeffs[0], PadicInt):
+        raise DomainError(f"alpha needs coeffs[0] to be a PadicInt, which names the context; "
+                          f"got {type(coeffs[0]).__name__}")
     ctx = coeffs[0].ctx
     residues = [ctx.residue(a) for a in coeffs]
     acc = UTWindow.zero(ctx, W)

@@ -12,8 +12,9 @@ Two value types live here:
 * PadicScaled   -- p**val * unit with an explicit significant-digit
                    count, closed under division by units and by p.
 
-Both are immutable.  Mixing values from different contexts raises
-ContextMismatchError rather than guessing.
+Both are immutable.  Arithmetic that mixes values from different
+contexts raises ContextMismatchError rather than guessing; == between
+them is False.
 
 Every ring value enters the package's int kernels through one door,
 PadicContext.residue: an int is reduced mod p**N, and a PadicInt must
@@ -344,15 +345,6 @@ class PadicInt:
     def to_scaled(self) -> "PadicScaled":
         return PadicScaled.from_padic_int(self)
 
-    def to_json(self) -> dict:
-        return {"p": self.ctx.p, "N": self.ctx.N, "residue": str(self.residue)}
-
-    @classmethod
-    def parse(cls, data: dict, ctx: PadicContext) -> "PadicInt":
-        if data["p"] != ctx.p or data["N"] != ctx.N:
-            raise ContextMismatchError(f"serialized (p,N)=({data['p']},{data['N']}) vs {ctx}")
-        return cls(ctx, int(data["residue"]))
-
 
 class PadicScaled:
     """p**val * unit with explicit significant-digit tracking.
@@ -471,8 +463,11 @@ class PadicScaled:
         return PadicScaled._from_triple(self.ctx, scaled_shift(self.triple(), m))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (PadicInt, int)):
-            other = self._coerce(other)
+        """Equality on known digits; a value of another context is unequal."""
+        if isinstance(other, PadicInt):
+            other = other.to_scaled()
+        elif isinstance(other, int):
+            other = PadicScaled.from_int(self.ctx, other)
         if not isinstance(other, PadicScaled):
             return NotImplemented
         if self.ctx is not other.ctx and self.ctx != other.ctx:
@@ -485,13 +480,3 @@ class PadicScaled:
         if self.is_zero():
             return f"PadicScaled(0; p={self.ctx.p})"
         return f"PadicScaled({self.ctx.p}^{self.val} * {self.unit} [{self.sig} digits])"
-
-    def to_json(self) -> dict:
-        return {"val": self.val, "unit": str(self.unit), "sig": self.sig}
-
-    @classmethod
-    def parse(cls, data: dict, ctx: PadicContext) -> "PadicScaled":
-        val = data["val"]
-        if val is None:
-            return cls.zero(ctx)
-        return cls(ctx, int(val), int(data["unit"]), int(data["sig"]))

@@ -106,13 +106,6 @@ class QPoly:
                 parts.append(f"{head}q^{i}" if i > 1 else f"{head}q")
         return "QPoly(" + " + ".join(parts).replace("+ -", "- ") + ")"
 
-    def to_json(self) -> list[int]:
-        return list(self.coeffs)
-
-    @classmethod
-    def parse(cls, data: list[int]) -> "QPoly":
-        return cls(int(c) for c in data)
-
 
 @lru_cache(maxsize=None)
 def qbinom(n: int, i: int) -> QPoly:

@@ -197,29 +197,3 @@ class UTWindow:
 
     def __repr__(self) -> str:
         return f"UTWindow(W={self.W}, p={self.ctx.p}^{self.ctx.N})"
-
-    def pretty(self) -> str:
-        """Aligned full-grid rendering with explicit zeros below the diagonal."""
-        rows = [["0"] * i + [str(v) for v in row] for i, row in enumerate(self.rows())]
-        width = max(len(s) for row in rows for s in row)
-        return "\n".join(" ".join(s.rjust(width) for s in row) for row in rows)
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.ctx.p,
-            "N": self.ctx.N,
-            "W": self.W,
-            "rows": [[str(v) for v in row] for row in self.rows()],
-        }
-
-    @classmethod
-    def parse(cls, data: dict, ctx: PadicContext) -> "UTWindow":
-        if data["p"] != ctx.p or data["N"] != ctx.N:
-            raise ContextMismatchError(f"serialized (p,N)=({data['p']},{data['N']}) vs {ctx}")
-        W = data["W"]
-        entries = []
-        for i, row in enumerate(data["rows"]):
-            if len(row) != W - i:
-                raise SizeMismatchError(f"row {i} has {len(row)} entries, expected {W - i}")
-            entries.extend(int(s) for s in row)
-        return cls(ctx, W, entries)

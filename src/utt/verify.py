@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Mapping
 
 from .basis import (
     BivarPoly,
@@ -74,14 +74,6 @@ class CheckResult:
     passed: bool
     params: dict = field(default_factory=dict)
     detail: str = ""
-
-    def to_json(self) -> dict:
-        out = {"check": self.name, "anchor": self.anchor, "pass": self.passed}
-        if self.params:
-            out["params"] = self.params
-        if self.detail:
-            out["detail"] = self.detail
-        return out
 
 
 def _check(name: str, anchor: str, ok: bool, ctx: PadicContext,
@@ -413,12 +405,11 @@ MATRIX_SUITES = frozenset({"qbinom-matrix", "rpower", "xn", "alpha"})
 BASIS_SUITES = frozenset({"integrality", "action", "alglem", "lower-g"})
 
 
-def default_suite_config(W: int, nmax: int, kmax: int, trials: int, seed: int) -> dict:
-    return {"W": W, "nmax": nmax, "kmax": kmax, "trials": trials, "seed": seed}
+def run_suites(ctx: PadicContext, names: list[str], cfg: Mapping[str, int]) -> Iterator[CheckResult]:
+    """Run the named suites in canonical order, yielding results lazily.
 
-
-def run_suites(ctx: PadicContext, names: list[str], cfg: dict) -> Iterator[CheckResult]:
-    """Run the named suites in canonical order, yielding results lazily."""
+    `cfg` maps W, nmax, kmax, trials and seed to ints; other keys are ignored.
+    """
     for name in SUITE_ORDER:
         if name in names:
             yield from SUITE_BUILDERS[name](ctx, cfg)

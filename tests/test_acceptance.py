@@ -30,7 +30,7 @@ from utt.ops import (
 from utt.padic import PadicInt, make_context, nu_factorial, nu_int
 from utt.qcalc import qbinom_eval
 from utt.utmat import UTWindow
-from utt.verify import ALL_ANCHORS, default_suite_config, run_suites
+from utt.verify import ALL_ANCHORS, run_suites
 
 TRIPLES = ((3, 2, 20), (5, 2, 20), (7, 3, 20))
 W = 12
@@ -155,7 +155,7 @@ def test_criterion_5_basis_integrality(acceptance_recorder):
 def test_criterion_6_action_suite(acceptance_recorder):
     t0 = time.perf_counter()
     ctx = make_context(3, 2, 20)
-    cfg = default_suite_config(W=W, nmax=NMAX, kmax=NMAX, trials=5, seed=0)
+    cfg = dict(W=W, nmax=NMAX, kmax=NMAX, trials=5, seed=0)
     results = list(run_suites(ctx, ["action", "alglem", "lower-g"], cfg))
     ok = bool(results) and all(r.passed for r in results)
     coverage = [r for r in results if "coverage" in r.name]

@@ -214,13 +214,7 @@ def test_conjugator_against_dense_oracle(ctx, w):
 def test_report_json_shape(ctx):
     rng = random.Random(7)
     rep = verify_conjugation(AFormMatrix.random(ctx, 5, rng, c_form=True))
-    data = rep.to_json()
-    assert data == {
-        "p": ctx.p,
-        "W": 5,
-        "ok": True,
-        "mismatches": 0,
-        "u_is_invertible": True,
-        "u_in_unit_group": True,
-    }
+    assert (rep.p, rep.W, rep.ok, rep.mismatches, rep.u_is_invertible, rep.u_in_unit_group) == (
+        ctx.p, 5, True, 0, True, True,
+    )
     assert isinstance(rep, ConjugationReport)

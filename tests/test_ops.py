@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import dense_product
-from utt.errors import BadIndexError, ContextMismatchError, InvariantError
+from utt.errors import BadIndexError, ContextMismatchError, DomainError, InvariantError
 from utt.ops import (
     _times_bidiagonal,
     alpha,
@@ -196,3 +196,5 @@ def test_alpha_rejects_bad_input(ctx):
     other = make_context(5 if ctx.p != 5 else 3, 2, 20)
     with pytest.raises(ContextMismatchError):
         alpha([ctx.one(), other.one()], 4)
+    with pytest.raises(DomainError, match="coeffs\\[0\\]"):
+        alpha([1, ctx.one()], 4)

@@ -12,7 +12,6 @@ from utt.verify import (
     SUITE_BUILDERS,
     SUITE_ORDER,
     CheckResult,
-    default_suite_config,
     run_suites,
 )
 
@@ -20,7 +19,7 @@ FAST_CFG = dict(W=8, nmax=4, kmax=4, trials=5, seed=0)
 
 
 def _fast_config():
-    return default_suite_config(**FAST_CFG)
+    return dict(FAST_CFG)
 
 
 def test_suite_order_covers_all_builders():
@@ -36,7 +35,7 @@ def test_all_suites_pass_fast_config(ctx):
 
 def test_full_default_run_emits_exact_anchor_set():
     ctx = make_context(3, 2, 20)
-    cfg = default_suite_config(W=12, nmax=8, kmax=8, trials=50, seed=0)
+    cfg = dict(W=12, nmax=8, kmax=8, trials=50, seed=0)
     anchors = {r.anchor for r in run_suites(ctx, SUITE_ORDER, cfg)}
     assert anchors == set(ALL_ANCHORS)
 
@@ -47,14 +46,14 @@ def test_anchor_set_is_stable():
 
 def test_reports_are_deterministic(ctx):
     cfg = _fast_config()
-    a = [r.to_json() for r in run_suites(ctx, SUITE_ORDER, cfg)]
-    b = [r.to_json() for r in run_suites(ctx, SUITE_ORDER, cfg)]
-    assert json.dumps(a) == json.dumps(b)
+    a = [cli.emit_check(r, "json") for r in run_suites(ctx, SUITE_ORDER, cfg)]
+    b = [cli.emit_check(r, "json") for r in run_suites(ctx, SUITE_ORDER, cfg)]
+    assert a == b
 
 
 def test_seed_changes_trial_content(ctx):
     base = _fast_config()
-    other = default_suite_config(**{**FAST_CFG, "seed": 1})
+    other = {**FAST_CFG, "seed": 1}
     a = [r.params for r in run_suites(ctx, ["conjugation"], base)]
     b = [r.params for r in run_suites(ctx, ["conjugation"], other)]
     assert a != b  # the per-trial seeds come from the master seed
@@ -62,15 +61,16 @@ def test_seed_changes_trial_content(ctx):
 
 def test_check_result_json_shape():
     res = CheckResult(name="x/y", anchor="Lemma Rpower", passed=True, params={"p": 3})
-    assert res.to_json() == {
+    assert json.loads(cli.emit_check(res, "json")) == {
         "check": "x/y",
         "anchor": "Lemma Rpower",
         "pass": True,
         "params": {"p": 3},
     }
     res2 = CheckResult(name="x/z", anchor="Lemma Rpower", passed=False, detail="boom")
-    data = res2.to_json()
-    assert data["pass"] is False and data["detail"] == "boom"
+    assert json.loads(cli.emit_check(res2, "json")) == {
+        "check": "x/z", "anchor": "Lemma Rpower", "pass": False, "detail": "boom",
+    }
 
 
 def test_run_suites_respects_requested_names(ctx):
@@ -91,7 +91,7 @@ def test_run_suites_canonical_order(ctx):
 def test_action_branch_coverage_reported_at_defaults():
     """At the default configuration every reachable branch is hit."""
     ctx = make_context(3, 2, 20)
-    cfg = default_suite_config(W=12, nmax=8, kmax=8, trials=5, seed=0)
+    cfg = dict(W=12, nmax=8, kmax=8, trials=5, seed=0)
     results = list(run_suites(ctx, ["action"], cfg))
     coverage = [r for r in results if "coverage" in r.name]
     assert coverage and all(r.passed for r in coverage)
