@@ -8,8 +8,8 @@ import random
 import pytest
 
 from conftest import dense_product, random_unit_diag_window, random_window
-from utt.errors import BadIndexError, ContextMismatchError, NotInvertibleError
 from utt.cli import emit_window
+from utt.errors import BadIndexError, ContextMismatchError, NotInvertibleError
 from utt.padic import PadicInt, make_context
 from utt.utmat import UTWindow
 
