@@ -5,18 +5,22 @@ binomials, and runs the verification suites, emitting a deterministic
 report: identical configuration (including the seed) gives a
 byte-identical report.
 
-This module alone knows the command-line contract: the flags with their
-defaults, and the json, csv and pretty rendering of every printed type.
+This module alone knows the command-line contract: the flags each command
+reads, with their defaults, and the json, csv and pretty rendering of every
+printed type.
 The library types expose their data (window rows, polynomial term
 triples, q-polynomial coefficients, check fields) and no wire format.
 
 Exit codes: 0 all requested checks passed, 1 at least one check
-failed, 2 the configuration was rejected before any check ran.
+failed, 2 the configuration was rejected before any check ran, 141
+stdout was closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -36,56 +40,65 @@ class ConfigError(UttError):
     """Request rejected before any computation ran."""
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=None,
-                        help=f"odd prime (default: ${ENV_DEFAULT_PRIME} or 3)")
-    common.add_argument("--q", type=int, default=2,
-                        help="base unit, full order mod p**2 (default 2)")
-    common.add_argument("--N", type=int, default=20, help="precision exponent (default 20)")
-    common.add_argument("--W", type=int, default=12, help="window size (default 12)")
-    common.add_argument("--n", type=int, default=None, help="matrix index / upper index")
-    common.add_argument("--k", type=int, default=None, help="lower index / basis index")
-    common.add_argument("--m", type=int, default=None, help="basis weight index")
-    common.add_argument("--l", type=int, default=None, help="basis layer index")
-    common.add_argument("--i", type=int, default=None, help="plain u-power for basis F")
-    common.add_argument("--j", type=int, default=None, help="(u/p)-power for basis F")
-    common.add_argument("--kmax", type=int, default=8, help="largest basis index (default 8)")
-    common.add_argument("--nmax", type=int, default=8, help="largest matrix index (default 8)")
-    common.add_argument("--trials", type=int, default=50,
-                        help="random C-forms for the conjugation/uc-ru checks (default 50)")
-    common.add_argument("--seed", type=int, default=0, help="seed for random trials (default 0)")
-    common.add_argument("--format", dest="fmt", choices=("json", "csv", "pretty"),
-                        default="json", help="output format (default json)")
-    return common
+# Every flag, defined once as name -> (default, help); each takes an int.
+FLAGS = {
+    "p": (None, f"odd prime (default: ${ENV_DEFAULT_PRIME} or 3)"),
+    "q": (2, "base unit, full order mod p**2 (default 2)"),
+    "N": (20, "precision exponent (default 20)"),
+    "W": (12, "window size (default 12)"),
+    "n": (None, "matrix index / upper index"),
+    "k": (None, "lower index / basis index"),
+    "m": (None, "basis weight index"),
+    "l": (None, "basis layer index"),
+    "i": (None, "plain u-power for basis F"),
+    "j": (None, "(u/p)-power for basis F"),
+    "kmax": (8, "largest basis index (default 8)"),
+    "nmax": (8, "largest matrix index (default 8)"),
+    "trials": (50, "random C-forms for the conjugation/uc-ru checks (default 50)"),
+    "seed": (0, "seed for random trials (default 0)"),
+}
+# The flags each command reads, besides --format; any other flag exits 2.
+COMMAND_FLAGS = {
+    "matrix": ("p", "q", "N", "W", "n"),
+    "qbinom": ("n", "k"),
+    "basis": ("p", "q", "N", "k", "m", "l", "i", "j"),
+    "verify": ("p", "q", "N", "W", "kmax", "nmax", "trials", "seed"),
+}
+COMMAND_FLAGS["all"] = COMMAND_FLAGS["verify"]
+
+
+def _subcommand(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    # No prefix matching: `--k` must not quietly become `--kmax`.
+    cmd = sub.add_parser(name, help=summary, allow_abbrev=False)
+    for flag in COMMAND_FLAGS[name]:
+        default, text = FLAGS[flag]
+        cmd.add_argument(f"--{flag}", type=int, default=default, help=text,
+                         metavar="n" if flag == "n" else None)
+    cmd.add_argument("--format", dest="fmt", choices=("json", "csv", "pretty"),
+                     default="json", help="output format (default json)")
+    return cmd
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="utt",
         description="Exact p-adic upper-triangular matrix calculus and its verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    matrix = sub.add_parser("matrix", parents=[common],
-                            help="print one of the named matrices on a window")
+    matrix = _subcommand(sub, "matrix", "print one of the named matrices on a window")
     matrix.add_argument("kind", choices=("D", "S", "R", "Rn", "Xn"))
-    sub.add_parser("qbinom", parents=[common],
-                   help="print the Gaussian binomial [n, k]_q as a polynomial")
-    basis = sub.add_parser("basis", parents=[common],
-                           help="print one of the basis polynomials")
+    _subcommand(sub, "qbinom", "print the Gaussian binomial [n, k]_q as a polynomial")
+    basis = _subcommand(sub, "basis", "print one of the basis polynomials")
     basis.add_argument("which", choices=("c", "f", "F", "g"))
-    verify = sub.add_parser("verify", parents=[common],
-                            help="run a verification suite and report each check")
+    verify = _subcommand(sub, "verify", "run a verification suite and report each check")
     verify.add_argument("suite", choices=SUITE_ORDER + ("all",))
-    sub.add_parser("all", parents=[common],
-                   help="shorthand for: verify all").set_defaults(suite="all")
+    _subcommand(sub, "all", "shorthand for: verify all").set_defaults(suite="all")
     return parser
 
 
 def _resolve_prime(args: argparse.Namespace) -> None:
     """Fill in --p from the environment default; runs before every command."""
-    if args.p is None:
+    if getattr(args, "p", None) is None:
         raw = os.environ.get(ENV_DEFAULT_PRIME, "3")
         try:
             args.p = int(raw)
@@ -148,6 +161,13 @@ def emit_bivar(poly: BivarPoly, fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _csv_row(*fields: object) -> str:
+    """One CSV record, quoted where a field holds a comma, quote or newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
+
+
 def emit_check(result: CheckResult, fmt: str) -> str:
     if fmt == "json":
         out = {"check": result.name, "anchor": result.anchor, "pass": result.passed}
@@ -157,8 +177,8 @@ def emit_check(result: CheckResult, fmt: str) -> str:
             out["detail"] = result.detail
         return json.dumps(out)
     if fmt == "csv":
-        detail = result.detail.replace(",", ";")
-        return f"{result.name},{result.anchor},{'pass' if result.passed else 'FAIL'},{detail}"
+        return _csv_row(result.name, result.anchor, "pass" if result.passed else "FAIL",
+                        result.detail)
     status = "PASS" if result.passed else "FAIL"
     suffix = f"  -- {result.detail}" if result.detail else ""
     return f"[{status}] {result.name} ({result.anchor}){suffix}"
@@ -225,7 +245,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.fmt == "json":
         print(json.dumps(summary))
     elif args.fmt == "csv":
-        print(f"summary,,{'pass' if passed == total else 'FAIL'},{passed}/{total}")
+        print(_csv_row("summary", "", "pass" if passed == total else "FAIL", f"{passed}/{total}"))
     else:
         print(f"{passed}/{total} checks passed")
     return 0 if passed == total else 1
@@ -239,10 +259,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _resolve_prime(args)
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout must fail here, not at interpreter exit
+        return code
     except UttError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away (`utt verify all | head`): exit quietly with the
+        # status a shell reports for a filter stopped by SIGPIPE.  Later writes,
+        # including the flush at exit, go to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

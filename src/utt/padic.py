@@ -69,6 +69,32 @@ def multiplicative_order(a: int, modulus: int) -> int:
     return 0
 
 
+def order_mod_p_squared(q: int, p: int) -> int:
+    """Order of q modulo p**2 for an odd prime p, or 0 if q is not a unit.
+
+    Same value as `multiplicative_order(q, p * p)`, found with a few
+    modular powers: the unit group has order p*(p-1), so the order is
+    p*(p-1) with each prime factor r divided out for as long as
+    q**(order/r) is still 1.  p-1 is factored by trial division.
+    """
+    if q % p == 0:
+        return 0
+    modulus = p * p
+    order = p * (p - 1)
+    primes, rest, d = {p}, p - 1, 2
+    while d * d <= rest:
+        while rest % d == 0:
+            primes.add(d)
+            rest //= d
+        d += 1
+    if rest > 1:
+        primes.add(rest)
+    for r in primes:
+        while order % r == 0 and pow(q, order // r, modulus) == 1:
+            order //= r
+    return order
+
+
 def nu_int(p: int, n: int) -> int:
     """p-adic valuation of a nonzero ordinary integer."""
     if p < 2:
@@ -161,7 +187,7 @@ def make_context(p: int, q: int, N: int) -> PadicContext:
         raise NotPrimeError(f"need an odd prime, got {p!r}")
     if not isinstance(q, int) or not 2 <= q < p * p:
         raise NotPrimitiveError(f"q must satisfy 2 <= q < p**2, got {q!r}")
-    order = multiplicative_order(q, p * p)
+    order = order_mod_p_squared(q, p)
     if order != p * (p - 1):
         raise NotPrimitiveError(
             f"q={q} has order {order} modulo {p}**2, need {p * (p - 1)}"

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+import utt
 from utt.padic import PadicContext, PadicInt, make_context
 
 settings.register_profile(
@@ -72,6 +74,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in sorted(_ACCEPTANCE_LINES):
         terminalreporter.write_line(line)
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a `python -m utt` child process: the package under
+    test importable, and no `UTT_DEFAULT_PRIME`."""
+    env = dict(os.environ)
+    env.pop("UTT_DEFAULT_PRIME", None)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(utt.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def dense_product(a, b):

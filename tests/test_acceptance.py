@@ -9,12 +9,12 @@ tolerance) modulo p**N.
 from __future__ import annotations
 
 import json
-import os
 import random
 import subprocess
 import sys
 import time
 
+from conftest import child_env
 from utt.basis import big_F, check_integrality, f_poly
 from utt.conj import AFormMatrix, build_U, conjugator
 from utt.ops import (
@@ -218,8 +218,7 @@ def test_criterion_8_arithmetic_substrate(acceptance_recorder):
 
 
 def test_criterion_9_cli_verify_all(acceptance_recorder):
-    env = dict(os.environ)
-    env.pop("UTT_DEFAULT_PRIME", None)
+    env = child_env()
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "utt", "verify", "all"],

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import child_env
 from utt import cli
 from utt.verify import ALL_ANCHORS, SUITE_ORDER, CheckResult
 
@@ -92,21 +96,26 @@ def test_env_prime_one_exits_two(capsys, monkeypatch):
 COMMANDS = [["verify", s] for s in SUITE_ORDER + ("all",)] + [
     ["matrix", "R"], ["matrix", "Xn"], ["basis", "g"], ["qbinom"],
 ]
-FUZZED_FLAGS = ("--p", "--q", "--N", "--W", "--n", "--k", "--m", "--l",
-                "--kmax", "--nmax", "--trials")
+# Cheap values, given first for each command that reads the flag; a fuzzed
+# flag given later overrides them.
+CHEAP_FLAGS = {"W": "4", "nmax": "2", "kmax": "3", "trials": "2"}
+
+
+def _fuzz_case(command):
+    flags = cli.COMMAND_FLAGS[command[0]]
+    base = [arg for f in flags if f in CHEAP_FLAGS for arg in (f"--{f}", CHEAP_FLAGS[f])]
+    fuzzed = st.dictionaries(st.sampled_from(flags), st.integers(-3, 8), max_size=5)
+    return st.tuples(st.just(command + base), fuzzed)
 
 
 @settings(max_examples=100)
-@given(
-    command=st.sampled_from(COMMANDS),
-    flags=st.dictionaries(st.sampled_from(FUZZED_FLAGS), st.integers(-3, 8), max_size=5),
-)
-def test_fuzz_argv_keeps_exit_contract(command, flags):
-    """Small bounded argvs: exit 0, 1 or 2, and never a traceback."""
-    # Cheap defaults first; a fuzzed flag given later overrides them.
-    argv = command + ["--W", "4", "--nmax", "2", "--kmax", "3", "--trials", "2"]
+@given(case=st.sampled_from(COMMANDS).flatmap(_fuzz_case))
+def test_fuzz_argv_keeps_exit_contract(case):
+    """Small bounded argvs of the flags each command reads: exit 0, 1 or 2,
+    and never a traceback."""
+    argv, flags = case
     for flag, value in flags.items():
-        argv += [flag, str(value)]
+        argv = argv + [f"--{flag}", str(value)]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
@@ -115,6 +124,67 @@ def test_fuzz_argv_keeps_exit_contract(command, flags):
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# The flags each command accepts: 36 (command, flag) pairs in all.
+VERIFY_FLAGS = {"p", "q", "N", "W", "kmax", "nmax", "trials", "seed", "format"}
+ACCEPTED_FLAGS = {
+    "matrix": ({"p", "q", "N", "W", "n", "format"}, ["D"]),
+    "qbinom": ({"n", "k", "format"}, []),
+    "basis": ({"p", "q", "N", "k", "m", "l", "i", "j", "format"}, ["c"]),
+    "verify": (VERIFY_FLAGS, ["rpower"]),
+    "all": (VERIFY_FLAGS, []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ACCEPTED_FLAGS))
+def test_command_accepts_exactly_the_flags_it_reads(command):
+    accepted, positional = ACCEPTED_FLAGS[command]
+    parser = cli.build_parser()
+    seen = set()
+    for flag in sorted(set(cli.FLAGS) | {"format"}):
+        argv = [command] + positional + [f"--{flag}", "json" if flag == "format" else "1"]
+        try:
+            parser.parse_args(argv)
+            seen.add(flag)
+        except SystemExit as exc:
+            assert exc.code == 2
+    assert seen == accepted
+    assert sum(len(flags) for flags, _ in ACCEPTED_FLAGS.values()) == 36
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "integrality", "--k", "40"],   # not --kmax: no prefix matching
+        ["verify", "integrality", "--km", "40"],
+        ["qbinom", "--n", "4", "--k", "2", "--W", "3"],
+        ["matrix", "D", "--kmax", "1"],
+        ["basis", "c", "--k", "3", "--seed", "1"],
+    ],
+)
+def test_flag_the_command_does_not_read_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "all"], ["qbinom", "--n", "4", "--k", "2"]], ids=["verify", "qbinom"]
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    """The pipe's read end is closed before the child starts, so every write fails."""
+    env = child_env()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "utt"] + argv, stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
@@ -262,6 +332,19 @@ def test_verify_pretty_format(capsys):
     )
     assert code == 0
     assert "[PASS]" in out and "checks passed" in out
+
+
+def test_verify_csv_rows_have_four_fields(capsys):
+    """Check names hold commas (`alglem/m=1,i=0`), so csv fields are quoted."""
+    code, out, _ = run_cli(capsys, ["verify", "all", "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 4 for row in rows)
+    _, out, _ = run_cli(capsys, ["verify", "all"])
+    names = [rec["check"] for rec in map(json.loads, out.splitlines()) if "check" in rec]
+    assert [row[0] for row in rows[:-1]] == names
+    assert any("," in name for name in names)
+    assert rows[-1][0] == "summary"
 
 
 def test_verify_csv_format(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from utt.padic import (
     multiplicative_order,
     nu_factorial,
     nu_int,
+    order_mod_p_squared,
     scaled_add,
     scaled_eq,
     scaled_from_residue,
@@ -75,6 +77,23 @@ def test_q_hat_is_one_mod_p_but_not_mod_p_squared(ctx):
     assert ctx.q_hat_residue % p == 1
     assert ctx.q_hat_residue % p**2 != 1
     assert multiplicative_order(ctx.q, p**2) == p * (p - 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_order_mod_p_squared_matches_the_loop(p):
+    for q in range(2, p * p):
+        assert order_mod_p_squared(q, p) == multiplicative_order(q, p * p), q
+
+
+def test_make_context_is_fast_at_a_large_prime():
+    """The order comes from the divisors of p*(p-1), not a loop of that length."""
+    t0 = time.perf_counter()
+    ctx = make_context(10007, 5, 20)
+    assert time.perf_counter() - t0 < 0.1
+    assert ctx.q_hat_residue % 10007**2 != 1
+    message = r"^q=2 has order 50065021 modulo 10007\*\*2, need 100130042$"
+    with pytest.raises(NotPrimitiveError, match=message):
+        make_context(10007, 2, 20)
 
 
 def test_q_hat_pow_handles_negative_exponents(ctx):
