@@ -15,6 +15,8 @@ formulas, so the two routes can be checked against each other.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .errors import BadIndexError, DomainError, InvariantError
@@ -146,6 +148,34 @@ def xn_expand_binomial(ctx: PadicContext, n: int, W: int) -> UTWindow:
     return acc
 
 
+# Bounded because the context is part of the key, as for basis.c_poly: a
+# sweep over contexts and window sizes would otherwise keep every chain.
+# 16 is well above the 3 (ctx, W) pairs that `verify all` runs at one W.
+XN_CHAIN_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=XN_CHAIN_CACHE_SIZE)
+def _xn_chain(ctx: PadicContext, W: int) -> list[UTWindow]:
+    """The chain X_0, X_1, ... built so far for (ctx, W); _xn_prefix grows it."""
+    return [UTWindow.identity(ctx, W)]
+
+
+def _xn_prefix(ctx: PadicContext, n_terms: int, W: int) -> list[UTWindow]:
+    """X_0, ..., X_(n_terms - 1) from the chain cached for (ctx, W), grown as needed.
+
+    Each new entry is the previous one times R_n, and is appended only
+    once it kills its leading n columns, so a failed build caches nothing.
+    """
+    chain = _xn_chain(ctx, W)
+    while len(chain) < n_terms:
+        n = len(chain)
+        xn = _times_bidiagonal(chain[-1], build_Rn(ctx, n, W))
+        if xn.filtration_level() < n:
+            raise InvariantError(f"X_{n} fails to kill its leading columns")
+        chain.append(xn)
+    return chain[:n_terms]
+
+
 def alpha(coeffs: Sequence[PadicInt | int], W: int) -> UTWindow:
     """The window of sum_n coeffs[n] * X_n.
 
@@ -153,8 +183,10 @@ def alpha(coeffs: Sequence[PadicInt | int], W: int) -> UTWindow:
     coefficients are ints or PadicInts of that context.
 
     Column j of the result is already exact after the first j+1 terms:
-    X_n kills the leading n columns, which is checked for every term
-    and exploited by skipping all terms with n >= W outright.
+    X_n kills the leading n columns, so all terms with n >= W are skipped
+    outright.  The X_n come from a chain cached per (ctx, W) and grown on
+    demand, and the filtration is checked once per chain entry, when it
+    is built.  The sum is one exact int pass per entry, reduced once.
     """
     if not coeffs:
         raise BadIndexError("alpha needs at least one coefficient")
@@ -162,15 +194,6 @@ def alpha(coeffs: Sequence[PadicInt | int], W: int) -> UTWindow:
         raise DomainError(f"alpha needs coeffs[0] to be a PadicInt, which names the context; "
                           f"got {type(coeffs[0]).__name__}")
     ctx = coeffs[0].ctx
-    residues = [ctx.residue(a) for a in coeffs]
-    acc = UTWindow.zero(ctx, W)
-    xn = UTWindow.identity(ctx, W)
-    for n, a in enumerate(residues):
-        if n >= W:
-            break
-        if n > 0:
-            xn = _times_bidiagonal(xn, build_Rn(ctx, n, W))
-        if xn.filtration_level() < n:
-            raise InvariantError(f"X_{n} fails to kill its leading columns")
-        acc = acc + xn.scale(a)
-    return acc
+    residues = [ctx.residue(a) for a in coeffs][:W]
+    flats = [xn.residues() for xn in _xn_prefix(ctx, len(residues), W)]
+    return UTWindow(ctx, W, [sum(map(mul, residues, entry)) for entry in zip(*flats)])

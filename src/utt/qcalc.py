@@ -107,12 +107,21 @@ class QPoly:
         return "QPoly(" + " + ".join(parts).replace("+ -", "- ") + ")"
 
 
+# Rows of the q-Pascal triangle that one recursion may descend before it
+# reaches a row the memo already holds.
+QBINOM_STEP = 128
+
+
 @lru_cache(maxsize=None)
 def qbinom(n: int, i: int) -> QPoly:
     """Gaussian binomial [n choose i]_q via the q-Pascal recurrence.
 
     Out-of-range indices give the zero polynomial, matching the
     convention used by the matrix entry formulas.
+
+    The memo is filled bottom-up first, at every QBINOM_STEP-th row of
+    the cone of (n, i) in ascending order, so the recursion never runs
+    more than QBINOM_STEP rows deep, however large n is.
     """
     if n < 0:
         raise DomainError("qbinom needs n >= 0")
@@ -120,6 +129,9 @@ def qbinom(n: int, i: int) -> QPoly:
         return QPoly.zero()
     if i == 0 or i == n:
         return QPoly.one()
+    for m in range(QBINOM_STEP, n, QBINOM_STEP):
+        for j in range(max(1, i - (n - m)), min(i, m - 1) + 1):
+            qbinom(m, j)
     return qbinom(n - 1, i - 1) + qbinom(n - 1, i).shifted(i)
 
 

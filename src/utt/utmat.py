@@ -80,6 +80,10 @@ class UTWindow:
             return self.ctx.zero()
         return PadicInt(self.ctx, self._e[self._idx(i, j)])
 
+    def residues(self) -> tuple[int, ...]:
+        """All entries (i, j), i <= j, row by row, as the flat tuple of residues."""
+        return self._e
+
     def rows(self) -> list[tuple[int, ...]]:
         """Row i as the residues of the entries (i, i), (i, i+1), ..., (i, W-1)."""
         W, e = self.W, self._e

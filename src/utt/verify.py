@@ -406,7 +406,12 @@ BASIS_SUITES = frozenset({"integrality", "action", "alglem", "lower-g"})
 
 
 def run_suites(ctx: PadicContext, names: list[str], cfg: Mapping[str, int]) -> Iterator[CheckResult]:
-    """Run the named suites in canonical order, yielding results lazily.
+    """Run the named suites in canonical order, yielding their results.
+
+    Only the suites are started lazily: each one builds its whole result
+    list before the first of its results is yielded.  On large configs
+    that list is the suite's largest live object: lower-g at kmax = 40
+    holds one CheckResult per checked (m, n, i) until it returns.
 
     `cfg` maps W, nmax, kmax, trials and seed to ints; other keys are ignored.
     """

@@ -305,6 +305,14 @@ def test_qbinom_command(capsys):
     assert code == 0 and out.strip()
 
 
+def test_qbinom_command_at_large_n_exits_zero_quietly():
+    """A fresh process has a cold qbinom memo; n = 2000 must not reach the recursion limit."""
+    proc = subprocess.run([sys.executable, "-m", "utt", "qbinom", "--n", "2000", "--k", "1"],
+                          capture_output=True, env=child_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout) == [1] * 2000
+
+
 def test_basis_commands(capsys):
     code, out, _ = run_cli(capsys, ["basis", "c", "--k", "1"])
     assert code == 0

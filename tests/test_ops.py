@@ -7,8 +7,10 @@ import random
 import pytest
 
 from conftest import dense_product
+from utt import ops
 from utt.errors import BadIndexError, ContextMismatchError, DomainError, InvariantError
 from utt.ops import (
+    XN_CHAIN_CACHE_SIZE,
     _times_bidiagonal,
     alpha,
     build_D,
@@ -198,3 +200,68 @@ def test_alpha_rejects_bad_input(ctx):
         alpha([ctx.one(), other.one()], 4)
     with pytest.raises(DomainError, match="coeffs\\[0\\]"):
         alpha([1, ctx.one()], 4)
+
+
+# ------------------------------------------------------- the cached X_n chain
+
+
+@pytest.fixture()
+def cold_chain():
+    ops._xn_chain.cache_clear()
+    yield
+    ops._xn_chain.cache_clear()
+
+
+def _count_rn_builds(monkeypatch) -> list[int]:
+    """Wrap ops.build_Rn; the returned list collects the n of every call."""
+    built: list[int] = []
+    real = ops.build_Rn
+
+    def counted(ctx, n, W):
+        built.append(n)
+        return real(ctx, n, W)
+
+    monkeypatch.setattr(ops, "build_Rn", counted)
+    return built
+
+
+def test_alpha_builds_each_rn_once_per_context_and_window(ctx, monkeypatch, cold_chain):
+    built = _count_rn_builds(monkeypatch)
+    rng = random.Random(11)
+    coeffs = [ctx.from_int(rng.randrange(ctx.modulus)) for _ in range(11)]
+    full = alpha(coeffs, 12)
+    assert built == list(range(1, 11))
+    built.clear()
+    assert alpha(coeffs, 12) == full
+    for j in range(len(coeffs)):
+        alpha(coeffs[: j + 1], 12)
+    assert built == []
+
+
+def test_alpha_grows_the_chain_only_as_far_as_its_terms(ctx, monkeypatch, cold_chain):
+    built = _count_rn_builds(monkeypatch)
+    alpha([ctx.one()] * 3, 400)
+    assert built == [1, 2]
+
+
+def test_xn_chain_cache_is_bounded(cold_chain):
+    """The cache is keyed on (context, W); a sweep over contexts stays within maxsize."""
+    info = ops._xn_chain.cache_info()
+    assert info.maxsize == XN_CHAIN_CACHE_SIZE > 3  # `verify all` at three contexts fits
+    for N in range(4, 4 + 3 * XN_CHAIN_CACHE_SIZE):
+        alpha([make_context(3, 2, N).one()] * 3, 4)
+    assert ops._xn_chain.cache_info().currsize <= XN_CHAIN_CACHE_SIZE
+
+
+def test_alpha_chain_rejects_a_bad_factor_and_keeps_nothing(ctx, monkeypatch, cold_chain):
+    """R in place of R_1 leaves X_1 = R, which kills no column; nothing wrong is cached."""
+    rng = random.Random(12)
+    coeffs = [ctx.from_int(rng.randrange(ctx.modulus)) for _ in range(9)]
+    monkeypatch.setattr(ops, "build_Rn", lambda c, n, W: build_R(c, W))
+    with pytest.raises(InvariantError, match="X_1 fails to kill its leading columns"):
+        alpha(coeffs, 7)
+    monkeypatch.undo()
+    want = UTWindow.zero(ctx, 7)
+    for n, a in enumerate(coeffs):
+        want = want + _dense_xn(ctx, n, 7).scale(a)
+    assert alpha(coeffs, 7) == want

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from utt.cli import emit_qpoly
 from utt.padic import make_context
-from utt.qcalc import QPoly, binom, qbinom, qbinom_eval
+from utt.qcalc import QBINOM_STEP, QPoly, binom, qbinom, qbinom_eval
 
 # ------------------------------------------------------------------ oracle
 
@@ -73,6 +74,28 @@ def test_qbinom_matches_product_formula(n):
         while len(want) > 1 and want[-1] == 0:
             want.pop()
         assert got == want, (n, i)
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_qbinom_deep_cold_cache_matches_product_formula(i):
+    """A cold memo is filled bottom-up, so n = 1000 does not exhaust the recursion limit."""
+    qbinom.cache_clear()
+    assert list(qbinom(1000, i).coeffs) == qbinom_product_formula(1000, i)
+
+
+def test_qbinom_recursion_depth_does_not_grow_with_n():
+    """With the limit a few QBINOM_STEPs above the current depth, n = 20 * QBINOM_STEP still works."""
+    qbinom.cache_clear()
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 3 * QBINOM_STEP + 50)
+    try:
+        got = qbinom(20 * QBINOM_STEP, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got.coeffs == (1,) * (20 * QBINOM_STEP)
 
 
 def test_qbinom_pascal_recurrences():

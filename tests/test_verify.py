@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from utt import cli, conj, verify
+from utt import cli, conj, ops, verify
 from utt.padic import PadicInt, make_context
 from utt.utmat import UTWindow
 from utt.verify import (
@@ -189,3 +189,15 @@ def test_rpower_builds_at_most_one_padic_int_per_entry(monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert '"failed": 0' in capsys.readouterr().out
     assert 0 < built <= (nmax + 1) * W * (W + 1) // 2
+
+
+def test_verify_alpha_report_is_the_same_cold_and_warm(capsys):
+    """The benchmark runs several invocations in one process, so the chain cache is shared."""
+    ops._xn_chain.cache_clear()
+    argv = ["verify", "alpha", "--p", "5", "--q", "2", "--N", "20"]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    assert ops._xn_chain.cache_info().currsize == 1
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert ops._xn_chain.cache_info().hits > 0
