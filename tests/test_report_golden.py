@@ -18,9 +18,15 @@ def _all(p: int, q: int, fmt: str) -> list[str]:
     return ["verify", "all", "--p", str(p), "--q", str(q), "--format", fmt] + SMALL
 
 
+def _basis_k24(suite: str, p: int, N: int) -> list[str]:
+    return f"verify {suite} --p {p} --q 2 --N {N} --kmax 24 --seed=1".split()
+
+
 # sha256 of the stdout of `utt <argv>`.  `conjugation-W24` pins the RNG draw
-# order at W = 24; the two basis inputs pin where precision is lost in the
-# scaled arithmetic, since the report shows every coefficient verdict.
+# order at W = 24; the basis inputs pin where precision is lost in the
+# scaled arithmetic, since the report shows every coefficient verdict.  The
+# `-k24` inputs run the four basis suites at the two `basis-deep` benchmark
+# contexts with kmax 24.
 GOLDEN = {
     "3-2-json": (_all(3, 2, "json"), "a7b8f8eb1170efdc3a1f1d7366cc7ede94fa686229b89cc63d633148750df0ff"),
     "5-2-json": (_all(5, 2, "json"), "6e80a386e0160bd7cd88355515dca11520b62a0d6e1bd537e7c88fe7e162bea2"),
@@ -38,6 +44,38 @@ GOLDEN = {
     "integrality-p5-k20": (
         "verify integrality --p 5 --q 2 --N 40 --kmax 20 --seed=3".split(),
         "d25b681b21b51c604998b4a0fcbc7b85069bce027ff4942d9d7ea059e65fdbf4",
+    ),
+    "integrality-p3-k24": (
+        _basis_k24("integrality", 3, 68),
+        "f1e1d4ded769a49e17faf50114baed19ea5bdd129487d0fc6862b55f47415bea",
+    ),
+    "action-p3-k24": (
+        _basis_k24("action", 3, 68),
+        "51f8c33541880512f90815578262f3bb0df00da225c1e179e225a548d677558a",
+    ),
+    "alglem-p3-k24": (
+        _basis_k24("alglem", 3, 68),
+        "e1d77685fae254791cf790fbd308837839c74310c3bc1bbf9ae93375b6a00eee",
+    ),
+    "lower-g-p3-k24": (
+        _basis_k24("lower-g", 3, 68),
+        "ca9502bb770fb5518bc0b08e4f577a571d9f6012df6517c8832b017706302865",
+    ),
+    "integrality-p5-k24": (
+        _basis_k24("integrality", 5, 59),
+        "9cc6a4ccefb556c3f6c045835408a7e3ab6db8b2eddf975b69a78b92063a324c",
+    ),
+    "action-p5-k24": (
+        _basis_k24("action", 5, 59),
+        "3fa2d5288c35103124a4247eb7e3b90dfe89e0d0be6d89f0670b59a1fdb998c5",
+    ),
+    "alglem-p5-k24": (
+        _basis_k24("alglem", 5, 59),
+        "0ae0d1a16b8a5b18b1e5ddef62389dc491a5afac24baaea309c89256ed505280",
+    ),
+    "lower-g-p5-k24": (
+        _basis_k24("lower-g", 5, 59),
+        "f692a2f8455b249ac32b399eb5be2627e2376f28612a1735ee287401c1164344",
     ),
 }
 
