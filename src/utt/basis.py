@@ -59,6 +59,14 @@ def _to_triple(ctx: PadicContext, v: PadicScaled | PadicInt | int) -> Triple:
     return scaled_from_residue(ctx.p, ctx.N, ctx.residue(v))
 
 
+def _residue_powers(x: int, e: int, M: int) -> list[int]:
+    """[x**0, x**1, ..., x**e] mod M for a residue x, by running products."""
+    out = [1]
+    for _ in range(e):
+        out.append(out[-1] * x % M)
+    return out
+
+
 class BivarPoly:
     """Polynomial in two variables u, v with scaled p-adic coefficients.
 
@@ -170,15 +178,18 @@ class BivarPoly:
     def substitute(self, u_value: PadicInt | int, v_value: PadicInt | int) -> PadicScaled:
         """Evaluate at ring elements (u, v) = (u_value, v_value).
 
-        Each monomial is evaluated on residues; the terms are summed in
-        sorted exponent order.
+        Each monomial is evaluated on residues, from tables of u**a and
+        v**b mod p**N built by running products for this call; the terms
+        are summed in sorted exponent order.
         """
         ctx = self.ctx
         p, N, M = ctx.p, ctx.N, ctx.modulus
         u, v = ctx.residue(u_value), ctx.residue(v_value)
+        u_pows = _residue_powers(u, max((a for a, _ in self.terms), default=0), M)
+        v_pows = _residue_powers(v, max((b for _, b in self.terms), default=0), M)
         acc = None
         for (a, b), t in sorted(self.terms.items()):
-            r = scaled_from_residue(p, N, pow(u, a, M) * pow(v, b, M) % M)
+            r = scaled_from_residue(p, N, u_pows[a] * v_pows[b] % M)
             acc = scaled_add(p, acc, scaled_mul(p, t, r))
         return PadicScaled._from_triple(ctx, acc)
 
@@ -194,6 +205,8 @@ class BivarPoly:
             return NotImplemented
         if self.ctx != other.ctx or self.terms.keys() != other.terms.keys():
             return False
+        if self.terms == other.terms:  # identical triples agree on every digit
+            return True
         p = self.ctx.p
         return all(scaled_eq(p, t, other.terms[k]) for k, t in self.terms.items())
 

@@ -221,12 +221,30 @@ def scaled_from_residue(p: int, N: int, r: int) -> Triple:
     return (v, r, N - v)
 
 
+# p**e for e = 0, 1, ... in one list per prime, read by the scaled kernels.
+# They ask for no exponent above the largest sig they are given (at most the
+# N of a context), so each list stays at most max N + 1 long.
+_P_POWERS: dict[int, list[int]] = {}
+
+
+def _p_powers(p: int, e: int) -> list[int]:
+    """The power table of p, grown to hold p**e."""
+    table = _P_POWERS.setdefault(p, [1])
+    while len(table) <= e:
+        table.append(table[-1] * p)
+    return table
+
+
 def scaled_mul(p: int, x: Triple, y: Triple) -> Triple:
     """x * y; the product knows as many digits as the vaguer factor."""
     if x is None or y is None:
         return None
-    s = min(x[2], y[2])
-    return (x[0] + y[0], x[1] * y[1] % p**s, s)
+    s = x[2] if x[2] < y[2] else y[2]
+    try:
+        m = _P_POWERS[p][s]
+    except (KeyError, IndexError):
+        m = _p_powers(p, s)[s]
+    return (x[0] + y[0], x[1] * y[1] % m, s)
 
 
 def scaled_add(p: int, x: Triple, y: Triple) -> Triple:
@@ -247,10 +265,15 @@ def scaled_add(p: int, x: Triple, y: Triple) -> Triple:
     if x[0] > y[0]:
         x, y = y, x
     delta = y[0] - x[0]
-    s = min(x[2], delta + y[2])
+    s = x[2] if x[2] < delta + y[2] else delta + y[2]
     if s < 1:
         raise PrecisionExhaustedError("addition lost every significant digit")
-    r = (x[1] + y[1] * p**delta) % p**s
+    try:
+        m = _P_POWERS[p][s]
+    except (KeyError, IndexError):
+        m = _p_powers(p, s)[s]
+    # y * p**delta vanishes mod p**s once delta >= s; below s the table holds p**delta.
+    r = (x[1] + y[1] * _P_POWERS[p][delta]) % m if delta < s else x[1] % m
     if r == 0:
         return None
     w = 0
@@ -279,7 +302,11 @@ def scaled_eq(p: int, x: Triple, y: Triple) -> bool:
         return x is y
     if x[0] != y[0]:
         return False
-    m = p ** min(x[2], y[2])
+    s = x[2] if x[2] < y[2] else y[2]
+    try:
+        m = _P_POWERS[p][s]
+    except (KeyError, IndexError):
+        m = _p_powers(p, s)[s]
     return x[1] % m == y[1] % m
 
 

@@ -92,10 +92,12 @@ def _coverage(prefix: str, anchor: str, ctx: PadicContext, kmax: int, hit: set, 
 
 
 def _first_mismatch(a: UTWindow, b: UTWindow) -> str:
+    """Where a and b first differ, both residues, and to how many digits they agree."""
     for i, (row_a, row_b) in enumerate(zip(a.rows(), b.rows())):
         for c, (x, y) in enumerate(zip(row_a, row_b)):
             if x != y:
-                return f"first mismatch at ({i},{i + c})"
+                agree = nu_int(a.ctx.p, x - y)
+                return f"first mismatch at ({i},{i + c}): {x} vs {y}, nu_p(diff)={agree}"
     return ""
 
 

@@ -190,3 +190,16 @@ def ref_bivar_product(x, y):
             prod = ref_scaled_mul(c1, c2)
             acc[key] = ref_scaled_add(acc[key], prod) if key in acc else prod
     return {k: c for k, c in acc.items() if not c.is_zero()}
+
+
+def ref_substitute(poly, u: int, v: int):
+    """poly at (u, v) with one modular pow per variable and monomial, the
+    terms summed in sorted exponent order through the reference rules."""
+    from utt.padic import PadicScaled
+
+    ctx, M = poly.ctx, poly.ctx.modulus
+    acc = PadicScaled.zero(ctx)
+    for a, b in sorted(poly.terms):
+        value = ctx.from_int(pow(u, a, M) * pow(v, b, M)).to_scaled()
+        acc = ref_scaled_add(acc, ref_scaled_mul(poly.coefficient(a, b), value))
+    return acc

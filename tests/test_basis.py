@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_bivar_product, ref_scaled_add, ref_scaled_mul
+from conftest import STANDARD_TRIPLES, ref_bivar_product, ref_substitute
+from utt import basis
 from utt.basis import (
     C_POLY_CACHE_SIZE,
     BivarPoly,
@@ -114,12 +115,9 @@ def test_bivar_product_matches_reference(x, y):
 @given(low_precision_terms(), st.integers(0, 3**6 - 1), st.integers(0, 3**6 - 1))
 def test_bivar_substitute_matches_reference(terms, u, v):
     """Evaluation sums the terms in sorted exponent order; digit loss depends on it."""
-    want = PadicScaled.zero(LOW_CTX)
-    for (a, b), c in sorted(terms.items()):
-        value = LOW_CTX.from_int(u**a * v**b).to_scaled()
-        want = ref_scaled_add(want, ref_scaled_mul(c, value))
-    got = BivarPoly(LOW_CTX, terms).substitute(u, LOW_CTX.from_int(v))
-    assert (got.val, got.unit, got.sig) == (want.val, want.unit, want.sig)
+    poly = BivarPoly(LOW_CTX, terms)
+    got = poly.substitute(u, LOW_CTX.from_int(v))
+    assert got.triple() == ref_substitute(poly, u, v).triple()
 
 
 def test_bivar_substitute_sums_in_sorted_order():
@@ -176,6 +174,95 @@ def test_bivar_substitute_respects_products(ctx):
         v = ctx.from_int(rng.randrange(1, ctx.modulus))
         assert (a * b).substitute(u, v) == a.substitute(u, v) * b.substitute(u, v)
         assert (a + b).substitute(u, v) == a.substitute(u, v) + b.substitute(u, v)
+
+
+STANDARD_CONTEXTS = [make_context(*t) for t in STANDARD_TRIPLES]
+
+
+@st.composite
+def wide_polys(draw):
+    """A BivarPoly of mixed degree, exponents up to 12, at a standard context."""
+    ctx = draw(st.sampled_from(STANDARD_CONTEXTS))
+    p, N = ctx.p, ctx.N
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        key = (draw(st.integers(0, 12)), draw(st.integers(0, 12)))
+        sig = draw(st.integers(1, N))
+        unit = draw(st.integers(1, p**sig - 1).filter(lambda u: u % p))
+        terms[key] = PadicScaled(ctx, draw(st.integers(-6, 6)), unit, sig)
+    return BivarPoly(ctx, terms)
+
+
+def _points(ctx):
+    """Substitution points: 0, 1 and -1, any residue, and 1 + p*r as the suites draw."""
+    p, M = ctx.p, ctx.modulus
+    return st.one_of(st.sampled_from([0, 1, M - 1]), st.integers(0, M - 1),
+                     st.integers(0, M // p - 1).map(lambda r: 1 + p * r))
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_substitute_matches_naive_pow_reference(data):
+    poly = data.draw(wide_polys())
+    u, v = data.draw(_points(poly.ctx)), data.draw(_points(poly.ctx))
+    assert poly.substitute(u, v).triple() == ref_substitute(poly, u, v).triple()
+
+
+def test_substitute_of_zero_and_exponent_zero(ctx):
+    M = ctx.modulus
+    for u, v in ((0, 0), (1, 0), (0, M - 1), (5, 7)):
+        assert BivarPoly.zero(ctx).substitute(u, v).is_zero()
+        assert BivarPoly.one(ctx).substitute(u, v) == PadicScaled.from_int(ctx, 1)  # 0**0 = 1
+    cases = [
+        (BivarPoly.monomial(ctx, 0, 0, 7), 0, 0, 7),
+        (BivarPoly.monomial(ctx, 0, 3, 1), 0, 2, 8),
+        (BivarPoly.monomial(ctx, 2, 0, 1), 3, 0, 9),
+        (BivarPoly.monomial(ctx, 2, 0, 1) + BivarPoly.monomial(ctx, 0, 1, 1), 3, 0, 9),
+        (BivarPoly.monomial(ctx, 1, 1, 1), 0, 5, 0),
+    ]
+    for poly, u, v, want in cases:
+        got = poly.substitute(u, v)
+        assert got == PadicScaled.from_int(ctx, want)
+        assert got.triple() == ref_substitute(poly, u, v).triple()
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_bivar_eq_ignores_digits_below_sig(data):
+    """Equal where every pair of triples agrees on the digits both know,
+    unequal once a known digit differs."""
+    poly = data.draw(wide_polys())
+    ctx = poly.ctx
+    p, N = ctx.p, ctx.N
+    finer = {}
+    for key, (val, unit, sig) in poly.terms.items():
+        noise = data.draw(st.integers(0, p ** (N - sig) - 1))
+        finer[key] = PadicScaled(ctx, val, unit + noise * p**sig, N)
+    finer = BivarPoly(ctx, finer)
+    assert poly == finer and finer == poly
+    if poly.terms:
+        key = data.draw(st.sampled_from(sorted(poly.terms)))
+        val, unit, sig = poly.terms[key]
+        digit = data.draw(st.integers(1, sig - 1)) if sig > 1 else None
+        changed = dict(finer.terms)
+        if digit is None:  # one known digit only: move the valuation instead
+            changed[key] = (val + 1, unit, sig)
+        else:
+            changed[key] = (val, (unit + p**digit) % p**N, N)
+        changed = BivarPoly._clean(ctx, changed)
+        assert poly != changed and changed != poly
+
+
+def test_bivar_eq_on_identical_triples_skips_the_digit_loop(ctx, monkeypatch):
+    calls = []
+    real = basis.scaled_eq
+    monkeypatch.setattr(basis, "scaled_eq", lambda p, x, y: calls.append(1) or real(p, x, y))
+    assert f_poly(ctx, 5) == f_poly(ctx, 5) and not calls
+    coarse = BivarPoly(ctx, {(1, 2): PadicScaled(ctx, -1, 2, 5), (0, 0): 1})
+    finer = BivarPoly(ctx, {(1, 2): PadicScaled(ctx, -1, 2 + 7 * ctx.p**5, ctx.N), (0, 0): 1})
+    assert coarse == finer and calls
+    off = BivarPoly(ctx, {(1, 2): PadicScaled(ctx, -1, 2 + ctx.p**4, ctx.N), (0, 0): 1})
+    assert coarse != off
 
 
 def test_bivar_graded_parts_sum_back(ctx):

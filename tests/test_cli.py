@@ -313,6 +313,32 @@ def test_qbinom_command_at_large_n_exits_zero_quietly():
     assert json.loads(proc.stdout) == [1] * 2000
 
 
+def _qbinom_in_child(n: int, k: int) -> subprocess.CompletedProcess:
+    """`utt qbinom` in a child that may map at most 512 MiB, so that a missing
+    limit ends in a MemoryError rather than in a host out of memory."""
+    limit = 512 << 20
+    code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+            f"from utt import cli; sys.exit(cli.main(['qbinom', '--n', '{n}', '--k', '{k}']))")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+
+
+def test_qbinom_above_the_degree_limit_exits_two_at_once():
+    """[400, 200] has degree 40000; its memo would need about 20 GiB."""
+    proc = _qbinom_in_child(400, 200)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: qbinom prints degree k(n-k) <= {cli.QBINOM_MAX_DEGREE}, "
+                           "got 40000 at n=400, k=200\n")
+
+
+@pytest.mark.parametrize("n, k, code", [(2501, 1, 0), (2502, 1, 2), (2502, 2501, 2), (5, 9, 0)])
+def test_qbinom_degree_limit_is_inclusive(n, k, code):
+    assert cli.QBINOM_MAX_DEGREE == 2500
+    proc = _qbinom_in_child(n, k)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.count("error:") == (code == 2)
+
+
 def test_basis_commands(capsys):
     code, out, _ = run_cli(capsys, ["basis", "c", "--k", "1"])
     assert code == 0

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ref_scaled_add, ref_scaled_eq, ref_scaled_mul
+from utt import padic
 from utt.basis import BivarPoly
 from utt.cli import emit_bivar
 from utt.errors import (
@@ -499,6 +500,29 @@ def test_scaled_add_cancels_and_exhausts():
         scaled_add(p, spent, y)
     with pytest.raises(PrecisionExhaustedError):
         ref_scaled_add(_scaled(spent), _scaled(y))
+
+
+def test_scaled_add_far_apart_matches_reference_and_keeps_the_table_short(monkeypatch):
+    """A shift delta >= sig adds nothing mod p**sig, so p**delta is never read."""
+    p, N = KERNEL_CTX.p, KERNEL_CTX.N
+    monkeypatch.setattr(padic, "_P_POWERS", {})
+    x = (0, 5, N)
+    for far in ((10**6, 7, N), (10**6, 1, 1), (N, 2, 3)):
+        want = _as_triple(ref_scaled_add(_scaled(x), _scaled(far)))
+        assert want == x
+        assert scaled_add(p, x, far) == want and scaled_add(p, far, x) == want
+    near = (-(10**6), 4, 3)
+    assert scaled_add(p, x, near) == _as_triple(ref_scaled_add(_scaled(x), _scaled(near))) == near
+    assert len(padic._P_POWERS[p]) <= N + 1
+
+
+def test_power_table_holds_powers_up_to_the_precision_read(monkeypatch):
+    monkeypatch.setattr(padic, "_P_POWERS", {})
+    x, y = (0, 3, 12), (1, 5, 9)
+    assert scaled_mul(7, x, y) == (1, 15, 9)
+    assert not scaled_eq(7, x, y) and scaled_eq(7, x, (0, 3 + 7**12, 13))
+    assert scaled_add(7, x, (0, 7**12 - 3, 12)) is None
+    assert padic._P_POWERS == {7: [7**e for e in range(13)]}  # p**12 at most
 
 
 def test_scaled_from_residue_matches_to_scaled(ctx):

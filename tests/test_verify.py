@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from utt import cli, conj, ops, verify
-from utt.padic import PadicInt, make_context
+from utt.padic import PadicInt, make_context, nu_int
 from utt.utmat import UTWindow
 from utt.verify import (
     ALL_ANCHORS,
@@ -114,8 +114,24 @@ def test_rpower_failure_names_first_mismatch(ctx3, monkeypatch):
     monkeypatch.setattr(verify, "rpower_closed", off_by_one_at_1_2)
     bad = _failures(ctx3, "rpower")
     assert [r.name for r in bad] == [f"rpower/n={n}" for n in range(FAST_CFG["nmax"] + 1)]
-    assert {r.detail for r in bad} == {"first mismatch at (1,2)"}
+    R, M = verify.build_R(ctx3, FAST_CFG["W"]), ctx3.modulus
+    for n, r in enumerate(bad):
+        lhs = (R**n).entry(1, 2).residue
+        assert r.detail == f"first mismatch at (1,2): {lhs} vs {(lhs + 1) % M}, nu_p(diff)=0"
     assert all(r.params["W"] == FAST_CFG["W"] for r in bad)
+
+
+def test_first_mismatch_gives_residues_and_agreeing_digits(ctx3):
+    """A difference at p**19 of N = 20 is a precision question; one at p**0 a wrong formula."""
+    p, M = ctx3.p, ctx3.modulus
+    base = UTWindow.from_fn(ctx3, 4, lambda i, j: 10 * i + j + 1)
+    for at, delta in (((0, 0), 1), ((1, 3), p**19), ((2, 2), 5 * p**7), ((3, 3), -(p**2))):
+        other = UTWindow.from_fn(ctx3, 4, lambda i, j: 10 * i + j + 1 + (delta if (i, j) == at else 0))
+        x = 10 * at[0] + at[1] + 1
+        y = (x + delta) % M
+        want = f"first mismatch at ({at[0]},{at[1]}): {x} vs {y}, nu_p(diff)={nu_int(p, delta)}"
+        assert verify._first_mismatch(base, other) == want
+    assert verify._first_mismatch(base, base) == ""
 
 
 def test_coverage_failure_lists_expected_branches(ctx3, monkeypatch):
