@@ -223,7 +223,9 @@ def scaled_from_residue(p: int, N: int, r: int) -> Triple:
 
 # p**e for e = 0, 1, ... in one list per prime, read by the scaled kernels.
 # They ask for no exponent above the largest sig they are given (at most the
-# N of a context), so each list stays at most max N + 1 long.
+# N of a context), so each list stays at most max N + 1 long.  Each kernel
+# indexes the table itself: a helper call per operation would cost about
+# half of what the table saves.
 _P_POWERS: dict[int, list[int]] = {}
 
 
