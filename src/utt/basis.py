@@ -29,6 +29,7 @@ from .padic import (
     PadicInt,
     PadicScaled,
     Triple,
+    _p_powers,
     nu_factorial,
     nu_int,
     scaled_add,
@@ -179,19 +180,53 @@ class BivarPoly:
         """Evaluate at ring elements (u, v) = (u_value, v_value).
 
         Each monomial is evaluated on residues, from tables of u**a and
-        v**b mod p**N built by running products for this call; the terms
-        are summed in sorted exponent order.
+        v**b mod p**N built by running products for this call.  The
+        terms, in sorted exponent order, go into one exact int sum
+        scaled by p**-low, low the least coefficient valuation, and the
+        sum is reduced and its valuation stripped once, at the end.
+
+        The result is the triple that summing the terms one by one with
+        scaled_add gives.  The sum knows the least absolute precision
+        val + sig of its terms; a term whose monomial residue has
+        valuation w knows val + min(sig + w, N).  A monomial that
+        evaluates to zero adds nothing.  Like scaled_add, the sum starts
+        afresh from the exact zero whenever the partial sum is 0 mod
+        p**A, A its precision so far, and so forgets A.
         """
         ctx = self.ctx
         p, N, M = ctx.p, ctx.N, ctx.modulus
         u, v = ctx.residue(u_value), ctx.residue(v_value)
-        u_pows = _residue_powers(u, max((a for a, _ in self.terms), default=0), M)
-        v_pows = _residue_powers(v, max((b for _, b in self.terms), default=0), M)
-        acc = None
-        for (a, b), t in sorted(self.terms.items()):
-            r = scaled_from_residue(p, N, u_pows[a] * v_pows[b] % M)
-            acc = scaled_add(p, acc, scaled_mul(p, t, r))
-        return PadicScaled._from_triple(ctx, acc)
+        if not self.terms:
+            return PadicScaled._from_triple(ctx, None)
+        u_pows = _residue_powers(u, max(a for a, _ in self.terms), M)
+        v_pows = _residue_powers(v, max(b for _, b in self.terms), M)
+        vals = [val for val, _, _ in self.terms.values()]
+        low = min(vals)
+        pp = _p_powers(p, max(vals) - low + N)
+        acc, prec = 0, None  # sum since the last reset, scaled by p**-low; its least val + sig
+        for (a, b), (val, unit, sig) in sorted(self.terms.items()):
+            r = u_pows[a] * v_pows[b] % M
+            if r == 0:
+                continue
+            if r % p:
+                cap = val + sig
+            else:
+                w = 1
+                while r % pp[w + 1] == 0:
+                    w += 1
+                cap = val + (sig + w if sig + w < N else N)
+            acc += unit * r * pp[val - low]
+            if prec is None or cap < prec:
+                prec = cap
+            if acc % pp[prec - low] == 0:
+                acc, prec = 0, None
+        if prec is None:
+            return PadicScaled._from_triple(ctx, None)
+        r, w = acc % pp[prec - low], 0
+        while r % p == 0:
+            r //= p
+            w += 1
+        return PadicScaled._from_triple(ctx, (low + w, r, prec - low - w))
 
     def graded_parts(self) -> dict[int, "BivarPoly"]:
         """Split into homogeneous pieces keyed by total degree."""

@@ -223,7 +223,8 @@ def scaled_from_residue(p: int, N: int, r: int) -> Triple:
 
 # p**e for e = 0, 1, ... in one list per prime, read by the scaled kernels.
 # They ask for no exponent above the largest sig they are given (at most the
-# N of a context), so each list stays at most max N + 1 long.  Each kernel
+# N of a context); BivarPoly.substitute asks for N plus the spread of its
+# coefficient valuations, which bounds each list.  Each kernel
 # indexes the table itself: a helper call per operation would cost about
 # half of what the table saves.
 _P_POWERS: dict[int, list[int]] = {}
@@ -259,6 +260,10 @@ def scaled_add(p: int, x: Triple, y: Triple) -> Triple:
     sum matters once a partial sum cancels.  A summand that knows no
     digit (sig < 1, never true of a canonical triple) raises
     PrecisionExhaustedError.
+
+    BivarPoly.substitute sums in one pass but reproduces this rule,
+    the reset to the exact zero included, so a change to the
+    cancellation rule here must be made there too.
     """
     if x is None:
         return y

@@ -312,28 +312,29 @@ def suite_action(ctx: PadicContext, kmax: int) -> list[CheckResult]:
     u = BivarPoly.u_hat(ctx)
     out = []
     for m in range(1, kmax + 1):
-        lhs = psi_action(f_poly(ctx, m))
-        rhs = f_poly(ctx, m).scale(ctx.q_hat_pow(m)) + (u * f_poly(ctx, m - 1)).scale_p(
-            nu_int(p, m)
-        )
+        f = f_poly(ctx, m)
+        lhs = psi_action(f)
+        rhs = f.scale(ctx.q_hat_pow(m)) + (u * f_poly(ctx, m - 1)).scale_p(nu_int(p, m))
         out.append(_check(f"action/f/m={m}", ANCHOR_ACTION_F, lhs == rhs, ctx, m=m))
     hit: set[str] = set()
     for m in range(kmax + 1):
         branch, exponent = _diag_action(p, m)
         hit.add(f"diag:{branch}")
-        lhs = psi_action(g_poly(ctx, m, m))
+        g = g_poly(ctx, m, m)
+        lhs = psi_action(g)
         if m == 0:
-            rhs = g_poly(ctx, 0, 0)
+            rhs = g
         else:
-            rhs = g_poly(ctx, m, m).scale(ctx.q_hat_pow(m)) + g_poly(ctx, m, m - 1).scale_p(exponent)
+            rhs = g.scale(ctx.q_hat_pow(m)) + g_poly(ctx, m, m - 1).scale_p(exponent)
         out.append(_check(f"action/g/m={m},l={m}", ANCHOR_ACTION_G, lhs == rhs, ctx,
                           m=m, l=m, branch=branch))
     for m in range(2, kmax + 1):
         for n in range(1, m):
             branch, exponent = _offdiag_action(p, m, n)
             hit.add(f"off:{branch}")
-            lhs = psi_action(g_poly(ctx, m, n))
-            rhs = g_poly(ctx, m, n).scale(ctx.q_hat_pow(n)) + g_poly(ctx, m, n - 1).scale_p(exponent)
+            g = g_poly(ctx, m, n)
+            lhs = psi_action(g)
+            rhs = g.scale(ctx.q_hat_pow(n)) + g_poly(ctx, m, n - 1).scale_p(exponent)
             out.append(_check(f"action/g/m={m},l={n}", ANCHOR_ACTION_G, lhs == rhs, ctx,
                               m=m, l=n, branch=branch))
     out.append(_coverage("action/g", ANCHOR_ACTION_G, ctx, kmax, hit,
@@ -363,26 +364,48 @@ def suite_alglem(ctx: PadicContext, kmax: int) -> list[CheckResult]:
     return out
 
 
+def _lower_g_branch(p: int, m: int, n: int, i: int) -> tuple[str, int]:
+    """Branch of the (m, n, i) lower-g check and the p-power on g_{m,i}."""
+    nu_i = nu_factorial(p, i)
+    if m <= nu_i + i:
+        return "low", m - n
+    if n <= nu_i + i:
+        return "mid", nu_i + i - n
+    return "high", 0
+
+
 def suite_lower_g(ctx: PadicContext, kmax: int) -> list[CheckResult]:
-    """u**(m-n) * g_{n,i} against the p-power multiple of g_{m,i}."""
+    """u**(m-n) * g_{n,i} against the p-power multiple of g_{m,i}.
+
+    The checks run by columns of i: the column g_{i,i}, ..., g_{kmax,i}
+    is built once and dropped before the next i, and each verdict goes
+    to its place in the report order (m, then n, then i), which the
+    records are made in afterwards.
+    """
     p = ctx.p
+    u_pows = [BivarPoly.monomial(ctx, d, 0) for d in range(kmax + 1)]
+
+    def slot(m: int, n: int, i: int) -> int:
+        """Report position of (m, n, i): after the checks of every smaller m, then smaller n."""
+        return m * (m + 1) * (m + 2) // 6 + n * (n + 1) // 2 + i
+
+    passed = [False] * slot(kmax + 1, 0, 0)
+    for i in range(kmax + 1):
+        column = [g_poly(ctx, n, i) for n in range(i, kmax + 1)]
+        for n in range(i, kmax + 1):
+            for m in range(n, kmax + 1):
+                lhs = column[n - i] * u_pows[m - n]
+                rhs = column[m - i].scale_p(_lower_g_branch(p, m, n, i)[1])
+                passed[slot(m, n, i)] = lhs == rhs
     out = []
     hit: set[str] = set()
     for m in range(kmax + 1):
         for n in range(m + 1):
             for i in range(n + 1):
-                nu_i = nu_factorial(p, i)
-                if m <= nu_i + i:
-                    branch, exponent = "low", m - n
-                elif n <= nu_i + i:
-                    branch, exponent = "mid", nu_i + i - n
-                else:
-                    branch, exponent = "high", 0
+                branch = _lower_g_branch(p, m, n, i)[0]
                 hit.add(branch)
-                lhs = g_poly(ctx, n, i) * BivarPoly.monomial(ctx, m - n, 0)
-                rhs = g_poly(ctx, m, i).scale_p(exponent)
-                out.append(_check(f"lower-g/m={m},n={n},i={i}", ANCHOR_LOWER_G, lhs == rhs, ctx,
-                                  m=m, n=n, i=i, branch=branch))
+                out.append(_check(f"lower-g/m={m},n={n},i={i}", ANCHOR_LOWER_G, passed[slot(m, n, i)],
+                                  ctx, m=m, n=n, i=i, branch=branch))
     required = {"low"} | ({"mid", "high"} if kmax >= 1 else set())
     out.append(_coverage("lower-g", ANCHOR_LOWER_G, ctx, kmax, hit, required))
     return out

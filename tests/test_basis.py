@@ -125,7 +125,9 @@ def test_bivar_substitute_sums_in_sorted_order():
 
     In sorted order 1 + (-1), both known to 2 digits, cancels first and the
     full-precision u**2 term is added to zero.  Any order that adds the
-    u**2 term before the cancellation keeps only 2 digits.
+    u**2 term before the cancellation keeps only 2 digits.  This is known
+    behaviour, shared with scaled_add: the result claims 6 digits of a sum
+    known mod p**2, and tracking inexact zeros will turn it into (0, 1, 2).
     """
     p = LOW_CTX.p
     poly = BivarPoly(LOW_CTX, {
@@ -133,8 +135,7 @@ def test_bivar_substitute_sums_in_sorted_order():
         (1, 0): PadicScaled(LOW_CTX, 0, p**2 - 1, 2),
         (0, 0): PadicScaled(LOW_CTX, 0, 1, 2),
     })
-    got = poly.substitute(1, 1)
-    assert (got.val, got.unit, got.sig) == (0, 1, 6)
+    assert poly.substitute(1, 1).triple() == ref_substitute(poly, 1, 1).triple() == (0, 1, 6)
 
 
 def test_bivar_coefficients_cross_the_api_as_scaled(ctx):
@@ -224,6 +225,87 @@ def test_substitute_of_zero_and_exponent_zero(ctx):
         got = poly.substitute(u, v)
         assert got == PadicScaled.from_int(ctx, want)
         assert got.triple() == ref_substitute(poly, u, v).triple()
+
+
+CANCEL_CONTEXTS = [LOW_CTX, make_context(5, 2, 4), make_context(7, 3, 3)]
+
+
+def _near_units(p: int, sig: int) -> list[int]:
+    """Units mod p**sig within p of +1 or -1, where partial sums cancel most often."""
+    return sorted({x % p**sig for x in (1, 2, 1 + p, -1, -2, -1 - p)})  # all prime to p >= 3
+
+
+def _cancelling_terms(p: int, N: int, draw_int) -> dict:
+    """{(a, b): PadicScaled} with few digits, valuations -2..2 and units near +-1."""
+    ctx = next(c for c in CANCEL_CONTEXTS if c.p == p)
+    out = {}
+    for _ in range(draw_int(0, 6)):
+        sig = draw_int(1, 3) if draw_int(0, 3) else draw_int(1, N)
+        units = _near_units(p, sig)
+        out[(draw_int(0, 2), draw_int(0, 2))] = PadicScaled(
+            ctx, draw_int(-2, 2), units[draw_int(0, len(units) - 1)], sig)
+    return out
+
+
+def _cancelling_point(ctx, kind: int, r: int) -> int:
+    """0, 1, p, a unit, or 1 + p*r, as kind 0..4."""
+    p, M = ctx.p, ctx.modulus
+    unit = r % M if r % p else (r + 1) % M
+    return (0, 1, p, unit, (1 + p * r) % M)[kind]
+
+
+def _chain_cancels(poly, u: int, v: int) -> bool:
+    """Whether a partial sum of the reference chain cancels to zero after a nonzero start."""
+    from conftest import ref_scaled_add, ref_scaled_mul
+
+    ctx, M = poly.ctx, poly.ctx.modulus
+    acc = PadicScaled.zero(ctx)
+    for a, b in sorted(poly.terms):
+        value = ctx.from_int(pow(u, a, M) * pow(v, b, M)).to_scaled()
+        nxt = ref_scaled_add(acc, ref_scaled_mul(poly.coefficient(a, b), value))
+        if nxt.is_zero() and not acc.is_zero():
+            return True
+        acc = nxt
+    return False
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_substitute_one_pass_matches_the_chain_when_sums_cancel(data):
+    """The one exact sum gives the reference chain's triple, cancellations included."""
+    ctx = data.draw(st.sampled_from(CANCEL_CONTEXTS))
+    draw_int = lambda lo, hi: data.draw(st.integers(lo, hi))  # noqa: E731
+    poly = BivarPoly(ctx, _cancelling_terms(ctx.p, ctx.N, draw_int))
+    u = _cancelling_point(ctx, draw_int(0, 4), draw_int(0, ctx.modulus))
+    v = _cancelling_point(ctx, draw_int(0, 4), draw_int(0, ctx.modulus))
+    assert poly.substitute(u, v).triple() == ref_substitute(poly, u, v).triple()
+
+
+def test_substitute_one_pass_matches_the_chain_on_a_fixed_sample():
+    """Seeded, so the cancelling partial sums are sure to be among the cases."""
+    rng = random.Random(2012)
+    cancelled = 0
+    for _ in range(1500):
+        ctx = rng.choice(CANCEL_CONTEXTS)
+        poly = BivarPoly(ctx, _cancelling_terms(ctx.p, ctx.N, rng.randint))
+        u = _cancelling_point(ctx, rng.randint(0, 4), rng.randrange(ctx.modulus))
+        v = _cancelling_point(ctx, rng.randint(0, 4), rng.randrange(ctx.modulus))
+        assert poly.substitute(u, v).triple() == ref_substitute(poly, u, v).triple(), (poly, u, v)
+        cancelled += _chain_cancels(poly, u, v)
+    assert cancelled >= 50
+
+
+def test_substitute_keeps_the_least_precision_and_skips_vanishing_monomials():
+    p = LOW_CTX.p
+    # 1 to 2 digits plus 1 to 6 digits knows 2 digits.
+    poly = BivarPoly(LOW_CTX, {(0, 0): PadicScaled(LOW_CTX, 0, 1, 2), (1, 0): PadicScaled(LOW_CTX, 0, 1, 6)})
+    assert poly.substitute(1, 1).triple() == (0, 2, 2)
+    # At u = 0 the u-term is no summand, so its 3 absolute digits do not cap the sum.
+    poly = BivarPoly(LOW_CTX, {(0, 0): PadicScaled(LOW_CTX, 0, 1, 6), (1, 0): PadicScaled(LOW_CTX, -3, 1, 6)})
+    assert poly.substitute(0, 1).triple() == (0, 1, 6)
+    # u = p lends the 2-digit term one more absolute digit: the sum knows 3.
+    poly = BivarPoly(LOW_CTX, {(0, 0): PadicScaled(LOW_CTX, 0, 1, 6), (1, 0): PadicScaled(LOW_CTX, 0, 1, 2)})
+    assert poly.substitute(p, 1).triple() == ref_substitute(poly, p, 1).triple() == (0, 4, 3)
 
 
 @settings(max_examples=50)

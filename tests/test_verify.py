@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
+import pytest
+
+from conftest import STANDARD_TRIPLES
 from utt import cli, conj, ops, verify
 from utt.padic import PadicInt, make_context, nu_int
 from utt.utmat import UTWindow
@@ -217,3 +221,74 @@ def test_verify_alpha_report_is_the_same_cold_and_warm(capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == cold
     assert ops._xn_chain.cache_info().hits > 0
+
+
+# ------------------------------------------------------------- lower-g layout
+
+
+def _lower_g_by_triple_loop(ctx, kmax):
+    """The lower-g suite as a plain loop over (m, n, i) in report order."""
+    from utt.basis import BivarPoly, g_poly
+    from utt.padic import nu_factorial
+
+    p = ctx.p
+    out = []
+    hit = set()
+    for m in range(kmax + 1):
+        for n in range(m + 1):
+            for i in range(n + 1):
+                nu_i = nu_factorial(p, i)
+                if m <= nu_i + i:
+                    branch, exponent = "low", m - n
+                elif n <= nu_i + i:
+                    branch, exponent = "mid", nu_i + i - n
+                else:
+                    branch, exponent = "high", 0
+                hit.add(branch)
+                lhs = g_poly(ctx, n, i) * BivarPoly.monomial(ctx, m - n, 0)
+                rhs = g_poly(ctx, m, i).scale_p(exponent)
+                out.append(verify._check(f"lower-g/m={m},n={n},i={i}", verify.ANCHOR_LOWER_G, lhs == rhs,
+                                         ctx, m=m, n=n, i=i, branch=branch))
+    required = {"low"} | ({"mid", "high"} if kmax >= 1 else set())
+    out.append(verify._coverage("lower-g", verify.ANCHOR_LOWER_G, ctx, kmax, hit, required))
+    return out
+
+
+@pytest.mark.parametrize("triple", STANDARD_TRIPLES, ids=lambda t: "p{}q{}".format(*t))
+def test_lower_g_by_columns_gives_the_triple_loop_report(triple):
+    """Same names, params, verdicts and order as checking one (m, n, i) at a time."""
+    ctx = make_context(*triple)
+    for kmax in range(11):
+        assert verify.suite_lower_g(ctx, kmax) == _lower_g_by_triple_loop(ctx, kmax), kmax
+
+
+def test_lower_g_builds_each_g_once(ctx3, monkeypatch):
+    kmax = 9
+    built = Counter()
+    real = verify.g_poly
+
+    def counted(ctx, m, l):
+        built[(m, l)] += 1
+        return real(ctx, m, l)
+
+    monkeypatch.setattr(verify, "g_poly", counted)
+    results = verify.suite_lower_g(ctx3, kmax)
+    assert all(r.passed for r in results)
+    assert built == Counter({(n, i): 1 for n in range(kmax + 1) for i in range(n + 1)})
+
+
+@pytest.mark.parametrize("n0,i0", [(0, 0), (4, 0), (5, 2), (6, 6), (8, 3)])
+def test_corrupted_g_fails_exactly_the_records_that_read_it(ctx3, monkeypatch, n0, i0):
+    """g_{n0,i0} is read as g_{n,i} or g_{m,i}; at m = n it is compared with itself."""
+    kmax = 8
+    real = verify.g_poly
+
+    def corrupted(ctx, m, l):
+        g = real(ctx, m, l)
+        return g.scale(2) if (m, l) == (n0, i0) else g
+
+    monkeypatch.setattr(verify, "g_poly", corrupted)
+    failed = {(r.params["m"], r.params["n"], r.params["i"])
+              for r in verify.suite_lower_g(ctx3, kmax) if not r.passed}
+    reads = {(m, n, i0) for m in range(kmax + 1) for n in range(i0, m + 1) if n0 in (m, n) and m != n}
+    assert reads and failed == reads
