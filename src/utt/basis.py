@@ -196,25 +196,20 @@ class BivarPoly:
         ctx = self.ctx
         p, N, M = ctx.p, ctx.N, ctx.modulus
         u, v = ctx.residue(u_value), ctx.residue(v_value)
-        if not self.terms:
-            return PadicScaled._from_triple(ctx, None)
-        u_pows = _residue_powers(u, max(a for a, _ in self.terms), M)
-        v_pows = _residue_powers(v, max(b for _, b in self.terms), M)
+        u_pows = _residue_powers(u, max((a for a, _ in self.terms), default=0), M)
+        v_pows = _residue_powers(v, max((b for _, b in self.terms), default=0), M)
         vals = [val for val, _, _ in self.terms.values()]
-        low = min(vals)
-        pp = _p_powers(p, max(vals) - low + N)
+        low = min(vals, default=0)
+        pp = _p_powers(p, max(vals, default=0) - low + N)
         acc, prec = 0, None  # sum since the last reset, scaled by p**-low; its least val + sig
         for (a, b), (val, unit, sig) in sorted(self.terms.items()):
             r = u_pows[a] * v_pows[b] % M
             if r == 0:
                 continue
-            if r % p:
-                cap = val + sig
-            else:
-                w = 1
-                while r % pp[w + 1] == 0:
-                    w += 1
-                cap = val + (sig + w if sig + w < N else N)
+            w = 0
+            while r % pp[w + 1] == 0:
+                w += 1
+            cap = val + (sig + w if sig + w < N else N)
             acc += unit * r * pp[val - low]
             if prec is None or cap < prec:
                 prec = cap
@@ -222,11 +217,9 @@ class BivarPoly:
                 acc, prec = 0, None
         if prec is None:
             return PadicScaled._from_triple(ctx, None)
-        r, w = acc % pp[prec - low], 0
-        while r % p == 0:
-            r //= p
-            w += 1
-        return PadicScaled._from_triple(ctx, (low + w, r, prec - low - w))
+        r = acc % pp[prec - low]
+        w = nu_int(p, r)
+        return PadicScaled._from_triple(ctx, (low + w, r // pp[w], prec - low - w))
 
     def graded_parts(self) -> dict[int, "BivarPoly"]:
         """Split into homogeneous pieces keyed by total degree."""
