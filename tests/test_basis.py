@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import STANDARD_TRIPLES, ref_bivar_product, ref_substitute
+from conftest import STANDARD_TRIPLES, ref_bivar_product, ref_scaled_add, ref_scaled_mul, ref_substitute
 from utt import basis
 from utt.basis import (
     C_POLY_CACHE_SIZE,
@@ -235,13 +235,12 @@ def _near_units(p: int, sig: int) -> list[int]:
     return sorted({x % p**sig for x in (1, 2, 1 + p, -1, -2, -1 - p)})  # all prime to p >= 3
 
 
-def _cancelling_terms(p: int, N: int, draw_int) -> dict:
+def _cancelling_terms(ctx, draw_int) -> dict:
     """{(a, b): PadicScaled} with few digits, valuations -2..2 and units near +-1."""
-    ctx = next(c for c in CANCEL_CONTEXTS if c.p == p)
     out = {}
     for _ in range(draw_int(0, 6)):
-        sig = draw_int(1, 3) if draw_int(0, 3) else draw_int(1, N)
-        units = _near_units(p, sig)
+        sig = draw_int(1, 3) if draw_int(0, 3) else draw_int(1, ctx.N)
+        units = _near_units(ctx.p, sig)
         out[(draw_int(0, 2), draw_int(0, 2))] = PadicScaled(
             ctx, draw_int(-2, 2), units[draw_int(0, len(units) - 1)], sig)
     return out
@@ -256,8 +255,6 @@ def _cancelling_point(ctx, kind: int, r: int) -> int:
 
 def _chain_cancels(poly, u: int, v: int) -> bool:
     """Whether a partial sum of the reference chain cancels to zero after a nonzero start."""
-    from conftest import ref_scaled_add, ref_scaled_mul
-
     ctx, M = poly.ctx, poly.ctx.modulus
     acc = PadicScaled.zero(ctx)
     for a, b in sorted(poly.terms):
@@ -274,8 +271,11 @@ def _chain_cancels(poly, u: int, v: int) -> bool:
 def test_substitute_one_pass_matches_the_chain_when_sums_cancel(data):
     """The one exact sum gives the reference chain's triple, cancellations included."""
     ctx = data.draw(st.sampled_from(CANCEL_CONTEXTS))
-    draw_int = lambda lo, hi: data.draw(st.integers(lo, hi))  # noqa: E731
-    poly = BivarPoly(ctx, _cancelling_terms(ctx.p, ctx.N, draw_int))
+
+    def draw_int(lo, hi):
+        return data.draw(st.integers(lo, hi))
+
+    poly = BivarPoly(ctx, _cancelling_terms(ctx, draw_int))
     u = _cancelling_point(ctx, draw_int(0, 4), draw_int(0, ctx.modulus))
     v = _cancelling_point(ctx, draw_int(0, 4), draw_int(0, ctx.modulus))
     assert poly.substitute(u, v).triple() == ref_substitute(poly, u, v).triple()
@@ -287,7 +287,7 @@ def test_substitute_one_pass_matches_the_chain_on_a_fixed_sample():
     cancelled = 0
     for _ in range(1500):
         ctx = rng.choice(CANCEL_CONTEXTS)
-        poly = BivarPoly(ctx, _cancelling_terms(ctx.p, ctx.N, rng.randint))
+        poly = BivarPoly(ctx, _cancelling_terms(ctx, rng.randint))
         u = _cancelling_point(ctx, rng.randint(0, 4), rng.randrange(ctx.modulus))
         v = _cancelling_point(ctx, rng.randint(0, 4), rng.randrange(ctx.modulus))
         assert poly.substitute(u, v).triple() == ref_substitute(poly, u, v).triple(), (poly, u, v)

@@ -9,7 +9,8 @@ import pytest
 
 from conftest import STANDARD_TRIPLES
 from utt import cli, conj, ops, verify
-from utt.padic import PadicInt, make_context, nu_int
+from utt.basis import BivarPoly, g_poly
+from utt.padic import PadicInt, make_context, nu_factorial, nu_int
 from utt.utmat import UTWindow
 from utt.verify import (
     ALL_ANCHORS,
@@ -228,9 +229,6 @@ def test_verify_alpha_report_is_the_same_cold_and_warm(capsys):
 
 def _lower_g_by_triple_loop(ctx, kmax):
     """The lower-g suite as a plain loop over (m, n, i) in report order."""
-    from utt.basis import BivarPoly, g_poly
-    from utt.padic import nu_factorial
-
     p = ctx.p
     out = []
     hit = set()
