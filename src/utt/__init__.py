@@ -68,7 +68,7 @@ from .padic import (
     nu_factorial,
     nu_int,
 )
-from .qcalc import QPoly, binom, qbinom, qbinom_eval
+from .qcalc import QPoly, binom, qbinom, qbinom_eval, qbinom_residue
 from .utmat import Membership, UTWindow
 
 __version__ = "0.1.0"
@@ -124,6 +124,7 @@ __all__ = [
     "psi_action",
     "qbinom",
     "qbinom_eval",
+    "qbinom_residue",
     "required_precision",
     "rpower_closed",
     "sample_integrality",

@@ -367,24 +367,25 @@ def expand_in_c_basis(f: BivarPoly) -> list[PadicScaled]:
         f(1, q_hat**s) = sum_{r <= s} lambda_r * c_r(1, q_hat**s)
 
     whose multipliers c_r(1, q_hat**s) are exactly the Gaussian
-    binomials [s, r] at q_hat, honest ring elements, evaluated on
-    integers from the qbinom polynomials.  Solving this way
-    never multiplies one extracted coefficient back into the negative
-    powers of p inside a c polynomial, so precision loss does not
-    compound across steps.  The expansion is verified by rebuilding f;
-    a mismatch means the context precision cannot support this weight.
+    binomials [s, r] at q_hat, honest ring elements, read from the
+    residue q-Pascal rows of qcalc, so no polynomial in q is built.
+    Solving this way never multiplies one extracted coefficient back
+    into the negative powers of p inside a c polynomial, so precision
+    loss does not compound across steps.  The expansion is verified by
+    rebuilding f; a mismatch means the context precision cannot support
+    this weight.
     """
     ctx = f.ctx
     n = f.weight()
     if n is None:
         raise DomainError("expansion needs a nonzero homogeneous polynomial")
-    q_hat, M = ctx.q_hat_residue, ctx.modulus
+    q_hat = ctx.q_hat()
     out: list[PadicScaled] = []
     for s in range(n + 1):
-        acc = f.substitute(1, pow(q_hat, s, M))
+        acc = f.substitute(1, ctx.q_hat_pow(s))
         for r, lam in enumerate(out):
             if not lam.is_zero():
-                acc = acc - lam * (qbinom_eval(s, r, q_hat) % M)
+                acc = acc - lam * qbinom_eval(s, r, q_hat)
         out.append(acc)
     rebuilt = BivarPoly.zero(ctx)
     for s, lam in enumerate(out):

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import BadIndexError, DomainError, InvariantError
 from .padic import PadicContext, PadicInt
-from .qcalc import binom, qbinom_eval
+from .qcalc import binom, qbinom_eval, qbinom_residue
 from .utmat import UTWindow
 
 
@@ -104,7 +104,7 @@ def rpower_closed(ctx: PadicContext, n: int, s: int, c: int) -> PadicInt:
     if c < 0 or c > n:
         return ctx.zero()
     q_hat, M = ctx.q_hat_residue, ctx.modulus
-    return PadicInt(ctx, qbinom_eval(n, n - c, q_hat) * pow(q_hat, row_exponent(s, n - c), M))
+    return PadicInt(ctx, qbinom_residue(n, n - c, q_hat, M) * pow(q_hat, row_exponent(s, n - c), M))
 
 
 def xn_closed(ctx: PadicContext, n: int, s: int, c: int) -> PadicInt:
@@ -122,8 +122,8 @@ def xn_closed(ctx: PadicContext, n: int, s: int, c: int) -> PadicInt:
     for i in range(c, n + 1):
         term = (
             pow(q_hat, binom(n - i, 2) + row_exponent(s, i - c), M)
-            * qbinom_eval(n, i, q_hat)
-            * qbinom_eval(i, i - c, q_hat)
+            * qbinom_residue(n, i, q_hat, M)
+            * qbinom_residue(i, i - c, q_hat, M)
         )
         acc += term if (n - i) % 2 == 0 else -term
     return PadicInt(ctx, acc)

@@ -1,12 +1,16 @@
-"""Gaussian binomial coefficients as exact integer polynomials in q.
+"""Gaussian binomial coefficients, as exact polynomials in q and as residues.
 
-The primary construction is the Pascal-style recurrence
+Both constructions use the Pascal-style recurrence
 
-    qbinom(n, i) = qbinom(n-1, i-1) + q**i * qbinom(n-1, i)
+    [n, i] = [n-1, i-1] + q**i * [n-1, i]
 
-which stays inside Z[q] for all n, i.  The quotient-of-products form is
-deliberately not used here; it survives only as an independent oracle
-in the test suite.
+qbinom runs it on exact polynomials in Z[q]; qbinom_residue runs it on
+the values at one point x mod M, row by row, and builds no polynomial.
+The verify suites only ever need [n, i] at q_hat mod p**N, so they read
+the residue rows; the polynomials serve `utt qbinom` and the exact
+evaluation at an int, which the tests compare the rows with.  The
+quotient-of-products form is deliberately not used here; it survives
+only as an independent oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -135,12 +139,53 @@ def qbinom(n: int, i: int) -> QPoly:
     return qbinom(n - 1, i - 1) + qbinom(n - 1, i).shifted(i)
 
 
+# Bounded because the point and the modulus are the key: a sweep over
+# contexts would otherwise keep the rows of every q_hat it met.  The
+# rows up to n hold (n+1)(n+2)/2 residues per key.  16 is well above the
+# 3 keys that `verify all` reads.
+QBINOM_ROWS_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=QBINOM_ROWS_CACHE_SIZE)
+def _qbinom_rows(x: int, M: int) -> list[list[int]]:
+    """The rows [k, 0..k] at x mod M built so far; qbinom_residue grows them."""
+    return [[1]]
+
+
+def qbinom_residue(n: int, i: int, x: int, M: int) -> int:
+    """[n choose i]_q at q = x, as a residue mod M > 1.
+
+    Read from the q-Pascal rows cached for (x mod M, M).  A missing row
+    k is built from row k-1 on residues, x**j by running products, and
+    is appended only once it is whole.  Out-of-range i gives 0.
+    """
+    if n < 0:
+        raise DomainError("qbinom needs n >= 0")
+    if i < 0 or i > n:
+        return 0
+    x %= M
+    rows = _qbinom_rows(x, M)
+    while len(rows) <= n:
+        prev, row, xj = rows[-1], [1], 1
+        for j in range(1, len(prev)):
+            xj = xj * x % M
+            row.append((prev[j - 1] + xj * prev[j]) % M)
+        row.append(1)
+        rows.append(row)
+    return rows[n][i]
+
+
 def qbinom_eval(n: int, i: int, x: PadicInt | int):
-    """[n choose i]_q at x: an exact int at an int, a PadicInt at a PadicInt."""
-    poly = qbinom(n, i)
+    """[n choose i]_q at x: a PadicInt at a PadicInt, an exact int at an int.
+
+    At a PadicInt the value comes from the residue rows of
+    qbinom_residue, and no polynomial is built.  At an int it is the
+    polynomial qbinom(n, i) evaluated by Horner on exact ints.
+    """
     if isinstance(x, PadicInt):
-        return PadicInt(x.ctx, poly(x.residue))
-    return poly(x)
+        ctx = x.ctx
+        return PadicInt(ctx, qbinom_residue(n, i, x.residue, ctx.modulus))
+    return qbinom(n, i)(x)
 
 
 def binom(n: int, k: int) -> int:

@@ -65,7 +65,7 @@ ALL_ANCHORS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     """One verified identity instance."""
 
@@ -109,14 +109,14 @@ def _check_windows(name: str, anchor: str, lhs: UTWindow, rhs: UTWindow, ctx: Pa
 def suite_qbinom_matrix(ctx: PadicContext, W: int, nmax: int) -> list[CheckResult]:
     """(D+S)**n against the q-binomial expansion sum_i [n,i] D**i S**(n-i)."""
     D, S, R = build_D(ctx, W), build_S(ctx, W), build_R(ctx, W)
-    q_hat, M = ctx.q_hat_residue, ctx.modulus
+    q_hat = ctx.q_hat()
     d_pows, s_pows = [UTWindow.identity(ctx, W)], [UTWindow.identity(ctx, W)]
     for _ in range(nmax):
         d_pows.append(d_pows[-1] * D)
         s_pows.append(s_pows[-1] * S)
     out = []
     for n in range(nmax + 1):
-        terms = ((d_pows[i] * s_pows[n - i]).scale(qbinom_eval(n, i, q_hat) % M) for i in range(n + 1))
+        terms = ((d_pows[i] * s_pows[n - i]).scale(qbinom_eval(n, i, q_hat)) for i in range(n + 1))
         rhs = sum(terms, UTWindow.zero(ctx, W))
         out.append(_check_windows(f"qbinom-matrix/n={n}", ANCHOR_QBINOM_MATRIX, R**n, rhs, ctx, n=n))
     return out
@@ -377,6 +377,10 @@ def _lower_g_branch(p: int, m: int, n: int, i: int) -> tuple[str, int]:
 def suite_lower_g(ctx: PadicContext, kmax: int) -> list[CheckResult]:
     """u**(m-n) * g_{n,i} against the p-power multiple of g_{m,i}.
 
+    At m = n both sides would be g_{n,i}, so there the right side is
+    built by a second route instead: u**(n-i) * f_i divided by p**j,
+    j = min(n-i, nu(i!)), the power of u/p in g_{n,i}.
+
     The checks run by columns of i: the column g_{i,i}, ..., g_{kmax,i}
     is built once and dropped before the next i, and each verdict goes
     to its place in the report order (m, then n, then i), which the
@@ -392,10 +396,14 @@ def suite_lower_g(ctx: PadicContext, kmax: int) -> list[CheckResult]:
     passed = [False] * slot(kmax + 1, 0, 0)
     for i in range(kmax + 1):
         column = [g_poly(ctx, n, i) for n in range(i, kmax + 1)]
+        f, nu_i = f_poly(ctx, i), nu_factorial(p, i)
         for n in range(i, kmax + 1):
             for m in range(n, kmax + 1):
                 lhs = column[n - i] * u_pows[m - n]
-                rhs = column[m - i].scale_p(_lower_g_branch(p, m, n, i)[1])
+                if m == n:
+                    rhs = (f * u_pows[n - i]).scale_p(-min(n - i, nu_i))
+                else:
+                    rhs = column[m - i].scale_p(_lower_g_branch(p, m, n, i)[1])
                 passed[slot(m, n, i)] = lhs == rhs
     out = []
     hit: set[str] = set()

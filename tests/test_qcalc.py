@@ -4,15 +4,26 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import sys
+from operator import mul
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from utt import cli, qcalc
 from utt.cli import emit_qpoly
 from utt.padic import make_context
-from utt.qcalc import QBINOM_STEP, QPoly, binom, qbinom, qbinom_eval
+from utt.qcalc import (
+    QBINOM_ROWS_CACHE_SIZE,
+    QBINOM_STEP,
+    QPoly,
+    binom,
+    qbinom,
+    qbinom_eval,
+    qbinom_residue,
+)
 
 # ------------------------------------------------------------------ oracle
 
@@ -48,6 +59,42 @@ def qbinom_product_formula(n: int, i: int) -> list[int]:
         num = _poly_mul(num, [1] + [0] * (n - j - 1) + [-1])   # 1 - q**(n-j)
         den = _poly_mul(den, [1] + [0] * j + [-1])             # 1 - q**(j+1)
     return _poly_divexact(num, den)
+
+
+def _times_one_minus_q_power(a: list[int], k: int) -> list[int]:
+    """a * (1 - q**k)."""
+    out = a + [0] * k
+    for d, c in enumerate(a):
+        out[d + k] -= c
+    return out
+
+
+def _over_one_minus_q_power(a: list[int], k: int) -> list[int]:
+    """a / (1 - q**k), asserting that the division is exact."""
+    out = list(a)
+    for d in range(k, len(out)):
+        out[d] += out[d - k]
+    assert all(c == 0 for c in out[len(out) - k:])
+    return out[:len(out) - k]
+
+
+def qbinom_product_formula_row(n: int) -> tuple[tuple[int, ...], ...]:
+    """The coefficient lists of [n, 0], ..., [n, n] from the same product
+    formula, taken as the running quotient
+
+        [n, i] = [n, i-1] * (1 - q**(n-i+1)) / (1 - q**i)
+
+    one sparse factor at a time, which is fast enough for n = 60."""
+    row, coeffs = [(1,)], [1]
+    for i in range(1, n + 1):
+        coeffs = _over_one_minus_q_power(_times_one_minus_q_power(coeffs, n - i + 1), i)
+        row.append(tuple(coeffs))
+    return tuple(row)
+
+
+def _eval_mod(coeffs, x_pows: list[int], M: int) -> int:
+    """sum c_d * x**d mod M, from the table x_pows[d] = x**d mod M."""
+    return sum(map(mul, coeffs, x_pows)) % M
 
 
 # ------------------------------------------------------------------- tests
@@ -182,6 +229,107 @@ def test_qbinom_eval_padic_matches_int_eval():
                 got = qbinom_eval(n, i, ctx.from_int(x))
                 assert got.ctx is ctx
                 assert got.residue == qbinom_eval(n, i, x) % ctx.modulus
+
+
+# ---------------------------------------------------------- residue rows
+
+ROW_NMAX = 60
+ROW_CONTEXTS = ((3, 2, 20), (5, 2, 20), (7, 3, 20), (11, 2, 20))
+
+
+@pytest.fixture(scope="module")
+def product_formula_rows() -> list[tuple[tuple[int, ...], ...]]:
+    return [qbinom_product_formula_row(n) for n in range(ROW_NMAX + 1)]
+
+
+@pytest.fixture
+def cold_rows():
+    qcalc._qbinom_rows.cache_clear()
+    yield
+    qcalc._qbinom_rows.cache_clear()
+
+
+def _row_points(ctx) -> list[int]:
+    """q_hat, 0, 1, a non-unit and a random residue of ctx."""
+    M, p = ctx.modulus, ctx.p
+    rng = random.Random(ctx.p)
+    return [ctx.q_hat_residue, 0, 1, p * rng.randrange(1, M // p), rng.randrange(M)]
+
+
+def test_product_formula_row_is_the_product_formula():
+    for n in range(13):
+        assert [list(c) for c in qbinom_product_formula_row(n)] == [
+            qbinom_product_formula(n, i) for i in range(n + 1)], n
+
+
+@pytest.mark.parametrize("triple", ROW_CONTEXTS, ids=lambda t: "p{}q{}".format(*t))
+def test_rows_match_product_formula_mod_m(triple, product_formula_rows, cold_rows):
+    ctx = make_context(*triple)
+    M = ctx.modulus
+    for x in _row_points(ctx):
+        x_pows = [pow(x, d, M) for d in range(ROW_NMAX**2 // 4 + 1)]
+        for n, row in enumerate(product_formula_rows):
+            want = [_eval_mod(c, x_pows, M) for c in row]
+            assert [qbinom_residue(n, i, x, M) for i in range(n + 1)] == want, (x, n)
+
+
+def _sampled_columns(n: int) -> set[int]:
+    """Every i for small n; above that both edges and the middle of the row."""
+    if n <= 16:
+        return set(range(n + 1))
+    return {0, 1, 2, n // 3, n // 2, n - 2, n - 1, n}
+
+
+@pytest.mark.parametrize("triple", ROW_CONTEXTS, ids=lambda t: "p{}q{}".format(*t))
+def test_rows_match_exact_int_branch_mod_m(triple, cold_rows):
+    """The int branch evaluates the polynomial exactly; only then is it reduced."""
+    ctx = make_context(*triple)
+    M = ctx.modulus
+    for x in _row_points(ctx):
+        for n in range(ROW_NMAX + 1):
+            for i in sorted(_sampled_columns(n)):
+                assert qbinom_residue(n, i, x, M) == qbinom_eval(n, i, x) % M, (x, n, i)
+                assert qbinom_eval(n, i, ctx.from_int(x)).residue == qbinom_eval(n, i, x) % M
+    qbinom.cache_clear()  # the int branch filled the polynomial memo to n = 60
+
+
+def test_rows_out_of_range_and_negative_n(ctx3, cold_rows):
+    x, M = ctx3.q_hat_residue, ctx3.modulus
+    for n in range(6):
+        for i in (-2, -1, n + 1, n + 5):
+            assert qbinom_residue(n, i, x, M) == 0
+            assert qbinom_eval(n, i, ctx3.q_hat()).residue == 0
+    for bad in (lambda: qbinom_residue(-1, 0, x, M), lambda: qbinom_eval(-1, 0, ctx3.q_hat()),
+                lambda: qbinom_residue(-1, 5, x, M)):
+        with pytest.raises(ValueError, match="qbinom needs n >= 0"):
+            bad()
+
+
+def test_rows_are_keyed_on_the_residue_of_x(ctx3, cold_rows):
+    """x and x + M read the same rows, so the cache holds one key."""
+    x, M = ctx3.q_hat_residue, ctx3.modulus
+    assert qbinom_residue(9, 4, x + M, M) == qbinom_residue(9, 4, x, M)
+    assert qcalc._qbinom_rows.cache_info().currsize == 1
+
+
+def test_rows_cache_is_bounded(cold_rows):
+    """The cache is keyed on (x, M); a sweep over contexts stays within maxsize."""
+    info = qcalc._qbinom_rows.cache_info()
+    assert info.maxsize == QBINOM_ROWS_CACHE_SIZE > 3  # `verify all` at three contexts fits
+    for N in range(4, 4 + 3 * QBINOM_ROWS_CACHE_SIZE):
+        qbinom_eval(6, 3, make_context(3, 2, N).q_hat())
+    assert qcalc._qbinom_rows.cache_info().currsize <= QBINOM_ROWS_CACHE_SIZE
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "all"],
+    *(["verify", suite, "--kmax", "8"] for suite in ("integrality", "action", "alglem", "lower-g")),
+], ids=lambda argv: argv[1])
+def test_verify_builds_no_qbinom_polynomial(argv, capsys):
+    qbinom.cache_clear()
+    assert cli.main(argv + ["--p", "3", "--q", "2", "--N", "20"]) == 0
+    assert '"failed": 0' in capsys.readouterr().out
+    assert qbinom.cache_info().currsize == 0
 
 
 @given(small_polys)

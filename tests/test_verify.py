@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from conftest import STANDARD_TRIPLES
-from utt import cli, conj, ops, verify
+from utt import cli, conj, ops, qcalc, verify
 from utt.basis import BivarPoly, g_poly
 from utt.padic import PadicInt, make_context, nu_factorial, nu_int
 from utt.utmat import UTWindow
@@ -176,6 +176,39 @@ def test_qbinom_matrix_failure_names_only_the_wrong_n(ctx3, monkeypatch):
     assert bad.detail.startswith("first mismatch at")
 
 
+@pytest.fixture
+def corrupted_row_3_1(ctx3):
+    """The residue rows at q_hat of ctx3, built past the fast config's nmax, with [3, 1] off by one.
+
+    The rows after row 3 were built from the right row 3, so the one wrong value is [3, 1].
+    """
+    x, M = ctx3.q_hat_residue, ctx3.modulus
+    qcalc._qbinom_rows.cache_clear()
+    qcalc.qbinom_residue(2 * FAST_CFG["nmax"], 0, x, M)
+    qcalc._qbinom_rows(x, M)[3][1] += 1
+    yield
+    qcalc._qbinom_rows.cache_clear()
+
+
+@pytest.mark.parametrize("suite", ["rpower", "qbinom-matrix"])
+def test_corrupted_row_fails_the_power_of_r_that_reads_it(ctx3, corrupted_row_3_1, suite):
+    """[3, 1] weighs the (s, s+2) entries of R**3, read by the closed formula and the expansion."""
+    (bad,) = _failures(ctx3, suite)
+    assert bad.name == f"{suite}/n=3"
+    assert bad.detail.startswith("first mismatch at (0,2): ")
+    assert bad.detail.endswith(", nu_p(diff)=0")
+
+
+def test_corrupted_row_fails_the_xn_entries_that_read_it(ctx3, corrupted_row_3_1):
+    """The closed formula reads [3, 1] at n = 3 and 4, the q-binomial expansion only at n = 3."""
+    bad = {r.name: r.detail for r in _failures(ctx3, "xn")}
+    assert sorted(bad) == ["xn/entries/n=3", "xn/entries/n=4"]
+    assert bad["xn/entries/n=3"].startswith("closed=first mismatch at ")
+    assert " expanded=first mismatch at " in bad["xn/entries/n=3"]
+    assert bad["xn/entries/n=4"].startswith("closed=first mismatch at ")
+    assert bad["xn/entries/n=4"].endswith(" expanded=ok")
+
+
 def test_conjugation_failure_counts_mismatches(ctx3, monkeypatch, capsys):
     real = conj.build_U
 
@@ -277,7 +310,7 @@ def test_lower_g_builds_each_g_once(ctx3, monkeypatch):
 
 @pytest.mark.parametrize("n0,i0", [(0, 0), (4, 0), (5, 2), (6, 6), (8, 3)])
 def test_corrupted_g_fails_exactly_the_records_that_read_it(ctx3, monkeypatch, n0, i0):
-    """g_{n0,i0} is read as g_{n,i} or g_{m,i}; at m = n it is compared with itself."""
+    """g_{n0,i0} is read as g_{n,i} or g_{m,i}; at m = n it meets the route through f_{i0}."""
     kmax = 8
     real = verify.g_poly
 
@@ -288,5 +321,16 @@ def test_corrupted_g_fails_exactly_the_records_that_read_it(ctx3, monkeypatch, n
     monkeypatch.setattr(verify, "g_poly", corrupted)
     failed = {(r.params["m"], r.params["n"], r.params["i"])
               for r in verify.suite_lower_g(ctx3, kmax) if not r.passed}
-    reads = {(m, n, i0) for m in range(kmax + 1) for n in range(i0, m + 1) if n0 in (m, n) and m != n}
-    assert reads and failed == reads
+    reads = {(m, n, i0) for m in range(kmax + 1) for n in range(i0, m + 1) if n0 in (m, n)}
+    assert (n0, n0, i0) in failed and failed == reads
+
+
+@pytest.mark.parametrize("i0", [0, 3, 8])
+def test_corrupted_f_fails_exactly_the_diagonal_lower_g_records(ctx3, monkeypatch, i0):
+    """f_{i0} is read only by the m = n records of column i0, as the second route to g_{n,i0}."""
+    kmax = 8
+    real = verify.f_poly
+    monkeypatch.setattr(verify, "f_poly", lambda ctx, k: real(ctx, k).scale(2) if k == i0 else real(ctx, k))
+    failed = {(r.params["m"], r.params["n"], r.params["i"])
+              for r in verify.suite_lower_g(ctx3, kmax) if not r.passed}
+    assert failed == {(n, n, i0) for n in range(i0, kmax + 1)}
