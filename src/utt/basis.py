@@ -37,7 +37,6 @@ from .padic import (
     scaled_from_residue,
     scaled_mul,
     scaled_neg,
-    scaled_shift,
 )
 from .qcalc import qbinom_eval
 
@@ -62,6 +61,8 @@ def _to_triple(ctx: PadicContext, v: PadicScaled | PadicInt | int) -> Triple:
 
 def _residue_powers(x: int, e: int, M: int) -> list[int]:
     """[x**0, x**1, ..., x**e] mod M for a residue x, by running products."""
+    if x == 1:
+        return [1] * (e + 1)
     out = [1]
     for _ in range(e):
         out.append(out[-1] * x % M)
@@ -103,6 +104,8 @@ class BivarPoly:
     @classmethod
     def _sum(cls, ctx: PadicContext, acc: dict[tuple[int, int], Triple]) -> "BivarPoly":
         """Wrap accumulated terms, dropping the ones that cancelled to zero."""
+        if None not in acc.values():
+            return cls._clean(ctx, acc)
         return cls._clean(ctx, {key: t for key, t in acc.items() if t is not None})
 
     @classmethod
@@ -137,7 +140,7 @@ class BivarPoly:
         return PadicScaled._from_triple(self.ctx, self.terms.get((a, b)))
 
     def _check(self, other: "BivarPoly") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError(f"{self.ctx} vs {other.ctx}")
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
@@ -156,14 +159,25 @@ class BivarPoly:
         return self + (-other)
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
+        """Term-by-term product, summed in x-major dict order by scaled_add.
+
+        Each term product is the scaled_mul rule written out on the
+        unpacked triples (stored coefficients are never None), so a
+        change to that rule must be made here too.
+        """
         self._check(other)
         p = self.ctx.p
+        pw = _p_powers(p, self.ctx.N)
+        right = [(a, b, v, u, s) for (a, b), (v, u, s) in other.terms.items()]
         acc: dict[tuple[int, int], Triple] = {}
-        for (a1, b1), x in self.terms.items():
-            for (a2, b2), y in other.terms.items():
+        get = acc.get
+        for (a1, b1), (v1, u1, s1) in self.terms.items():
+            for a2, b2, v2, u2, s2 in right:
                 key = (a1 + a2, b1 + b2)
-                prod = scaled_mul(p, x, y)
-                acc[key] = scaled_add(p, acc[key], prod) if key in acc else prod
+                s = s1 if s1 < s2 else s2
+                prod = (v1 + v2, u1 * u2 % pw[s], s)
+                prev = get(key)
+                acc[key] = prod if prev is None else scaled_add(p, prev, prod)
         return BivarPoly._sum(self.ctx, acc)
 
     def scale(self, factor) -> "BivarPoly":
@@ -173,8 +187,10 @@ class BivarPoly:
         return BivarPoly._clean(self.ctx, {k: scaled_mul(p, t, f) for k, t in self.terms.items()})
 
     def scale_p(self, m: int) -> "BivarPoly":
-        """Multiply by p**m (m may be negative)."""
-        return BivarPoly._clean(self.ctx, {k: scaled_shift(t, m) for k, t in self.terms.items()})
+        """Multiply by p**m (m may be negative); p**0 gives self back unchanged."""
+        if m == 0:
+            return self
+        return BivarPoly._clean(self.ctx, {k: (v + m, u, s) for k, (v, u, s) in self.terms.items()})
 
     def substitute(self, u_value: PadicInt | int, v_value: PadicInt | int) -> PadicScaled:
         """Evaluate at ring elements (u, v) = (u_value, v_value).
@@ -231,7 +247,9 @@ class BivarPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        if self.ctx != other.ctx or self.terms.keys() != other.terms.keys():
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
+            return False
+        if self.terms.keys() != other.terms.keys():
             return False
         if self.terms == other.terms:  # identical triples agree on every digit
             return True
@@ -323,7 +341,7 @@ def big_F(ctx: PadicContext, i: int, j: int, k: int, raw: bool = False) -> Bivar
             raise BadIndexError(f"basis element with j < nu({k}!) = {nu} needs i = 0, got i={i}")
     shift, m = i + j, nu - j
     return BivarPoly._clean(
-        ctx, {(a + shift, b): scaled_shift(t, m) for (a, b), t in c_poly(ctx, k).terms.items()}
+        ctx, {(a + shift, b): (v + m, u, s) for (a, b), (v, u, s) in c_poly(ctx, k).terms.items()}
     )
 
 
@@ -349,9 +367,10 @@ def beta(p: int, m: int, i: int) -> int:
 def psi_action(f: BivarPoly) -> BivarPoly:
     """The ring map fixing u and sending v to q_hat * v."""
     ctx = f.ctx
-    p, N, M, q_hat = ctx.p, ctx.N, ctx.modulus, ctx.q_hat_residue
+    p, N = ctx.p, ctx.N
+    q_pows = _residue_powers(ctx.q_hat_residue, max((b for _, b in f.terms), default=0), ctx.modulus)
     return BivarPoly._clean(ctx, {
-        (a, b): scaled_mul(p, t, scaled_from_residue(p, N, pow(q_hat, b, M)))
+        (a, b): scaled_mul(p, t, scaled_from_residue(p, N, q_pows[b]))
         for (a, b), t in f.terms.items()
     })
 

@@ -24,7 +24,8 @@ operands through it too.
 The precision rules of PadicScaled live in the scaled_* functions, which
 work on plain (val, unit, sig) triples with None for zero.  PadicScaled
 calls them, and so does every BivarPoly coefficient, so there is one copy
-of the rules.
+of the rules, with two inline copies kept in step with it: the product
+rule in BivarPoly.__mul__ and the sum rule in BivarPoly.substitute.
 """
 
 from __future__ import annotations
@@ -223,8 +224,9 @@ def scaled_from_residue(p: int, N: int, r: int) -> Triple:
 
 # p**e for e = 0, 1, ... in one list per prime, read by the scaled kernels.
 # They ask for no exponent above the largest sig they are given (at most the
-# N of a context); BivarPoly.substitute asks for N plus the spread of its
-# coefficient valuations, which bounds each list.  Each kernel
+# N of a context), and BivarPoly.__mul__ reads it up to N;
+# BivarPoly.substitute asks for N plus the spread of its coefficient
+# valuations, which bounds each list.  Each kernel
 # indexes the table itself: a helper call per operation would cost about
 # half of what the table saves.
 _P_POWERS: dict[int, list[int]] = {}
@@ -239,7 +241,11 @@ def _p_powers(p: int, e: int) -> list[int]:
 
 
 def scaled_mul(p: int, x: Triple, y: Triple) -> Triple:
-    """x * y; the product knows as many digits as the vaguer factor."""
+    """x * y; the product knows as many digits as the vaguer factor.
+
+    BivarPoly.__mul__ applies this rule inline to its term products, so a
+    change to it here must be made there too.
+    """
     if x is None or y is None:
         return None
     s = x[2] if x[2] < y[2] else y[2]
@@ -293,7 +299,11 @@ def scaled_add(p: int, x: Triple, y: Triple) -> Triple:
 def scaled_neg(p: int, x: Triple) -> Triple:
     if x is None:
         return None
-    return (x[0], -x[1] % p ** x[2], x[2])
+    try:
+        m = _P_POWERS[p][x[2]]
+    except (KeyError, IndexError):
+        m = _p_powers(p, x[2])[x[2]]
+    return (x[0], -x[1] % m, x[2])
 
 
 def scaled_shift(x: Triple, m: int) -> Triple:

@@ -364,9 +364,8 @@ def suite_alglem(ctx: PadicContext, kmax: int) -> list[CheckResult]:
     return out
 
 
-def _lower_g_branch(p: int, m: int, n: int, i: int) -> tuple[str, int]:
-    """Branch of the (m, n, i) lower-g check and the p-power on g_{m,i}."""
-    nu_i = nu_factorial(p, i)
+def _lower_g_branch(nu_i: int, m: int, n: int, i: int) -> tuple[str, int]:
+    """Branch of the (m, n, i) lower-g check and the p-power on g_{m,i}; nu_i = nu(i!)."""
     if m <= nu_i + i:
         return "low", m - n
     if n <= nu_i + i:
@@ -386,7 +385,7 @@ def suite_lower_g(ctx: PadicContext, kmax: int) -> list[CheckResult]:
     to its place in the report order (m, then n, then i), which the
     records are made in afterwards.
     """
-    p = ctx.p
+    nus = [nu_factorial(ctx.p, i) for i in range(kmax + 1)]
     u_pows = [BivarPoly.monomial(ctx, d, 0) for d in range(kmax + 1)]
 
     def slot(m: int, n: int, i: int) -> int:
@@ -396,21 +395,21 @@ def suite_lower_g(ctx: PadicContext, kmax: int) -> list[CheckResult]:
     passed = [False] * slot(kmax + 1, 0, 0)
     for i in range(kmax + 1):
         column = [g_poly(ctx, n, i) for n in range(i, kmax + 1)]
-        f, nu_i = f_poly(ctx, i), nu_factorial(p, i)
+        f, nu_i = f_poly(ctx, i), nus[i]
         for n in range(i, kmax + 1):
             for m in range(n, kmax + 1):
                 lhs = column[n - i] * u_pows[m - n]
                 if m == n:
                     rhs = (f * u_pows[n - i]).scale_p(-min(n - i, nu_i))
                 else:
-                    rhs = column[m - i].scale_p(_lower_g_branch(p, m, n, i)[1])
+                    rhs = column[m - i].scale_p(_lower_g_branch(nu_i, m, n, i)[1])
                 passed[slot(m, n, i)] = lhs == rhs
     out = []
     hit: set[str] = set()
     for m in range(kmax + 1):
         for n in range(m + 1):
             for i in range(n + 1):
-                branch = _lower_g_branch(p, m, n, i)[0]
+                branch = _lower_g_branch(nus[i], m, n, i)[0]
                 hit.add(branch)
                 out.append(_check(f"lower-g/m={m},n={n},i={i}", ANCHOR_LOWER_G, passed[slot(m, n, i)],
                                   ctx, m=m, n=n, i=i, branch=branch))

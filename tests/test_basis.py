@@ -90,11 +90,11 @@ LOW_CTX = make_context(3, 2, 6)  # few digits, so products realign and cancel
 
 
 @st.composite
-def low_precision_terms(draw):
-    """{(a, b): PadicScaled} in LOW_CTX with colliding exponents."""
+def low_precision_terms(draw, sizes=st.integers(0, 5)):
+    """{(a, b): PadicScaled} in LOW_CTX with colliding exponents, sig in 1..N."""
     p, N = LOW_CTX.p, LOW_CTX.N
     out = {}
-    for _ in range(draw(st.integers(0, 5))):
+    for _ in range(draw(sizes)):
         key = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
         sig = draw(st.integers(1, N))
         unit = draw(st.integers(1, p**sig - 1).filter(lambda u: u % p))
@@ -118,6 +118,68 @@ def test_bivar_substitute_matches_reference(terms, u, v):
     poly = BivarPoly(LOW_CTX, terms)
     got = poly.substitute(u, LOW_CTX.from_int(v))
     assert got.triple() == ref_substitute(poly, u, v).triple()
+
+
+def _triples(coeffs) -> list:
+    """[(key, triple)] of a {(a, b): PadicScaled} dict, in its order."""
+    return [(key, c.triple()) for key, c in coeffs.items()]
+
+
+@settings(max_examples=200)
+@given(low_precision_terms(), low_precision_terms(sizes=st.just(1)), st.booleans())
+def test_bivar_product_by_one_term_matches_reference(terms, single, single_left):
+    """A one-term operand on either side goes through the generic product."""
+    x, y = (single, terms) if single_left else (terms, single)
+    got = BivarPoly(LOW_CTX, x) * BivarPoly(LOW_CTX, y)
+    assert list(got.terms.items()) == _triples(ref_bivar_product(x, y))
+
+
+@settings(max_examples=200)
+@given(low_precision_terms(), low_precision_terms(sizes=st.just(1)))
+def test_bivar_scale_matches_reference(terms, factor):
+    poly, c = BivarPoly(LOW_CTX, terms), next(iter(factor.values()))
+    want = {key: ref_scaled_mul(poly.coefficient(*key), c) for key in poly.terms}
+    assert list(poly.scale(c).terms.items()) == _triples(want)
+
+
+@settings(max_examples=100)
+@given(low_precision_terms())
+def test_bivar_scale_p_shifts_only_the_valuation(terms):
+    poly = BivarPoly(LOW_CTX, terms)
+    assert poly.scale_p(0) is poly
+    for m in range(-3, 4):
+        want = [(key, (val + m, unit, sig)) for key, (val, unit, sig) in poly.terms.items()]
+        assert list(poly.scale_p(m).terms.items()) == want
+
+
+@settings(max_examples=200)
+@given(low_precision_terms())
+def test_psi_action_matches_reference(terms):
+    poly = BivarPoly(LOW_CTX, terms)
+    q_hat = LOW_CTX.q ** (LOW_CTX.p - 1)
+    want = {
+        (a, b): ref_scaled_mul(poly.coefficient(a, b), LOW_CTX.from_int(q_hat**b).to_scaled())
+        for a, b in poly.terms
+    }
+    assert list(psi_action(poly).terms.items()) == _triples(want)
+
+
+@settings(max_examples=200)
+@given(low_precision_terms(sizes=st.integers(1, 5)), st.data())
+def test_bivar_sum_that_cancels_one_key_drops_only_that_key(terms, data):
+    poly = BivarPoly(LOW_CTX, terms)
+    gone = data.draw(st.sampled_from(sorted(poly.terms)))
+    extra = {(3 + a, b): c for (a, b), c in data.draw(low_precision_terms()).items()}
+    other = BivarPoly(LOW_CTX, {gone: -poly.coefficient(*gone), **extra})
+    want = [(key, t) for key, t in poly.terms.items() if key != gone] + list(other.terms.items())[1:]
+    assert list((poly + other).terms.items()) == want
+
+
+@settings(max_examples=200)
+@given(low_precision_terms(), st.integers(0, 3**6 - 1))
+def test_bivar_substitute_at_u_one_matches_reference(terms, v):
+    poly = BivarPoly(LOW_CTX, terms)
+    assert poly.substitute(1, v).triple() == ref_substitute(poly, 1, v).triple()
 
 
 def test_bivar_substitute_sums_in_sorted_order():
