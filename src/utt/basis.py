@@ -159,12 +159,8 @@ class BivarPoly:
         return self + (-other)
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        """Term-by-term product, summed in x-major dict order by scaled_add.
-
-        Each term product is the scaled_mul rule written out on the
-        unpacked triples (stored coefficients are never None), so a
-        change to that rule must be made here too.
-        """
+        """Term products by scaled_mul's rule, written out on unpacked triples
+        (a stored coefficient is never None), summed in order by scaled_add."""
         self._check(other)
         p = self.ctx.p
         pw = _p_powers(p, self.ctx.N)

@@ -112,9 +112,13 @@ def test_bivar_product_matches_reference(x, y):
 
 
 @settings(max_examples=200)
-@given(low_precision_terms(), st.integers(0, 3**6 - 1), st.integers(0, 3**6 - 1))
+@given(low_precision_terms(), st.just(1) | st.integers(0, 3**6 - 1), st.integers(0, 3**6 - 1))
 def test_bivar_substitute_matches_reference(terms, u, v):
-    """Evaluation sums the terms in sorted exponent order; digit loss depends on it."""
+    """Evaluation sums the terms in sorted exponent order; digit loss depends on it.
+
+    u = 1, the reading point of the c-basis expansion, is drawn about half
+    the time.
+    """
     poly = BivarPoly(LOW_CTX, terms)
     got = poly.substitute(u, LOW_CTX.from_int(v))
     assert got.triple() == ref_substitute(poly, u, v).triple()
@@ -173,13 +177,6 @@ def test_bivar_sum_that_cancels_one_key_drops_only_that_key(terms, data):
     other = BivarPoly(LOW_CTX, {gone: -poly.coefficient(*gone), **extra})
     want = [(key, t) for key, t in poly.terms.items() if key != gone] + list(other.terms.items())[1:]
     assert list((poly + other).terms.items()) == want
-
-
-@settings(max_examples=200)
-@given(low_precision_terms(), st.integers(0, 3**6 - 1))
-def test_bivar_substitute_at_u_one_matches_reference(terms, v):
-    poly = BivarPoly(LOW_CTX, terms)
-    assert poly.substitute(1, v).triple() == ref_substitute(poly, 1, v).triple()
 
 
 def test_bivar_substitute_sums_in_sorted_order():
