@@ -25,13 +25,13 @@ import json
 import os
 import sys
 
-from .basis import BivarPoly, big_F, c_poly, f_poly, g_poly, required_precision
+from .basis import BivarPoly, big_F, c_poly, f_poly, g_poly
 from .errors import UttError
 from .ops import build_Rn, build_Xn, build_basic
 from .padic import PadicContext, make_context
 from .qcalc import QPoly, qbinom
 from .utmat import UTWindow
-from .verify import BASIS_SUITES, MATRIX_SUITES, SUITE_ORDER, CheckResult, run_suites
+from .verify import GROUPS, SUITES, CheckResult, run_suites
 
 ENV_DEFAULT_PRIME = "UTT_DEFAULT_PRIME"
 
@@ -58,13 +58,24 @@ FLAGS = {
     "seed": (0, "seed for random trials (default 0)"),
 }
 # The flags each command reads, besides --format; any other flag exits 2.
+# verify parses the context, the seed and the flags of every suite group, and
+# cmd_verify rejects a given flag of a group that no chosen suite is in.
+GROUP_FLAGS = frozenset(flag for flags in GROUPS.values() for flag in flags)
 COMMAND_FLAGS = {
     "matrix": ("p", "q", "N", "W", "n"),
     "qbinom": ("n", "k"),
     "basis": ("p", "q", "N", "k", "m", "l", "i", "j"),
-    "verify": ("p", "q", "N", "W", "kmax", "nmax", "trials", "seed"),
+    "verify": tuple(flag for flag in FLAGS if flag in GROUP_FLAGS or flag in ("p", "q", "N", "seed")),
 }
 COMMAND_FLAGS["all"] = COMMAND_FLAGS["verify"]
+
+
+class _Given(argparse.Action):
+    """Store the flag's value and add the flag to `args.given`: an explicit default is given too."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, value)
+        namespace.given = namespace.given | {self.dest}
 
 
 def _subcommand(sub, name: str, summary: str) -> argparse.ArgumentParser:
@@ -72,8 +83,9 @@ def _subcommand(sub, name: str, summary: str) -> argparse.ArgumentParser:
     cmd = sub.add_parser(name, help=summary, allow_abbrev=False)
     for flag in COMMAND_FLAGS[name]:
         default, text = FLAGS[flag]
-        cmd.add_argument(f"--{flag}", type=int, default=default, help=text,
+        cmd.add_argument(f"--{flag}", action=_Given, type=int, default=default, help=text,
                          metavar="n" if flag == "n" else None)
+    cmd.set_defaults(given=frozenset())
     cmd.add_argument("--format", dest="fmt", choices=("json", "csv", "pretty"),
                      default="json", help="output format (default json)")
     return cmd
@@ -91,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     basis = _subcommand(sub, "basis", "print one of the basis polynomials")
     basis.add_argument("which", choices=("c", "f", "F", "g"))
     verify = _subcommand(sub, "verify", "run a verification suite and report each check")
-    verify.add_argument("suite", choices=SUITE_ORDER + ("all",))
+    verify.add_argument("suite", choices=(*SUITES, "all"))
     _subcommand(sub, "all", "shorthand for: verify all").set_defaults(suite="all")
     return parser
 
@@ -234,19 +246,19 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = list(SUITE_ORDER) if args.suite == "all" else [args.suite]
+    names = [name for name, s in SUITES.items() if s.in_all] if args.suite == "all" else [args.suite]
     ctx = _context(args)
     for flag in ("nmax", "kmax", "trials"):
         if getattr(args, flag) < 0:
             raise ConfigError(f"--{flag} must be >= 0, got {getattr(args, flag)}")
-    if MATRIX_SUITES.intersection(names) and args.W < args.nmax + 2:
-        raise ConfigError(f"matrix suites need W >= nmax + 2 = {args.nmax + 2}, got W={args.W}")
-    if not BASIS_SUITES.issuperset(names) and args.W < 2:
-        raise ConfigError(f"window suites need W >= 2, got W={args.W}")
-    if BASIS_SUITES.intersection(names):
-        need = required_precision(args.p, args.kmax)
-        if args.N < need:
-            raise ConfigError(f"basis suites at kmax={args.kmax} need N >= {need}, got N={args.N}")
+    for name in names:
+        if problem := SUITES[name].precondition(vars(args)):
+            raise ConfigError(problem)
+    # Unread flags are checked last, so every config rejected before keeps its error line.
+    accepted = {flag for name in names for flag in GROUPS[SUITES[name].group]}
+    if unread := sorted((GROUP_FLAGS - accepted) & args.given):
+        group = SUITES[args.suite].group
+        raise ConfigError(f"{args.suite} is a {group} suite and does not read --{unread[0]}")
     total = passed = 0
     for result in run_suites(ctx, names, vars(args)):
         total += 1

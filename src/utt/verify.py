@@ -10,10 +10,11 @@ byte-identical reports.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .basis import (
     BivarPoly,
@@ -24,6 +25,7 @@ from .basis import (
     f_poly,
     g_poly,
     psi_action,
+    required_precision,
     sample_integrality,
 )
 from .conj import AFormMatrix, conjugator, verify_conjugation
@@ -46,23 +48,6 @@ ANCHOR_ACTION_G = "Prop. action on g"
 ANCHOR_ALGLEM = "Lemma alglem"
 ANCHOR_LOWER_G = "Lemma lower g"
 ANCHOR_ALPHA = "Theorem topringapp"
-
-ALL_ANCHORS = frozenset(
-    {
-        ANCHOR_QBINOM_MATRIX,
-        ANCHOR_RPOWER,
-        ANCHOR_XN_FILTRATION,
-        ANCHOR_XN_ENTRIES,
-        ANCHOR_CONJUGATION,
-        ANCHOR_SUBRING,
-        ANCHOR_BASIS,
-        ANCHOR_ACTION_F,
-        ANCHOR_ACTION_G,
-        ANCHOR_ALGLEM,
-        ANCHOR_LOWER_G,
-        ANCHOR_ALPHA,
-    }
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -418,23 +403,54 @@ def suite_lower_g(ctx: PadicContext, kmax: int) -> list[CheckResult]:
     return out
 
 
-SUITE_BUILDERS: dict[str, Callable[..., list[CheckResult]]] = {
-    "qbinom-matrix": lambda ctx, cfg: suite_qbinom_matrix(ctx, cfg["W"], cfg["nmax"]),
-    "rpower": lambda ctx, cfg: suite_rpower(ctx, cfg["W"], cfg["nmax"]),
-    "xn": lambda ctx, cfg: suite_xn(ctx, cfg["W"], cfg["nmax"]),
-    "alpha": lambda ctx, cfg: suite_alpha(ctx, cfg["W"], cfg["seed"]),
-    "conjugation": lambda ctx, cfg: suite_conjugation(ctx, cfg["W"], cfg["trials"], cfg["seed"]),
-    "integrality": lambda ctx, cfg: suite_integrality(ctx, cfg["kmax"], cfg["seed"]),
-    "action": lambda ctx, cfg: suite_action(ctx, cfg["kmax"]),
-    "alglem": lambda ctx, cfg: suite_alglem(ctx, cfg["kmax"]),
-    "lower-g": lambda ctx, cfg: suite_lower_g(ctx, cfg["kmax"]),
+# The flags each group of suites accepts, besides --p, --q, --N and --seed.
+GROUPS = {"window": ("W", "nmax", "trials"), "basis": ("kmax",)}
+
+
+def _powers_fit(cfg: Mapping[str, int]) -> str | None:
+    W, need = cfg["W"], cfg["nmax"] + 2
+    return f"matrix suites need W >= nmax + 2 = {need}, got W={W}" if W < need else None
+
+
+def _window_of_two(cfg: Mapping[str, int]) -> str | None:
+    return f"window suites need W >= 2, got W={cfg['W']}" if cfg["W"] < 2 else None
+
+
+def _basis_precision(cfg: Mapping[str, int]) -> str | None:
+    N, need = cfg["N"], required_precision(cfg["p"], cfg["kmax"])
+    return f"basis suites at kmax={cfg['kmax']} need N >= {need}, got N={N}" if N < need else None
+
+
+# A NamedTuple: at import its class builds in a tenth of a frozen dataclass's time.
+class Suite(NamedTuple):
+    """A suite function, its flag group, why a config is rejected (or None), its anchors."""
+
+    run: Callable[..., list[CheckResult]]
+    group: str  # a key of GROUPS
+    precondition: Callable[[Mapping[str, int]], str | None]
+    anchors: tuple[str, ...]
+    in_all: bool = True  # run by `verify all`
+
+    def build(self, ctx: PadicContext, cfg: Mapping[str, int]) -> list[CheckResult]:
+        """Run the suite on the configuration values its parameters after `ctx` name."""
+        return self.run(ctx, *(cfg[key] for key in list(inspect.signature(self.run).parameters)[1:]))
+
+
+# The suites in report order.  alpha reads no nmax, yet is held to W >= nmax + 2.
+SUITES = {
+    "qbinom-matrix": Suite(suite_qbinom_matrix, "window", _powers_fit, (ANCHOR_QBINOM_MATRIX,)),
+    "rpower": Suite(suite_rpower, "window", _powers_fit, (ANCHOR_RPOWER,)),
+    "xn": Suite(suite_xn, "window", _powers_fit, (ANCHOR_XN_FILTRATION, ANCHOR_XN_ENTRIES)),
+    "alpha": Suite(suite_alpha, "window", _powers_fit, (ANCHOR_ALPHA,)),
+    "conjugation": Suite(suite_conjugation, "window", _window_of_two, (ANCHOR_CONJUGATION,)),
+    "integrality": Suite(suite_integrality, "basis", _basis_precision, (ANCHOR_BASIS, ANCHOR_SUBRING)),
+    "action": Suite(suite_action, "basis", _basis_precision, (ANCHOR_ACTION_F, ANCHOR_ACTION_G)),
+    "alglem": Suite(suite_alglem, "basis", _basis_precision, (ANCHOR_ALGLEM,)),
+    "lower-g": Suite(suite_lower_g, "basis", _basis_precision, (ANCHOR_LOWER_G,)),
 }
-
-SUITE_ORDER = tuple(SUITE_BUILDERS)
-
-# Suites held to W >= nmax + 2, and suites that need the basis precision for kmax.
-MATRIX_SUITES = frozenset({"qbinom-matrix", "rpower", "xn", "alpha"})
-BASIS_SUITES = frozenset({"integrality", "action", "alglem", "lower-g"})
+# run_suites reads this at call time, so a wrapper put here (the benchmark's tracer) is called.
+SUITE_BUILDERS = {name: suite.build for name, suite in SUITES.items()}
+ALL_ANCHORS = frozenset(a for suite in SUITES.values() if suite.in_all for a in suite.anchors)
 
 
 def run_suites(ctx: PadicContext, names: list[str], cfg: Mapping[str, int]) -> Iterator[CheckResult]:
@@ -447,6 +463,6 @@ def run_suites(ctx: PadicContext, names: list[str], cfg: Mapping[str, int]) -> I
 
     `cfg` maps W, nmax, kmax, trials and seed to ints; other keys are ignored.
     """
-    for name in SUITE_ORDER:
+    for name in SUITES:
         if name in names:
             yield from SUITE_BUILDERS[name](ctx, cfg)

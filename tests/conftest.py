@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import os
 import random
+import sys
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -84,6 +87,22 @@ def child_env() -> dict[str, str]:
     src = os.path.dirname(os.path.dirname(os.path.abspath(utt.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+
+
+@pytest.fixture()
+def bench_workloads(monkeypatch) -> ModuleType:
+    """The benchmark's workloads file, executed read-only in a fresh module.
+
+    The module is registered only for the test, since its dataclasses look
+    their module up.
+    """
+    workloads = ModuleType("utt_bench_workloads")
+    monkeypatch.setitem(sys.modules, workloads.__name__, workloads)
+    exec(compile(WORKLOADS_PATH.read_text(), str(WORKLOADS_PATH), "exec"), vars(workloads))
+    return workloads
 
 
 def dense_product(a, b):

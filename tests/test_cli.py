@@ -9,8 +9,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
-from types import ModuleType
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import child_env
 from utt import cli
-from utt.verify import ALL_ANCHORS, SUITE_ORDER, CheckResult
+from utt.verify import ALL_ANCHORS, GROUPS, SUITES, CheckResult
 
 
 def run_cli(capsys, argv):
@@ -42,9 +40,8 @@ def test_verify_suite_exits_zero(capsys):
 
 @pytest.mark.parametrize("suite", ["alglem", "all"])
 def test_verify_kmax_zero_exits_zero(capsys, suite):
-    code, out, _ = run_cli(
-        capsys, ["verify", suite, "--kmax", "0", "--W", "6", "--nmax", "3", "--trials", "2"]
-    )
+    window = ["--W", "6", "--nmax", "3", "--trials", "2"] if suite == "all" else []
+    code, out, _ = run_cli(capsys, ["verify", suite, "--kmax", "0"] + window)
     assert code == 0
     assert json.loads(out.strip().splitlines()[-1])["summary"]["failed"] == 0
 
@@ -78,6 +75,10 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
         ["verify", "conjugation", "--trials", "-3"],       # negative trial count
         ["verify", "xn", "--nmax", "-1", "--W", "3"],      # negative matrix index
         ["verify", "conjugation", "--W", "1"],             # window too small to conjugate
+        ["verify", "xn", "--kmax", "40"],                  # a window suite reads no --kmax
+        ["verify", "action", "--W", "30", "--nmax", "28", "--trials", "500"],  # nor a basis suite --W
+        ["verify", "lower-g", "--W", "12"],                # an explicit default is still given
+        ["verify", "alpha", "--W", "9"],                   # alpha is held to W >= nmax + 2 too
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -87,13 +88,29 @@ def test_config_errors_exit_two(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "conjugation", "--W", "8", "--nmax", "6", "--trials", "2"],
+        ["verify", "alpha", "--W", "8", "--nmax", "6", "--trials", "2"],
+        ["verify", "conjugation", "--W", "2", "--trials", "2"],  # W >= 2 only, whatever nmax
+    ],
+    ids=["conjugation", "alpha", "conjugation-W2"],
+)
+def test_window_suite_accepts_every_window_flag(capsys, argv):
+    """The check is by group: alpha reads no --nmax or --trials, conjugation no --nmax."""
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out.splitlines()[-1])["summary"]["failed"] == 0
+
+
 def test_env_prime_one_exits_two(capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_DEFAULT_PRIME, "1")
     code, out, err = run_cli(capsys, ["verify", "all"])
     assert code == 2 and out == "" and err.startswith("error:")
 
 
-COMMANDS = [["verify", s] for s in SUITE_ORDER + ("all",)] + [
+COMMANDS = [["verify", s] for s in (*SUITES, "all")] + [
     ["matrix", "R"], ["matrix", "Xn"], ["basis", "g"], ["qbinom"],
 ]
 # Cheap values, given first for each command that reads the flag; a fuzzed
@@ -101,8 +118,17 @@ COMMANDS = [["verify", s] for s in SUITE_ORDER + ("all",)] + [
 CHEAP_FLAGS = {"W": "4", "nmax": "2", "kmax": "3", "trials": "2"}
 
 
-def _fuzz_case(command):
+def _accepted_flags(command):
+    """The flags `command` accepts: one verify suite takes the context, the seed and its group's."""
     flags = cli.COMMAND_FLAGS[command[0]]
+    if command[0] != "verify" or command[1] == "all":
+        return flags
+    group = GROUPS[SUITES[command[1]].group]
+    return tuple(f for f in flags if f not in cli.GROUP_FLAGS or f in group)
+
+
+def _fuzz_case(command):
+    flags = _accepted_flags(command)
     base = [arg for f in flags if f in CHEAP_FLAGS for arg in (f"--{f}", CHEAP_FLAGS[f])]
     fuzzed = st.dictionaries(st.sampled_from(flags), st.integers(-3, 8), max_size=5)
     return st.tuples(st.just(command + base), fuzzed)
@@ -187,23 +213,28 @@ def test_closed_stdout_exits_141_quietly(argv):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
-WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+def _benchmark_argvs(workloads):
+    return [argv for w in workloads.WORKLOADS.values() for argv in w.argvs(7) + w.small_argvs(7)]
 
 
-def test_benchmark_argvs_parse(monkeypatch):
-    """Every argv the benchmark hands to `cli.main` is accepted by the parser.
-
-    The workloads file is executed, read-only, in a fresh module that is
-    registered only for the test, since its dataclasses look their module up.
-    """
-    workloads = ModuleType("utt_bench_workloads")
-    monkeypatch.setitem(sys.modules, workloads.__name__, workloads)
-    exec(compile(WORKLOADS_PATH.read_text(), str(WORKLOADS_PATH), "exec"), vars(workloads))
+def test_benchmark_argvs_parse(bench_workloads):
+    """Every argv the benchmark hands to `cli.main` is accepted by the parser."""
     parser = cli.build_parser()
-    argvs = [argv for w in workloads.WORKLOADS.values() for argv in w.argvs(7) + w.small_argvs(7)]
+    argvs = _benchmark_argvs(bench_workloads)
     assert argvs
     for argv in argvs:
         assert parser.parse_args(argv).seed == 7
+
+
+def test_benchmark_argvs_clear_verify_validation(bench_workloads, monkeypatch, capsys):
+    """Every benchmark argv passes `cmd_verify`'s checks, the unread-flag check included."""
+    monkeypatch.setattr(cli, "run_suites", lambda ctx, names, cfg: iter(()))
+    argvs = _benchmark_argvs(bench_workloads)
+    assert argvs
+    for argv in argvs:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)["summary"]["checks"] == 0
 
 
 # ------------------------------------------------------------- environment

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 from collections import Counter
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 
@@ -14,25 +17,62 @@ from utt.padic import PadicInt, make_context, nu_factorial, nu_int
 from utt.utmat import UTWindow
 from utt.verify import (
     ALL_ANCHORS,
+    GROUPS,
     SUITE_BUILDERS,
-    SUITE_ORDER,
+    SUITES,
     CheckResult,
     run_suites,
 )
 
 FAST_CFG = dict(W=8, nmax=4, kmax=4, trials=5, seed=0)
+ALL_SUITES = [name for name, suite in SUITES.items() if suite.in_all]
 
 
 def _fast_config():
     return dict(FAST_CFG)
 
 
-def test_suite_order_covers_all_builders():
-    assert set(SUITE_ORDER) == set(SUITE_BUILDERS)
+def test_suite_builders_follow_the_table():
+    """One builder per record, in table order; a suite reads only its group's flags and the seed."""
+    assert list(SUITE_BUILDERS) == list(SUITES)
+    for name, suite in SUITES.items():
+        reads = list(inspect.signature(suite.run).parameters)[1:]
+        assert set(reads) <= {*GROUPS[suite.group], "seed"}, name
+
+
+def test_in_all_anchors_are_the_benchmarks_twelve(bench_workloads):
+    """The union over the `in_all` suites against the benchmark's own copy of the anchors."""
+    assert len(ALL_ANCHORS) == 12
+    assert ALL_ANCHORS == bench_workloads.ANCHORS
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_suite_table_matches_the_table():
+    """README's table of the flags each suite reads and its group accepts."""
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| suite "))
+    documented = {}
+    for row in takewhile(lambda line: line.startswith("|"), lines[start + 2:]):
+        name, reads, group = (cell.strip().strip("`") for cell in row.split("|")[1:4])
+        group, _, accepts = group.partition(":")
+        documented[name] = reads.replace("--", "").split()
+        assert group == SUITES[name].group, name
+        if accepts:
+            assert accepts.strip(" `").replace("--", "").split() == list(GROUPS[group])
+    assert documented == {name: list(inspect.signature(suite.run).parameters)[1:]
+                          for name, suite in SUITES.items()}
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_suite_emits_exactly_its_declared_anchors(ctx3, name):
+    anchors = {r.anchor for r in run_suites(ctx3, [name], _fast_config())}
+    assert anchors == set(SUITES[name].anchors)
 
 
 def test_all_suites_pass_fast_config(ctx):
-    results = list(run_suites(ctx, SUITE_ORDER, _fast_config()))
+    results = list(run_suites(ctx, list(SUITES), _fast_config()))
     assert results
     bad = [r for r in results if not r.passed]
     assert bad == []
@@ -41,18 +81,14 @@ def test_all_suites_pass_fast_config(ctx):
 def test_full_default_run_emits_exact_anchor_set():
     ctx = make_context(3, 2, 20)
     cfg = dict(W=12, nmax=8, kmax=8, trials=50, seed=0)
-    anchors = {r.anchor for r in run_suites(ctx, SUITE_ORDER, cfg)}
+    anchors = {r.anchor for r in run_suites(ctx, ALL_SUITES, cfg)}
     assert anchors == set(ALL_ANCHORS)
-
-
-def test_anchor_set_is_stable():
-    assert len(ALL_ANCHORS) == 12
 
 
 def test_reports_are_deterministic(ctx):
     cfg = _fast_config()
-    a = [cli.emit_check(r, "json") for r in run_suites(ctx, SUITE_ORDER, cfg)]
-    b = [cli.emit_check(r, "json") for r in run_suites(ctx, SUITE_ORDER, cfg)]
+    a = [cli.emit_check(r, "json") for r in run_suites(ctx, ALL_SUITES, cfg)]
+    b = [cli.emit_check(r, "json") for r in run_suites(ctx, ALL_SUITES, cfg)]
     assert a == b
 
 
