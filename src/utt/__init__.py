@@ -6,6 +6,8 @@ integers: q-binomial expansions of powers, closed entry formulas,
 filtration behavior, conjugation onto the model matrix R, and the
 integral basis of a bivariate polynomial subring together with the
 substitution action on it.
+
+The names imported below are the public API.
 """
 
 from .basis import (
@@ -64,7 +66,6 @@ from .padic import (
     PadicScaled,
     is_prime,
     make_context,
-    multiplicative_order,
     nu_factorial,
     nu_int,
 )
@@ -73,62 +74,3 @@ from .utmat import Membership, UTWindow
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AFormMatrix",
-    "BadIndexError",
-    "BadPrecisionError",
-    "BivarPoly",
-    "ConjugationReport",
-    "ContextMismatchError",
-    "DomainError",
-    "IntegralityResult",
-    "InvariantError",
-    "Membership",
-    "NotAUnitError",
-    "NotInvertibleError",
-    "NotPrimeError",
-    "NotPrimitiveError",
-    "PadicContext",
-    "PadicInt",
-    "PadicScaled",
-    "PrecisionExhaustedError",
-    "QPoly",
-    "SizeMismatchError",
-    "UTWindow",
-    "UttError",
-    "alpha",
-    "beta",
-    "big_F",
-    "binom",
-    "build_D",
-    "build_E",
-    "build_R",
-    "build_Rn",
-    "build_S",
-    "build_U",
-    "build_Xn",
-    "build_basic",
-    "c_poly",
-    "check_integrality",
-    "conjugator",
-    "expand_in_c_basis",
-    "expand_in_g_basis",
-    "f_poly",
-    "g_poly",
-    "is_prime",
-    "make_context",
-    "multiplicative_order",
-    "normalize_superdiag",
-    "nu_factorial",
-    "nu_int",
-    "psi_action",
-    "qbinom",
-    "qbinom_eval",
-    "qbinom_residue",
-    "required_precision",
-    "rpower_closed",
-    "sample_integrality",
-    "verify_conjugation",
-    "xn_closed",
-    "xn_expand_binomial",
-]

@@ -36,7 +36,6 @@ from .padic import (
     scaled_eq,
     scaled_from_residue,
     scaled_mul,
-    scaled_neg,
 )
 from .qcalc import qbinom_eval
 
@@ -117,16 +116,8 @@ class BivarPoly:
         return cls(ctx, {(a, b): coeff})
 
     @classmethod
-    def one(cls, ctx: PadicContext) -> "BivarPoly":
-        return cls.monomial(ctx, 0, 0)
-
-    @classmethod
     def u_hat(cls, ctx: PadicContext) -> "BivarPoly":
         return cls.monomial(ctx, 1, 0)
-
-    @classmethod
-    def v_hat(cls, ctx: PadicContext) -> "BivarPoly":
-        return cls.monomial(ctx, 0, 1)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -150,13 +141,6 @@ class BivarPoly:
         for key, t in other.terms.items():
             acc[key] = scaled_add(p, acc[key], t) if key in acc else t
         return BivarPoly._sum(self.ctx, acc)
-
-    def __neg__(self) -> "BivarPoly":
-        p = self.ctx.p
-        return BivarPoly._clean(self.ctx, {k: scaled_neg(p, t) for k, t in self.terms.items()})
-
-    def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        return self + (-other)
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
         """Term products by scaled_mul's rule, written out on unpacked triples

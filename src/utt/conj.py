@@ -164,8 +164,6 @@ def build_U(c_mat: AFormMatrix) -> UTWindow:
 class ConjugationReport:
     """Outcome of checking U*C = R*U for one C-form matrix."""
 
-    p: int
-    W: int
     ok: bool
     mismatches: int
     u_is_invertible: bool
@@ -181,8 +179,6 @@ def verify_conjugation(c_mat: AFormMatrix) -> ConjugationReport:
     mismatches = sum(x != y for lrow, rrow in zip(lhs.rows(), rhs.rows()) for x, y in zip(lrow, rrow))
     mem = u.membership()
     return ConjugationReport(
-        p=ctx.p,
-        W=W,
         ok=mismatches == 0,
         mismatches=mismatches,
         u_is_invertible=mem.is_invertible,

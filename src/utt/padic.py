@@ -59,24 +59,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def multiplicative_order(a: int, modulus: int) -> int:
-    """Order of a modulo modulus, or 0 if a is not a unit there."""
-    a %= modulus
-    x = a
-    for k in range(1, modulus + 1):
-        if x == 1:
-            return k
-        x = (x * a) % modulus
-    return 0
-
-
 def order_mod_p_squared(q: int, p: int) -> int:
     """Order of q modulo p**2 for an odd prime p, or 0 if q is not a unit.
 
-    Same value as `multiplicative_order(q, p * p)`, found with a few
-    modular powers: the unit group has order p*(p-1), so the order is
-    p*(p-1) with each prime factor r divided out for as long as
-    q**(order/r) is still 1.  p-1 is factored by trial division.
+    Found with a few modular powers: the unit group has order p*(p-1),
+    so the order is p*(p-1) with each prime factor r divided out for as
+    long as q**(order/r) is still 1.  p-1 is factored by trial division.
     """
     if q % p == 0:
         return 0
@@ -394,11 +382,8 @@ class PadicInt:
     def is_zero(self) -> bool:
         return self.residue == 0
 
-    def is_unit(self) -> bool:
-        return self.residue % self.ctx.p != 0
-
     def inverse(self) -> "PadicInt":
-        if not self.is_unit():
+        if self.residue % self.ctx.p == 0:
             raise NotAUnitError(f"{self!r} is divisible by {self.ctx.p}")
         return PadicInt(self.ctx, pow(self.residue, -1, self.ctx.modulus))
 
@@ -411,9 +396,6 @@ class PadicInt:
         if self.residue == 0:
             return self.ctx.N
         return nu_int(self.ctx.p, self.residue)
-
-    def to_scaled(self) -> "PadicScaled":
-        return PadicScaled.from_padic_int(self)
 
 
 class PadicScaled:
@@ -465,10 +447,6 @@ class PadicScaled:
         return cls._from_triple(ctx, None)
 
     @classmethod
-    def from_padic_int(cls, a: PadicInt) -> "PadicScaled":
-        return cls._from_triple(a.ctx, scaled_from_residue(a.ctx.p, a.ctx.N, a.residue))
-
-    @classmethod
     def from_int(cls, ctx: PadicContext, n: int) -> "PadicScaled":
         return cls._from_triple(ctx, scaled_from_residue(ctx.p, ctx.N, n % ctx.modulus))
 
@@ -509,12 +487,6 @@ class PadicScaled:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "PadicScaled":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "PadicScaled":
         other = self._coerce(other)
         if other is NotImplemented:
@@ -535,7 +507,8 @@ class PadicScaled:
     def __eq__(self, other: object) -> bool:
         """Equality on known digits; a value of another context is unequal."""
         if isinstance(other, PadicInt):
-            other = other.to_scaled()
+            c = other.ctx
+            other = PadicScaled._from_triple(c, scaled_from_residue(c.p, c.N, other.residue))
         elif isinstance(other, int):
             other = PadicScaled.from_int(self.ctx, other)
         if not isinstance(other, PadicScaled):

@@ -59,22 +59,6 @@ class QPoly:
             out[i] += c
         return QPoly(out)
 
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return QPoly(out)
-
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        if self.is_zero() or other.is_zero():
-            return QPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return QPoly(out)
-
     def shifted(self, k: int) -> "QPoly":
         """Multiply by q**k."""
         if self.is_zero():
@@ -85,9 +69,6 @@ class QPoly:
         if not isinstance(other, QPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __call__(self, x: int) -> int:
         """Evaluate at an ordinary integer (Horner)."""

@@ -119,9 +119,6 @@ class UTWindow:
         c = self.ctx.residue(c)
         return UTWindow(self.ctx, self.W, [c * a for a in self._e])
 
-    def __neg__(self) -> "UTWindow":
-        return self.scale(-1)
-
     def __mul__(self, other: "UTWindow") -> "UTWindow":
         """Entry (i, j) is the sum over i <= k <= j of self(i, k) * other(k, j)."""
         self._check(other)
@@ -185,19 +182,11 @@ class UTWindow:
                 return j
         return self.W
 
-    def sub_window(self, W2: int) -> "UTWindow":
-        if not 1 <= W2 <= self.W:
-            raise BadIndexError(f"sub-window size {W2} outside [1, {self.W}]")
-        return UTWindow(self.ctx, W2, [v for i, row in enumerate(self.rows()[:W2]) for v in row[:W2 - i]])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UTWindow):
             return NotImplemented
         return ((self.ctx is other.ctx or self.ctx == other.ctx)
                 and self.W == other.W and self._e == other._e)
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.W, self._e))
 
     def __repr__(self) -> str:
         return f"UTWindow(W={self.W}, p={self.ctx.p}^{self.ctx.N})"

@@ -125,6 +125,26 @@ def dense_product(a, b):
     )
 
 
+def sub_window(win, W2: int):
+    """The leading W2-by-W2 window of `win`, read from its rows."""
+    from utt.utmat import UTWindow
+
+    assert 1 <= W2 <= win.W
+    return UTWindow(win.ctx, W2, [v for i, row in enumerate(win.rows()[:W2]) for v in row[:W2 - i]])
+
+
+def multiplicative_order(a: int, modulus: int) -> int:
+    """Order of a modulo modulus, or 0 if a is not a unit there; the
+    brute-force oracle for utt.padic.order_mod_p_squared."""
+    a %= modulus
+    x = a
+    for k in range(1, modulus + 1):
+        if x == 1:
+            return k
+        x = (x * a) % modulus
+    return 0
+
+
 def random_window(ctx: PadicContext, W: int, rng: random.Random):
     """Random upper-triangular window with arbitrary entries."""
     from utt.utmat import UTWindow
@@ -219,6 +239,6 @@ def ref_substitute(poly, u: int, v: int):
     ctx, M = poly.ctx, poly.ctx.modulus
     acc = PadicScaled.zero(ctx)
     for a, b in sorted(poly.terms):
-        value = ctx.from_int(pow(u, a, M) * pow(v, b, M)).to_scaled()
+        value = PadicScaled.from_int(ctx, pow(u, a, M) * pow(v, b, M))
         acc = ref_scaled_add(acc, ref_scaled_mul(poly.coefficient(a, b), value))
     return acc

@@ -117,7 +117,7 @@ def test_criterion_4_conjugation(acceptance_recorder):
             u = build_U(c)
             ok = ok and u * c.to_window() == r * u
             for i in range(W_c):
-                ok = ok and u.entry(i, i).is_unit()
+                ok = ok and u.entry(i, i).residue % ctx.p != 0
         for _ in range(20):
             a = AFormMatrix.random(ctx, W_c, rng)
             b = conjugator(a)
@@ -201,7 +201,7 @@ def test_criterion_8_arithmetic_substrate(acceptance_recorder):
             ok = ok and (a + b) + c == a + (b + c)
             ok = ok and a * (b + c) == a * b + a * c
             ok = ok and a * b == b * a
-            if a.is_unit():
+            if a.residue % ctx.p != 0:
                 ok = ok and (a * a.inverse()).residue == 1
         direct = 0
         for k in range(1, 201):

@@ -53,7 +53,7 @@ def test_a_form_random_is_valid(ctx):
         a = AFormMatrix.random(ctx, W, rng)
         win = a.to_window()
         for i in range(W - 1):
-            assert win.entry(i, i + 1).is_unit()
+            assert win.entry(i, i + 1).residue % ctx.p != 0
 
 
 # ---------------------------------------------------------------- C-form
@@ -158,7 +158,6 @@ def test_u_has_group_diagonal(ctx):
     c = AFormMatrix.random(ctx, W, rng, c_form=True)
     u = build_U(c)
     for i in range(W):
-        assert u.entry(i, i).is_unit()
         assert u.entry(i, i).residue % ctx.p == 1
     m = u.membership()
     assert m.is_invertible and m.is_in_unit_group
@@ -214,7 +213,5 @@ def test_conjugator_against_dense_oracle(ctx, w):
 def test_report_json_shape(ctx):
     rng = random.Random(7)
     rep = verify_conjugation(AFormMatrix.random(ctx, 5, rng, c_form=True))
-    assert (rep.p, rep.W, rep.ok, rep.mismatches, rep.u_is_invertible, rep.u_in_unit_group) == (
-        ctx.p, 5, True, 0, True, True,
-    )
+    assert (rep.ok, rep.mismatches, rep.u_is_invertible, rep.u_in_unit_group) == (True, 0, True, True)
     assert isinstance(rep, ConjugationReport)

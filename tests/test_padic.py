@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_scaled_add, ref_scaled_eq, ref_scaled_mul
+from conftest import multiplicative_order, ref_scaled_add, ref_scaled_eq, ref_scaled_mul
 from utt import padic
 from utt.basis import BivarPoly
 from utt.cli import emit_bivar
@@ -28,7 +28,6 @@ from utt.padic import (
     PadicInt,
     PadicScaled,
     make_context,
-    multiplicative_order,
     nu_factorial,
     nu_int,
     order_mod_p_squared,
@@ -144,7 +143,7 @@ def test_ring_axioms_and_inversion_random(ctx):
         assert a + ctx.zero() == a
         assert a * ctx.one() == a
         assert (a - a).residue == 0
-        if a.is_unit():
+        if a.residue % ctx.p != 0:
             inv = a.inverse()
             assert (a * inv).residue == 1
             assert (inv * a).residue == 1
@@ -406,9 +405,9 @@ def test_scaled_round_trip_random(u, v, s):
 
 def test_from_padic_int_sig_reflects_known_digits(ctx):
     v = ctx.N // 2
-    x = ctx.from_int(ctx.p**v * 2).to_scaled()
+    x = PadicScaled.from_int(ctx, ctx.p**v * 2)
     assert (x.val, x.unit, x.sig) == (v, 2, ctx.N - v)
-    assert ctx.zero().to_scaled().is_zero()
+    assert PadicScaled.from_int(ctx, 0).is_zero()
 
 
 # ----------------------------------------------------- scaled triple kernels
@@ -526,8 +525,12 @@ def test_power_table_holds_powers_up_to_the_precision_read(monkeypatch):
 
 
 def test_scaled_from_residue_matches_to_scaled(ctx):
-    for r in (0, 1, ctx.p, ctx.p**3 * 7, ctx.modulus - ctx.p):
-        assert scaled_from_residue(ctx.p, ctx.N, r) == _as_triple(ctx.from_int(r).to_scaled())
+    """The triple of a residue, against PadicInt.valuation and the validating constructor."""
+    assert scaled_from_residue(ctx.p, ctx.N, 0) is None
+    for r in (1, ctx.p, ctx.p**3 * 7, ctx.modulus - ctx.p):
+        v = ctx.from_int(r).valuation()
+        want = PadicScaled(ctx, v, r // ctx.p**v, ctx.N - v)
+        assert scaled_from_residue(ctx.p, ctx.N, r) == _as_triple(want)
 
 
 def test_from_triple_wraps_without_copying(ctx):

