@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import inspect
 import json
+import subprocess
+import sys
 from collections import Counter
 from itertools import takewhile
 from pathlib import Path
 
 import pytest
 
-from conftest import STANDARD_TRIPLES
+from conftest import STANDARD_TRIPLES, child_env
 from utt import cli, conj, ops, qcalc, verify
 from utt.basis import BivarPoly, g_poly
 from utt.padic import PadicInt, make_context, nu_factorial, nu_int
@@ -90,6 +92,19 @@ def test_reports_are_deterministic(ctx):
     a = [cli.emit_check(r, "json") for r in run_suites(ctx, ALL_SUITES, cfg)]
     b = [cli.emit_check(r, "json") for r in run_suites(ctx, ALL_SUITES, cfg)]
     assert a == b
+
+
+def test_report_does_not_depend_on_the_hash_seed():
+    """String hashing is randomised per process; no report order may follow it."""
+    argv = [sys.executable, "-m", "utt", "verify", "all", "--W", "6", "--nmax", "3", "--kmax", "4",
+            "--trials", "3"]
+    outs = []
+    for seed in ("0", "1", "12345"):
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                              env={**child_env(), "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1] == outs[2]
 
 
 def test_seed_changes_trial_content(ctx):
@@ -370,3 +385,13 @@ def test_corrupted_f_fails_exactly_the_diagonal_lower_g_records(ctx3, monkeypatc
     failed = {(r.params["m"], r.params["n"], r.params["i"])
               for r in verify.suite_lower_g(ctx3, kmax) if not r.passed}
     assert failed == {(n, n, i0) for n in range(i0, kmax + 1)}
+
+
+def test_denominator_checks_read_the_exact_product(capsys):
+    """At p = 3 the k = 11 and k = 12 denominators have valuation 15 and 17,
+    above N = 14, where a residue mod p**N would saturate at 14."""
+    assert cli.main("verify integrality --p 3 --kmax 8 --N 14".split()) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert records[-1] == {"summary": {"checks": 44, "passed": 44, "failed": 0}}
+    dens = [r for r in records[:-1] if r["check"].startswith("integrality/denominator/")]
+    assert [r["params"]["k"] for r in dens if r["pass"]] == list(range(13))
