@@ -507,8 +507,7 @@ class PadicScaled:
     def __eq__(self, other: object) -> bool:
         """Equality on known digits; a value of another context is unequal."""
         if isinstance(other, PadicInt):
-            c = other.ctx
-            other = PadicScaled._from_triple(c, scaled_from_residue(c.p, c.N, other.residue))
+            other = PadicScaled.from_int(other.ctx, other.residue)
         elif isinstance(other, int):
             other = PadicScaled.from_int(self.ctx, other)
         if not isinstance(other, PadicScaled):

@@ -36,14 +36,14 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def replay(argv: list[str], env: dict[str, str], mp: pytest.MonkeyPatch) -> dict:
+def replay(argv: list[str], env: dict[str, str]) -> dict:
     """The sweep entry of `utt <argv>` run under `env`: exit code and stream digests."""
-    mp.delenv(cli.ENV_DEFAULT_PRIME, raising=False)
-    mp.setenv("COLUMNS", "80")
-    for key, value in env.items():
-        mp.setenv(key, value)
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+        mp.delenv(cli.ENV_DEFAULT_PRIME, raising=False)
+        mp.setenv("COLUMNS", "80")
+        for key, value in env.items():
+            mp.setenv(key, value)
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse: --help, or an argv it rejects
@@ -54,22 +54,13 @@ def replay(argv: list[str], env: dict[str, str], mp: pytest.MonkeyPatch) -> dict
 
 def test_sweep_replays_to_recorded_digests():
     entries = json.loads(SWEEP_PATH.read_text())
-    changed = []
-    for entry in entries:
-        with pytest.MonkeyPatch.context() as mp:
-            got = replay(entry["argv"], entry["env"], mp)
-        if got != entry:
-            changed.append((entry["env"], " ".join(entry["argv"])))
+    changed = [(e["env"], " ".join(e["argv"])) for e in entries if replay(e["argv"], e["env"]) != e]
     assert changed == []
 
 
 def record() -> None:
     """Rewrite sweep.json from the current code, keeping its argvs and envs in order."""
-    entries = json.loads(SWEEP_PATH.read_text())
-    recorded = []
-    for entry in entries:
-        with pytest.MonkeyPatch.context() as mp:
-            recorded.append(replay(entry["argv"], entry["env"], mp))
+    recorded = [replay(e["argv"], e["env"]) for e in json.loads(SWEEP_PATH.read_text())]
     # One entry per line, so that a re-record diffs by argv.
     SWEEP_PATH.write_text("[\n" + ",\n".join(json.dumps(e) for e in recorded) + "\n]\n")
     print(f"recorded {len(recorded)} entries in {SWEEP_PATH}")
