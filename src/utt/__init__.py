@@ -27,7 +27,6 @@ from .basis import (
 )
 from .conj import (
     AFormMatrix,
-    ConjugationReport,
     build_E,
     build_U,
     conjugator,
@@ -70,7 +69,7 @@ from .padic import (
     nu_int,
 )
 from .qcalc import QPoly, binom, qbinom, qbinom_eval, qbinom_residue
-from .utmat import Membership, UTWindow
+from .utmat import UTWindow
 
 __version__ = "0.1.0"
 

@@ -9,13 +9,13 @@ the remaining freedom:
     U * C * U**-1 = R,  hence  (U*E) * A * (U*E)**-1 = R.
 
 U is produced row by row from the single relation U*C = R*U, which
-pins each row down from the previous one.
+pins each row down from the previous one; verify_conjugation returns
+both sides of that relation for the caller to compare.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -160,30 +160,10 @@ def build_U(c_mat: AFormMatrix) -> UTWindow:
     return UTWindow(ctx, W, [v for i, row in enumerate(grid) for v in row[i:]])
 
 
-@dataclass(frozen=True)
-class ConjugationReport:
-    """Outcome of checking U*C = R*U for one C-form matrix."""
-
-    ok: bool
-    mismatches: int
-    u_is_invertible: bool
-    u_in_unit_group: bool
-
-
-def verify_conjugation(c_mat: AFormMatrix) -> ConjugationReport:
-    """Build U for this C and compare U*C with R*U entry by entry."""
-    ctx, W = c_mat.ctx, c_mat.W
+def verify_conjugation(c_mat: AFormMatrix) -> tuple[UTWindow, UTWindow, UTWindow]:
+    """Build U for this C and return (U, U*C, R*U), the two sides of U*C = R*U."""
     u = build_U(c_mat)
-    lhs = u * c_mat.to_window()
-    rhs = build_R(ctx, W) * u
-    mismatches = sum(x != y for lrow, rrow in zip(lhs.rows(), rhs.rows()) for x, y in zip(lrow, rrow))
-    mem = u.membership()
-    return ConjugationReport(
-        ok=mismatches == 0,
-        mismatches=mismatches,
-        u_is_invertible=mem.is_invertible,
-        u_in_unit_group=mem.is_in_unit_group,
-    )
+    return u, u * c_mat.to_window(), build_R(c_mat.ctx, c_mat.W) * u
 
 
 def conjugator(a: AFormMatrix) -> UTWindow:

@@ -117,8 +117,7 @@ class PadicContext:
     """Fixed arithmetic universe: odd prime p, precision N, base unit q.
 
     Identity is by (p, N, q); the remaining fields are derived.
-    q_hat_residue is q**(p-1) mod p**N and rho = 2*(p-1) is the weight
-    of the associated graded degree step.
+    q_hat_residue is q**(p-1) mod p**N.
     """
 
     p: int
@@ -126,7 +125,6 @@ class PadicContext:
     q: int
     modulus: int
     q_hat_residue: int
-    rho: int
 
     def from_int(self, value: int) -> PadicInt:
         return PadicInt(self, value)
@@ -183,7 +181,7 @@ def make_context(p: int, q: int, N: int) -> PadicContext:
         )
     modulus = p**N
     q_hat = pow(q, p - 1, modulus)
-    ctx = PadicContext(p=p, N=N, q=q, modulus=modulus, q_hat_residue=q_hat, rho=2 * (p - 1))
+    ctx = PadicContext(p=p, N=N, q=q, modulus=modulus, q_hat_residue=q_hat)
     # Order p*(p-1) guarantees both congruence facts; cheap to re-check.
     if q_hat % p != 1:
         raise InvariantError(f"q_hat = {q}**{p - 1} is not 1 mod {p}")

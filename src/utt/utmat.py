@@ -12,7 +12,6 @@ Row and column indices are 0-based throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Iterable
 
@@ -23,14 +22,6 @@ from .errors import (
     SizeMismatchError,
 )
 from .padic import PadicContext, PadicInt
-
-
-@dataclass(frozen=True)
-class Membership:
-    """Group-membership facts about a window's diagonal."""
-
-    is_invertible: bool
-    is_in_unit_group: bool  # diagonal entries all 1 mod p
 
 
 class UTWindow:
@@ -163,14 +154,6 @@ class UTWindow:
                 col[i] = -inv_diag[i] * acc % m
             cols.append(col)
         return UTWindow(ctx, W, [cols[j][i] for i in range(W) for j in range(i, W)])
-
-    def membership(self) -> Membership:
-        diag = [row[0] for row in self.rows()]
-        p = self.ctx.p
-        return Membership(
-            is_invertible=all(d % p != 0 for d in diag),
-            is_in_unit_group=all(d % p == 1 for d in diag),
-        )
 
     def filtration_level(self) -> int:
         """Number of leading all-zero columns (0-based count).

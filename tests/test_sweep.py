@@ -12,8 +12,9 @@ terminal.
 Replay:     PYTHONPATH=src python -m pytest -q tests/test_sweep.py
 Re-record:  PYTHONPATH=src python tests/test_sweep.py --record
 
-A change that means to alter a report re-records, and lists each argv
-whose digests changed, with the reason, in CHANGES.md.
+A re-record prints the env and argv of each entry whose exit code or
+digests changed.  A change that means to alter a report re-records, and
+lists each of those argvs, with the reason, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -59,11 +60,18 @@ def test_sweep_replays_to_recorded_digests():
 
 
 def record() -> None:
-    """Rewrite sweep.json from the current code, keeping its argvs and envs in order."""
-    recorded = [replay(e["argv"], e["env"]) for e in json.loads(SWEEP_PATH.read_text())]
+    """Rewrite sweep.json from the current code, keeping its argvs and envs in order.
+
+    Prints the env and argv of each entry whose exit code or digests changed,
+    one line each, and nothing else.
+    """
+    entries = json.loads(SWEEP_PATH.read_text())
+    recorded = [replay(e["argv"], e["env"]) for e in entries]
+    for old, new in zip(entries, recorded):
+        if new != old:
+            print(json.dumps(new["env"]), " ".join(new["argv"]))
     # One entry per line, so that a re-record diffs by argv.
     SWEEP_PATH.write_text("[\n" + ",\n".join(json.dumps(e) for e in recorded) + "\n]\n")
-    print(f"recorded {len(recorded)} entries in {SWEEP_PATH}")
 
 
 if __name__ == "__main__":

@@ -152,26 +152,7 @@ def test_inverse_of_inverse(ctx):
     assert a.inverse().inverse() == a
 
 
-# ------------------------------------------------- membership / filtration
-
-
-def test_membership(ctx):
-    p = ctx.p
-    ident = UTWindow.identity(ctx, 4)
-    m = ident.membership()
-    assert m.is_invertible and m.is_in_unit_group
-
-    shifted_diag = UTWindow.from_fn(ctx, 4, lambda i, j: 1 + p if i == j else 0)
-    m = shifted_diag.membership()
-    assert m.is_invertible and m.is_in_unit_group
-
-    unit_but_not_group = UTWindow.from_fn(ctx, 4, lambda i, j: 2 if i == j else 0)
-    m = unit_but_not_group.membership()
-    assert m.is_invertible and not m.is_in_unit_group
-
-    singular = UTWindow.from_fn(ctx, 4, lambda i, j: p if i == j else 0)
-    m = singular.membership()
-    assert not m.is_invertible and not m.is_in_unit_group
+# ------------------------------------------------------------ filtration
 
 
 def test_filtration_level(ctx):

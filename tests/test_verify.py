@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -260,7 +261,11 @@ def test_corrupted_row_fails_the_xn_entries_that_read_it(ctx3, corrupted_row_3_1
     assert bad["xn/entries/n=4"].endswith(" expanded=ok")
 
 
-def test_conjugation_failure_counts_mismatches(ctx3, monkeypatch, capsys):
+UC_RU = [f"conjugation/uc-ru/trial={t}" for t in range(FAST_CFG["trials"])]
+
+
+def test_conjugation_failure_names_the_first_mismatch(ctx3, monkeypatch, capsys):
+    """A corner fault in U changes U*C - R*U at (0, W-1) alone, by q_hat**(W-1) - 1."""
     real = conj.build_U
 
     def corner_off_by_one(c_mat):
@@ -269,8 +274,22 @@ def test_conjugation_failure_counts_mismatches(ctx3, monkeypatch, capsys):
 
     monkeypatch.setattr(conj, "build_U", corner_off_by_one)
     bad = [r for r in _failures(ctx3, "conjugation") if r.name.startswith("conjugation/uc-ru/")]
-    assert [r.name for r in bad] == [f"conjugation/uc-ru/trial={t}" for t in range(FAST_CFG["trials"])]
-    assert {r.detail for r in bad} == {"mismatches=1"}
+    assert [r.name for r in bad] == UC_RU
+    for r in bad:
+        found = re.fullmatch(r"first mismatch at \(0,7\): (\d+) vs (\d+), nu_p\(diff\)=1", r.detail)
+        assert found, r.detail
+        assert (int(found[1]) - int(found[2])) % ctx3.modulus == ctx3.q_hat_residue**7 - 1
+    assert cli.main(["verify", "conjugation", "--p", "3", "--q", "2", "--N", "20", "--W", "8"]) == 1
+    assert '"pass": false' in capsys.readouterr().out
+
+
+def test_conjugation_fails_a_u_outside_the_unit_group(ctx3, monkeypatch, capsys):
+    """2U still solves U*C = R*U, but its diagonal is 2 mod 3: only uc-ru can see that."""
+    real = conj.build_U
+    monkeypatch.setattr(conj, "build_U", lambda c_mat: real(c_mat).scale(2))
+    bad = _failures(ctx3, "conjugation")
+    assert [r.name for r in bad] == UC_RU
+    assert {r.detail for r in bad} == {"U is outside the unit group: diagonal not 1 mod p"}
     assert cli.main(["verify", "conjugation", "--p", "3", "--q", "2", "--N", "20", "--W", "8"]) == 1
     assert '"pass": false' in capsys.readouterr().out
 
@@ -341,7 +360,7 @@ def test_lower_g_by_columns_gives_the_triple_loop_report(triple):
     """Same names, params, verdicts and order as checking one (m, n, i) at a time."""
     ctx = make_context(*triple)
     for kmax in range(11):
-        assert verify.suite_lower_g(ctx, kmax) == _lower_g_by_triple_loop(ctx, kmax), kmax
+        assert list(verify.suite_lower_g(ctx, kmax)) == _lower_g_by_triple_loop(ctx, kmax), kmax
 
 
 def test_lower_g_builds_each_g_once(ctx3, monkeypatch):
