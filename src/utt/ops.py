@@ -45,8 +45,15 @@ def build_S(ctx: PadicContext, W: int) -> UTWindow:
     return UTWindow(ctx, W, [1 if j == i + 1 else 0 for i in range(W) for j in range(i, W)])
 
 
+def _r_minus(ctx: PadicContext, W: int, c: int) -> UTWindow:
+    """R - c*I in one pass: diagonal q_hat**i - c, superdiagonal 1."""
+    q_hat, m = ctx.q_hat_residue, ctx.modulus
+    return UTWindow(ctx, W, [pow(q_hat, i, m) - c if j == i else 1 if j == i + 1 else 0
+                             for i in range(W) for j in range(i, W)])
+
+
 def build_R(ctx: PadicContext, W: int) -> UTWindow:
-    return build_D(ctx, W) + build_S(ctx, W)
+    return _r_minus(ctx, W, 0)
 
 
 def build_basic(ctx: PadicContext, kind: str, W: int) -> UTWindow:
@@ -61,8 +68,7 @@ def build_Rn(ctx: PadicContext, n: int, W: int) -> UTWindow:
     """R - q_hat**(n-1) * I, whose (n-1, n-1) entry vanishes; n >= 1."""
     if n < 1:
         raise BadIndexError(f"R_n needs n >= 1, got {n}")
-    shift = UTWindow.identity(ctx, W).scale(pow(ctx.q_hat_residue, n - 1, ctx.modulus))
-    return build_R(ctx, W) - shift
+    return _r_minus(ctx, W, pow(ctx.q_hat_residue, n - 1, ctx.modulus))
 
 
 def build_Xn(ctx: PadicContext, n: int, W: int) -> UTWindow:

@@ -31,6 +31,14 @@ class UTWindow:
     of ints in [0, p**N).  Every operation checks the context and size
     once, works on plain ints, and reduces modulo p**N once per output
     entry; entry() turns a residue back into a PadicInt.
+
+    The product is a sum of packed rows: each row of the right factor is
+    one int with an entry per fixed-width slot, and row i of the product
+    is the sum of the nonzero self(i, k) times packed row k, each moved
+    to line up with row i.  A slot is wide enough for W * (p**N - 1)**2,
+    the largest sum it can receive, so no slot carries into the next.
+    inverse() keeps its own dot products, and so do conj.build_U and the
+    dense test oracle, so no check compares the kernel with itself.
     """
 
     __slots__ = ("ctx", "W", "_e")
@@ -46,6 +54,13 @@ class UTWindow:
         self.ctx = ctx
         self.W = W
         self._e = e
+
+    @classmethod
+    def _of_residues(cls, ctx: PadicContext, W: int, e: tuple[int, ...]) -> "UTWindow":
+        """A window over `e`, which must already be W*(W+1)/2 canonical residues."""
+        self = object.__new__(cls)
+        self.ctx, self.W, self._e = ctx, W, e
+        return self
 
     def _idx(self, i: int, j: int) -> int:
         return i * self.W - i * (i - 1) // 2 + (j - i)
@@ -111,14 +126,34 @@ class UTWindow:
         return UTWindow(self.ctx, self.W, [c * a for a in self._e])
 
     def __mul__(self, other: "UTWindow") -> "UTWindow":
-        """Entry (i, j) is the sum over i <= k <= j of self(i, k) * other(k, j)."""
+        """Entry (i, j) is the sum over i <= k <= j of self(i, k) * other(k, j).
+
+        Row k of other is packed into one int, entry (k, j) in slot j - k,
+        each slot nb bytes wide.  Row i of the product is the sum, over the
+        nonzero self(i, k), of self(i, k) times packed row k moved up by
+        k - i slots, so entry (i, j) lands in slot j - i.  A slot receives
+        at most W products of residues below m = p**N, so it stays below
+        W * m**2 < 2**(8 * nb) and never carries into the next.  Each row
+        is unpacked once and reduced once per entry.  Skipping the zero
+        self(i, k) is what makes the structured windows cheap: diagonal,
+        shift, bidiagonal and banded.
+        """
         self._check(other)
-        cols = other.columns()
-        out = []
+        W, m = self.W, self.ctx.modulus
+        nb = (2 * m.bit_length() + W.bit_length() + 7) // 8
+        width, mask = 8 * nb, (1 << 8 * nb) - 1
+        packed = [int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in row]), "little")
+                  for row in other.rows()]
+        out: list[int] = []
         for i, row in enumerate(self.rows()):
-            # map() stops at the shorter operand, so k runs exactly from i to j.
-            out.extend(sum(map(mul, row, col[i:])) for col in cols[i:])
-        return UTWindow(self.ctx, self.W, out)
+            acc = sum([a * packed[k] << width * (k - i) for k, a in enumerate(row, i) if a])
+            left = W - i
+            while acc:
+                out.append((acc & mask) % m)
+                acc >>= width
+                left -= 1
+            out.extend([0] * left)
+        return UTWindow._of_residues(self.ctx, W, tuple(out))
 
     def __pow__(self, k: int) -> "UTWindow":
         """k-th power by repeated squaring, k >= 0."""

@@ -106,10 +106,17 @@ def suite_qbinom_matrix(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckR
 
 
 def suite_rpower(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckResult]:
-    """Closed entry formula for R**n against the iterated window product."""
+    """Closed entry formula for R**n against the iterated window product.
+
+    R**n is the running product R**(n-1) * R, one window product per n.
+    """
+    R = build_R(ctx, W)
+    power = UTWindow.identity(ctx, W)
     for n in range(nmax + 1):
+        if n:
+            power = power * R
         yield _check_windows(
-            f"rpower/n={n}", ANCHOR_RPOWER, build_R(ctx, W) ** n,
+            f"rpower/n={n}", ANCHOR_RPOWER, power,
             UTWindow.from_fn(ctx, W, lambda i, j: rpower_closed(ctx, n, i, j - i)), ctx, n=n,
         )
 

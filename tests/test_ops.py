@@ -90,13 +90,18 @@ def test_rpower_closed_out_of_band(ctx):
     assert rpower_closed(ctx, 3, 2, -1).residue == 0
 
 
+@pytest.mark.parametrize("size", [1, 2, 6, W])
+def test_r_is_d_plus_s(ctx, size):
+    assert build_R(ctx, size) == build_D(ctx, size) + build_S(ctx, size)
+
+
 def test_rn_is_shifted_r(ctx):
-    r = build_R(ctx, 6)
-    ident = UTWindow.identity(ctx, 6)
-    for n in range(1, 5):
-        assert build_Rn(ctx, n, 6) == r - ident.scale(ctx.q_hat_pow(n - 1))
-    with pytest.raises(BadIndexError):
-        build_Rn(ctx, 0, 6)
+    for size in (1, 2, 6):
+        for n in range(1, size + 2):
+            shift = UTWindow.identity(ctx, size).scale(ctx.q_hat_pow(n - 1))
+            assert build_Rn(ctx, n, size) == build_R(ctx, size) - shift, (size, n)
+        with pytest.raises(BadIndexError):
+            build_Rn(ctx, 0, size)
 
 
 def test_xn_recursion_and_base(ctx):

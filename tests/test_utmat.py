@@ -10,6 +10,7 @@ import pytest
 from conftest import dense_product, random_unit_diag_window, random_window, sub_window
 from utt.cli import emit_window
 from utt.errors import BadIndexError, ContextMismatchError, NotInvertibleError
+from utt.ops import build_D, build_R, build_S
 from utt.padic import PadicInt, make_context
 from utt.utmat import UTWindow
 
@@ -90,6 +91,44 @@ def test_mul_matches_dense_oracle(ctx):
         assert a * b == dense_product(a, b)
 
 
+@pytest.mark.parametrize("p,q,N", [(3, 2, 40), (101, 2, 12)])
+@pytest.mark.parametrize("W", [1, 2, 24, 48])
+def test_mul_of_all_top_residues_matches_dense_oracle(p, q, N, W):
+    """Every entry m - 1 fills each slot of the packed product to its bound."""
+    ctx = make_context(p, q, N)
+    top = UTWindow(ctx, W, [ctx.modulus - 1] * (W * (W + 1) // 2))
+    assert top * top == dense_product(top, top)
+
+
+def test_mul_by_zero_and_identity(ctx):
+    a = random_window(ctx, 7, random.Random(23))
+    zero, ident = UTWindow.zero(ctx, 7), UTWindow.identity(ctx, 7)
+    for left, right in ((zero, a), (a, zero), (ident, a), (a, ident), (zero, zero), (ident, ident)):
+        assert left * right == dense_product(left, right)
+    assert a * zero == zero * a == zero
+    assert a * ident == ident * a == a
+
+
+def test_mul_of_structured_windows(ctx):
+    W = 9
+    rng = random.Random(29)
+    dense = random_window(ctx, W, rng)
+    diag, shift, bidiag = build_D(ctx, W) ** 2, build_S(ctx, W) ** 3, build_R(ctx, W)
+    for left, right in ((diag, shift), (shift, diag), (bidiag, dense), (dense, bidiag)):
+        assert left * right == dense_product(left, right)
+
+
+def test_mul_with_an_all_zero_row(ctx):
+    W, zero_rows = 8, (0, 3, 7)
+    rng = random.Random(31)
+    residues = [v for i, row in enumerate(random_window(ctx, W, rng).rows())
+                for v in ([0] * len(row) if i in zero_rows else row)]
+    left, right = UTWindow(ctx, W, residues), random_window(ctx, W, rng)
+    product = left * right
+    assert product == dense_product(left, right)
+    assert not any(any(product.rows()[i]) for i in zero_rows)
+
+
 def test_pow_matches_repeated_mul(ctx):
     rng = random.Random(3)
     a = random_window(ctx, 5, rng)
@@ -121,6 +160,10 @@ def test_context_and_size_mismatch(ctx):
     from utt.errors import SizeMismatchError
     with pytest.raises(SizeMismatchError):
         a + UTWindow.identity(ctx, 4)
+    with pytest.raises(ContextMismatchError):
+        a * UTWindow.identity(other, 3)
+    with pytest.raises(SizeMismatchError):
+        a * UTWindow.identity(ctx, 4)
     with pytest.raises(ContextMismatchError):
         a.scale(other.from_int(2))
     with pytest.raises(ContextMismatchError):

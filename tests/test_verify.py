@@ -315,6 +315,32 @@ def test_rpower_builds_at_most_one_padic_int_per_entry(monkeypatch, capsys):
     assert 0 < built <= (nmax + 1) * W * (W + 1) // 2
 
 
+def test_rpower_records_are_pinned(ctx3):
+    """Names, anchor, verdicts, params and order of one small rpower run."""
+    expected = [
+        verify.CheckResult(f"rpower/n={n}", verify.ANCHOR_RPOWER, True,
+                           {"p": 3, "q": 2, "N": 20, "W": 8, "n": n})
+        for n in range(5)
+    ]
+    assert list(verify.suite_rpower(ctx3, 8, 4)) == expected
+
+
+def test_rpower_takes_one_window_product_per_power(ctx3, monkeypatch):
+    """R**n is the running product R**(n-1) * R, never a fresh power."""
+    products = 0
+    real = UTWindow.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return real(self, other)
+
+    monkeypatch.setattr(UTWindow, "__mul__", counted)
+    monkeypatch.setattr(UTWindow, "__pow__", None)
+    assert all(r.passed for r in verify.suite_rpower(ctx3, 8, 6))
+    assert products == 6
+
+
 def test_verify_alpha_report_is_the_same_cold_and_warm(capsys):
     """The benchmark runs several invocations in one process, so the chain cache is shared."""
     ops._xn_chain.cache_clear()
