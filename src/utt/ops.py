@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .errors import BadIndexError, DomainError, InvariantError
+from .errors import BadIndexError, DomainError
 from .padic import PadicContext, PadicInt
 from .qcalc import binom, qbinom_eval, qbinom_residue
 from .utmat import UTWindow
@@ -72,31 +72,35 @@ def build_Rn(ctx: PadicContext, n: int, W: int) -> UTWindow:
 
 
 def build_Xn(ctx: PadicContext, n: int, W: int) -> UTWindow:
-    """The product R_1 * R_2 * ... * R_n; the empty product is I."""
+    """The product R_1 * R_2 * ... * R_n; the empty product is I.
+
+    X_0, ..., X_W come from one chain cached per (ctx, W), grown on
+    demand by the step X_m = X_(m-1) * R_m.  Past W the same steps run on
+    from X_W and are not kept, so a chain holds at most W + 1 windows.
+    """
     if n < 0:
         raise BadIndexError(f"X_n needs n >= 0, got {n}")
-    acc = UTWindow.identity(ctx, W)
-    for m in range(1, n + 1):
-        acc = _times_bidiagonal(acc, build_Rn(ctx, m, W))
+    chain = _xn_chain(ctx, W)
+    if n < len(chain):
+        return chain[n]
+    acc = chain[-1]
+    for m in range(len(chain), n + 1):
+        acc = acc * build_Rn(ctx, m, W)
+        if m <= W:
+            chain.append(acc)
     return acc
 
 
-def _times_bidiagonal(x: UTWindow, r: UTWindow) -> UTWindow:
-    """x * r for a bidiagonal r such as R_n, as an O(W**2) column update.
+# Bounded because the context is part of the key, as for basis.c_poly: a
+# sweep over contexts and window sizes would otherwise keep every chain.
+# 16 is well above the 3 (ctx, W) pairs that `verify all` runs at one W.
+XN_CHAIN_CACHE_SIZE = 16
 
-    Column j of the product is r(j, j) times column j of x plus
-    r(j-1, j) times column j-1 of x.
-    """
-    rows = r.rows()
-    if any(any(row[2:]) for row in rows):
-        raise InvariantError("_times_bidiagonal needs a bidiagonal right factor")
-    diag = [row[0] for row in rows]
-    sup = [0] + [row[1] for row in rows[:-1]]
-    out = []
-    for i, row in enumerate(x.rows()):
-        out.append(row[0] * diag[i])
-        out.extend(v * d + u * s for v, u, d, s in zip(row[1:], row, diag[i + 1:], sup[i + 1:]))
-    return UTWindow(x.ctx, x.W, out)
+
+@lru_cache(maxsize=XN_CHAIN_CACHE_SIZE)
+def _xn_chain(ctx: PadicContext, W: int) -> list[UTWindow]:
+    """The chain X_0, X_1, ... built so far for (ctx, W); build_Xn grows it."""
+    return [UTWindow.identity(ctx, W)]
 
 
 def rpower_closed(ctx: PadicContext, n: int, s: int, c: int) -> PadicInt:
@@ -154,34 +158,6 @@ def xn_expand_binomial(ctx: PadicContext, n: int, W: int) -> UTWindow:
     return acc
 
 
-# Bounded because the context is part of the key, as for basis.c_poly: a
-# sweep over contexts and window sizes would otherwise keep every chain.
-# 16 is well above the 3 (ctx, W) pairs that `verify all` runs at one W.
-XN_CHAIN_CACHE_SIZE = 16
-
-
-@lru_cache(maxsize=XN_CHAIN_CACHE_SIZE)
-def _xn_chain(ctx: PadicContext, W: int) -> list[UTWindow]:
-    """The chain X_0, X_1, ... built so far for (ctx, W); _xn_prefix grows it."""
-    return [UTWindow.identity(ctx, W)]
-
-
-def _xn_prefix(ctx: PadicContext, n_terms: int, W: int) -> list[UTWindow]:
-    """X_0, ..., X_(n_terms - 1) from the chain cached for (ctx, W), grown as needed.
-
-    Each new entry is the previous one times R_n, and is appended only
-    once it kills its leading n columns, so a failed build caches nothing.
-    """
-    chain = _xn_chain(ctx, W)
-    while len(chain) < n_terms:
-        n = len(chain)
-        xn = _times_bidiagonal(chain[-1], build_Rn(ctx, n, W))
-        if xn.filtration_level() < n:
-            raise InvariantError(f"X_{n} fails to kill its leading columns")
-        chain.append(xn)
-    return chain[:n_terms]
-
-
 def alpha(coeffs: Sequence[PadicInt | int], W: int) -> UTWindow:
     """The window of sum_n coeffs[n] * X_n.
 
@@ -190,9 +166,8 @@ def alpha(coeffs: Sequence[PadicInt | int], W: int) -> UTWindow:
 
     Column j of the result is already exact after the first j+1 terms:
     X_n kills the leading n columns, so all terms with n >= W are skipped
-    outright.  The X_n come from a chain cached per (ctx, W) and grown on
-    demand, and the filtration is checked once per chain entry, when it
-    is built.  The sum is one exact int pass per entry, reduced once.
+    outright.  Each X_n is read through build_Xn, from its chain cached
+    per (ctx, W).  The sum is one exact int pass per entry, reduced once.
     """
     if not coeffs:
         raise BadIndexError("alpha needs at least one coefficient")
@@ -201,5 +176,5 @@ def alpha(coeffs: Sequence[PadicInt | int], W: int) -> UTWindow:
                           f"got {type(coeffs[0]).__name__}")
     ctx = coeffs[0].ctx
     residues = [ctx.residue(a) for a in coeffs][:W]
-    flats = [xn.residues() for xn in _xn_prefix(ctx, len(residues), W)]
+    flats = [build_Xn(ctx, n, W).residues() for n in range(len(residues))]
     return UTWindow(ctx, W, [sum(map(mul, residues, entry)) for entry in zip(*flats)])

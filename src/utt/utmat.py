@@ -156,16 +156,20 @@ class UTWindow:
         return UTWindow._of_residues(self.ctx, W, tuple(out))
 
     def __pow__(self, k: int) -> "UTWindow":
-        """k-th power by repeated squaring, k >= 0."""
+        """k-th power by left-to-right squaring from self, k >= 0.
+
+        k >= 1 costs bit_length(k) + popcount(k) - 2 products; k = 0
+        gives the identity and k = 1 self, with no product.
+        """
         if not isinstance(k, int) or k < 0:
             raise BadIndexError("window power needs an integer exponent >= 0")
-        result = UTWindow.identity(self.ctx, self.W)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return UTWindow.identity(self.ctx, self.W)
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def inverse(self) -> "UTWindow":

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from conftest import dense_product
-from utt import ops
-from utt.errors import BadIndexError, ContextMismatchError, DomainError, InvariantError
+from utt import cli, ops
+from utt.errors import BadIndexError, ContextMismatchError, DomainError
 from utt.ops import (
     XN_CHAIN_CACHE_SIZE,
-    _times_bidiagonal,
     alpha,
     build_D,
     build_R,
@@ -112,6 +112,13 @@ def test_xn_recursion_and_base(ctx):
         build_Xn(ctx, -1, 6)
 
 
+@pytest.fixture()
+def cold_chain():
+    ops._xn_chain.cache_clear()
+    yield
+    ops._xn_chain.cache_clear()
+
+
 def _dense_xn(ctx, n, W):
     """X_n as a chain of dense oracle products of build_Rn windows."""
     acc = UTWindow.identity(ctx, W)
@@ -121,15 +128,10 @@ def _dense_xn(ctx, n, W):
 
 
 @pytest.mark.parametrize("size", [1, 5, 9])
-def test_xn_matches_dense_chain(ctx, size):
-    for n in sorted({0, 1, size - 1, size, size + 2}):
+def test_xn_matches_dense_chain(ctx, size, cold_chain):
+    for n in sorted({0, 1, size - 1, size, size + 2, 3 * size}):
         assert build_Xn(ctx, n, size) == _dense_xn(ctx, n, size), n
-
-
-def test_bidiagonal_step_rejects_wider_factor(ctx):
-    r = build_R(ctx, 4)
-    with pytest.raises(InvariantError):
-        _times_bidiagonal(UTWindow.identity(ctx, 4), r * r)
+    assert len(ops._xn_chain(ctx, size)) == size + 1  # X_0..X_W; nothing past W is kept
 
 
 def test_xn_filtration_and_band(ctx):
@@ -210,13 +212,6 @@ def test_alpha_rejects_bad_input(ctx):
 # ------------------------------------------------------- the cached X_n chain
 
 
-@pytest.fixture()
-def cold_chain():
-    ops._xn_chain.cache_clear()
-    yield
-    ops._xn_chain.cache_clear()
-
-
 def _count_rn_builds(monkeypatch) -> list[int]:
     """Wrap ops.build_Rn; the returned list collects the n of every call."""
     built: list[int] = []
@@ -258,15 +253,14 @@ def test_xn_chain_cache_is_bounded(cold_chain):
     assert ops._xn_chain.cache_info().currsize <= XN_CHAIN_CACHE_SIZE
 
 
-def test_alpha_chain_rejects_a_bad_factor_and_keeps_nothing(ctx, monkeypatch, cold_chain):
-    """R in place of R_1 leaves X_1 = R, which kills no column; nothing wrong is cached."""
-    rng = random.Random(12)
-    coeffs = [ctx.from_int(rng.randrange(ctx.modulus)) for _ in range(9)]
+def test_a_bad_factor_fails_records_instead_of_raising(ctx, monkeypatch, cold_chain, capsys):
+    """R in place of every R_n makes X_n = R**n, which kills no column: the records say so."""
     monkeypatch.setattr(ops, "build_Rn", lambda c, n, W: build_R(c, W))
-    with pytest.raises(InvariantError, match="X_1 fails to kill its leading columns"):
-        alpha(coeffs, 7)
-    monkeypatch.undo()
-    want = UTWindow.zero(ctx, 7)
-    for n, a in enumerate(coeffs):
-        want = want + _dense_xn(ctx, n, 7).scale(a)
-    assert alpha(coeffs, 7) == want
+    flags = ["--p", str(ctx.p), "--q", str(ctx.q), "--N", str(ctx.N)]
+    for suite, prefix in (("alpha", "alpha/stabilization/"), ("xn", "xn/filtration/n=")):
+        assert cli.main(["verify", suite, *flags]) == 1, suite
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        verdicts = {r["check"]: r["pass"] for r in records if r.get("check", "").startswith(prefix)}
+        assert verdicts, suite
+        # X_0 = I is the one window the bad factor does not reach
+        assert not any(v for name, v in verdicts.items() if name != "xn/filtration/n=0"), suite

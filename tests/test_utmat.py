@@ -129,13 +129,25 @@ def test_mul_with_an_all_zero_row(ctx):
     assert not any(any(product.rows()[i]) for i in zero_rows)
 
 
-def test_pow_matches_repeated_mul(ctx):
+def test_pow_matches_repeated_mul(ctx, monkeypatch):
+    """k >= 1 costs bit_length(k) + popcount(k) - 2 products: no identity product, no last square."""
     rng = random.Random(3)
     a = random_window(ctx, 5, rng)
+    products = 0
+    real = UTWindow.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return real(self, other)
+
+    monkeypatch.setattr(UTWindow, "__mul__", counted)
     acc = UTWindow.identity(ctx, 5)
-    for k in range(7):
-        assert a**k == acc
-        acc = acc * a
+    for k in range(34):
+        products = 0
+        assert a**k == acc, k
+        assert products == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
+        acc = real(acc, a)
     with pytest.raises(BadIndexError):
         a**-1
 

@@ -353,6 +353,27 @@ def test_verify_alpha_report_is_the_same_cold_and_warm(capsys):
     assert ops._xn_chain.cache_info().hits > 0
 
 
+def test_xn_then_alpha_build_each_rn_once(monkeypatch, capsys):
+    """`verify xn` and `verify alpha` read one X_n chain: from a cold cache each R_n is built once."""
+    ops._xn_chain.cache_clear()
+    built: list[int] = []
+    real = ops.build_Rn
+
+    def counted(ctx, n, W):
+        built.append(n)
+        return real(ctx, n, W)
+
+    monkeypatch.setattr(ops, "build_Rn", counted)
+    flags = ["--p", "3", "--q", "2", "--N", "20"]
+    try:
+        assert cli.main(["verify", "xn", *flags]) == 0
+        assert cli.main(["verify", "alpha", *flags]) == 0
+    finally:
+        ops._xn_chain.cache_clear()
+    capsys.readouterr()
+    assert built == list(range(1, 11))  # xn reads X_0..X_8 (nmax 8), alpha X_0..X_10 (W 12)
+
+
 # ------------------------------------------------------------- lower-g layout
 
 
