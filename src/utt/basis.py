@@ -19,9 +19,8 @@ one coefficient per evaluation point is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import BadIndexError, ContextMismatchError, DomainError, PrecisionExhaustedError
 from .padic import (
@@ -395,8 +394,7 @@ def expand_in_c_basis(f: BivarPoly) -> list[PadicScaled]:
     return out
 
 
-@dataclass(frozen=True)
-class IntegralityResult:
+class IntegralityResult(NamedTuple):
     """The two integrality verdicts for a homogeneous polynomial."""
 
     cond1: bool  # every c-basis coefficient lies in Z_p

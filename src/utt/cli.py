@@ -19,7 +19,6 @@ stdout was closed before the output was written.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -175,6 +174,8 @@ def emit_bivar(poly: BivarPoly, fmt: str) -> str:
 
 def _csv_row(*fields: object) -> str:
     """One CSV record, quoted where a field holds a comma, quote or newline."""
+    import csv  # here, not at the top: only --format csv pays for it
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow(fields)
     return buf.getvalue()

@@ -76,7 +76,8 @@ def build_Xn(ctx: PadicContext, n: int, W: int) -> UTWindow:
 
     X_0, ..., X_W come from one chain cached per (ctx, W), grown on
     demand by the step X_m = X_(m-1) * R_m.  Past W the same steps run on
-    from X_W and are not kept, so a chain holds at most W + 1 windows.
+    from X_W and are not kept, so a chain holds at most W + 1 windows;
+    they stop at the zero window, since 0 * R_m = 0.
     """
     if n < 0:
         raise BadIndexError(f"X_n needs n >= 0, got {n}")
@@ -85,6 +86,8 @@ def build_Xn(ctx: PadicContext, n: int, W: int) -> UTWindow:
         return chain[n]
     acc = chain[-1]
     for m in range(len(chain), n + 1):
+        if m > W and not any(acc.residues()):
+            break
         acc = acc * build_Rn(ctx, m, W)
         if m <= W:
             chain.append(acc)

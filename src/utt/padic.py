@@ -30,7 +30,6 @@ rule in BivarPoly.__mul__ and the sum rule in BivarPoly.substitute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import (
@@ -112,19 +111,34 @@ def nu_factorial(p: int, k: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
 class PadicContext:
     """Fixed arithmetic universe: odd prime p, precision N, base unit q.
 
     Identity is by (p, N, q); the remaining fields are derived.
-    q_hat_residue is q**(p-1) mod p**N.
+    q_hat_residue is q**(p-1) mod p**N.  Immutable, and equal and hashed
+    by its five fields, since contexts are lru_cache keys.
     """
 
-    p: int
-    N: int
-    q: int
-    modulus: int
-    q_hat_residue: int
+    __slots__ = ("p", "N", "q", "modulus", "q_hat_residue")
+
+    def __init__(self, p: int, N: int, q: int, modulus: int, q_hat_residue: int):
+        for name, value in zip(self.__slots__, (p, N, q, modulus, q_hat_residue)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.p, self.N, self.q, self.modulus, self.q_hat_residue)
+                == (other.p, other.N, other.q, other.modulus, other.q_hat_residue))
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.N, self.q, self.modulus, self.q_hat_residue))
 
     def from_int(self, value: int) -> PadicInt:
         return PadicInt(self, value)

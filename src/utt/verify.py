@@ -10,10 +10,9 @@ configuration emit byte-identical reports.
 
 from __future__ import annotations
 
-import inspect
 import math
 import random
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .basis import (
@@ -50,14 +49,14 @@ ANCHOR_LOWER_G = "Lemma lower g"
 ANCHOR_ALPHA = "Theorem topringapp"
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+# A NamedTuple, as Suite below, so that importing the package loads no dataclasses.
+class CheckResult(NamedTuple):
     """One verified identity instance."""
 
     name: str
     anchor: str
     passed: bool
-    params: dict = field(default_factory=dict)
+    params: Mapping[str, object] = MappingProxyType({})  # read-only, so one shared default is safe
     detail: str = ""
 
 
@@ -424,7 +423,8 @@ class Suite(NamedTuple):
 
         The records are collected here, so a suite that raises prints none of them.
         """
-        return list(self.run(ctx, *(cfg[key] for key in list(inspect.signature(self.run).parameters)[1:])))
+        code = self.run.__code__
+        return list(self.run(ctx, *(cfg[key] for key in code.co_varnames[1:code.co_argcount])))
 
 
 # The suites in report order.  alpha reads no nmax, yet is held to W >= nmax + 2.

@@ -213,6 +213,16 @@ def test_closed_stdout_exits_141_quietly(argv):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+def test_import_loads_no_slow_stdlib_modules():
+    """Start-up pays only for argparse, json and utt: these modules cost it ~10 ms."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import utt.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def _benchmark_argvs(workloads):
     return [argv for w in workloads.WORKLOADS.values() for argv in w.argvs(7) + w.small_argvs(7)]
 

@@ -134,6 +134,37 @@ def test_xn_matches_dense_chain(ctx, size, cold_chain):
     assert len(ops._xn_chain(ctx, size)) == size + 1  # X_0..X_W; nothing past W is kept
 
 
+def _count_products(monkeypatch) -> list[int]:
+    """Wrap UTWindow.__mul__; the returned one-item list counts the calls."""
+    products = [0]
+    real = UTWindow.__mul__
+
+    def counted(a, b):
+        products[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(UTWindow, "__mul__", counted)
+    return products
+
+
+def test_xn_past_the_window_stops_at_the_zero_window(ctx, monkeypatch, cold_chain):
+    """X_W is zero, so X_3W costs the W chain steps and no more: 0 * R_m = 0."""
+    size = 6
+    products = _count_products(monkeypatch)
+    assert build_Xn(ctx, 3 * size, size) == UTWindow.zero(ctx, size)
+    assert products == [size]
+
+
+def test_xn_past_a_nonzero_xw_takes_every_step(ctx, monkeypatch, cold_chain):
+    """R in place of every R_n leaves X_W nonzero, so no step past W is skipped."""
+    size = 6
+    want = build_R(ctx, size) ** (3 * size)
+    monkeypatch.setattr(ops, "build_Rn", lambda c, n, W: build_R(c, W))
+    products = _count_products(monkeypatch)
+    assert build_Xn(ctx, 3 * size, size) == want
+    assert products == [3 * size]
+
+
 def test_xn_filtration_and_band(ctx):
     for n in range(NMAX + 1):
         xn = build_Xn(ctx, n, W)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
@@ -55,6 +56,33 @@ def test_context_standard_triples():
     ctx7 = make_context(7, 3, 20)
     assert ctx7.q_hat_residue == 729
     assert (ctx7.p, ctx7.q, ctx7.N) == (7, 3, 20)
+
+
+def test_context_is_an_immutable_value_keyed_by_its_fields():
+    """Equal and equally hashed across builds, so one lru_cache entry serves both."""
+    a, b = make_context(3, 2, 20), make_context(3, 2, 20)
+    assert a is not b and a == b and hash(a) == hash(b)
+    built = []
+
+    @functools.lru_cache(maxsize=None)
+    def keyed(ctx):
+        built.append(ctx)
+        return ctx.modulus
+
+    assert keyed(a) == keyed(b) == 3**20
+    assert built == [a] and keyed.cache_info().currsize == 1
+    assert a.__eq__((a.p, a.N, a.q, a.modulus, a.q_hat_residue)) is NotImplemented
+    assert a != (a.p, a.N, a.q, a.modulus, a.q_hat_residue)
+    assert a != make_context(3, 2, 21)
+    for field in ("p", "N", "q", "modulus", "q_hat_residue"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, 5)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a.p == 3 and a.modulus == 3**20
+    assert repr(a) == "PadicContext(p=3, N=20, q=2)"
 
 
 def test_context_rejects_bad_parameters():
