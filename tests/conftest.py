@@ -89,7 +89,16 @@ def child_env() -> dict[str, str]:
     return env
 
 
-WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+WORKLOADS_PATH = BENCH_DIR / "workloads.py"
+TRACER_PATH = BENCH_DIR / "tracer.py"
+
+
+def load_bench_tracer() -> ModuleType:
+    """The benchmark's tracer source, executed in a fresh module; nothing is written or patched."""
+    module = ModuleType("utt_bench_tracer")
+    exec(compile(TRACER_PATH.read_text(), str(TRACER_PATH), "exec"), vars(module))
+    return module
 
 
 @pytest.fixture()

@@ -10,25 +10,14 @@ bindings a benchmark workload predicts calls of.
 from __future__ import annotations
 
 import importlib
-from pathlib import Path
-from types import ModuleType
 
 import pytest
 
+from conftest import load_bench_tracer
 from utt import cli
 from utt.verify import SUITE_BUILDERS
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
-
-
-def _load_tracer() -> ModuleType:
-    """Execute the tracer's source in a fresh module; nothing is written or patched."""
-    module = ModuleType("utt_bench_tracer")
-    exec(compile(TRACER_PATH.read_text(), str(TRACER_PATH), "exec"), vars(module))
-    return module
-
-
-tracer = _load_tracer()
+tracer = load_bench_tracer()
 
 HOOKS = [(module, path) for _, module, path in tracer.SPANS] + [
     (module, path) for _, module, paths in tracer.COUNTERS for path in paths
