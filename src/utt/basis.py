@@ -1,16 +1,18 @@
 """Bivariate polynomials over scaled p-adics and the integral basis.
 
 Polynomials live in span{u**a * v**b} with scaled p-adic coefficients, so
-negative powers of p are first-class.  The distinguished family
+negative powers of p are first-class.  They are stored by total degree,
+one coefficient tuple per weight, since the distinguished family
 
     c_k = prod_{i<k} (v - q_hat**i * u) / (q_hat**k - q_hat**i)
     f_k = p**nu(k!) * c_k
     F_{i,j,k} = u**i * (u/p)**j * f_k
     g_{m,l}   = the F-element of weight m built on f_l
 
-is constructed here together with the two integrality conditions that
-characterize which weight-n combinations lie in the integral subring,
-and the substitution action psi: u -> u, v -> q_hat * v.
+is homogeneous throughout.  It is constructed here together with the
+two integrality conditions that characterize which weight-n
+combinations lie in the integral subring, and the substitution action
+psi: u -> u, v -> q_hat * v.
 
 Expansion in the c-basis works by evaluation: c_r vanishes at
 (u, v) = (1, q_hat**s) for r > s and equals 1 at r = s, so peeling off
@@ -19,8 +21,10 @@ one coefficient per evaluation point is exact.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import BadIndexError, ContextMismatchError, DomainError, PrecisionExhaustedError
 from .padic import (
@@ -67,48 +71,53 @@ def _residue_powers(x: int, e: int, M: int) -> list[int]:
     return out
 
 
+def _trim(rows: Mapping[int, Sequence[Triple]]) -> dict[int, tuple[Triple, ...]]:
+    """Rows as parts: in increasing weight, trailing zeros cut, empty rows dropped."""
+    parts = {}
+    for n in sorted(rows):
+        row = rows[n]  # a list, or a tuple that already ends in a nonzero coefficient
+        while row and row[-1] is None:
+            row.pop()
+        if row:
+            parts[n] = tuple(row)
+    return parts
+
+
 class BivarPoly:
     """Polynomial in two variables u, v with scaled p-adic coefficients.
 
-    Terms are kept in a dict from (a, b) exponent pairs to the
-    (val, unit, sig) triples of utt.padic; zero coefficients are never
-    stored and instances are never mutated afterwards.  Coefficients
-    cross the API as PadicScaled: the constructor takes them and
-    coefficient() returns them.  Sums are accumulated in dict order, and
-    that order decides where realignment loses digits.
+    parts maps each weight n, in increasing order, to a tuple whose
+    entry b is the (val, unit, sig) triple of utt.padic of u**(n-b) *
+    v**b, or None for zero; no tuple ends in None, so equal terms give
+    equal parts.  Instances are never mutated.  Coefficients cross the
+    API as PadicScaled.  Sums run in one canonical order, by weight and
+    then by decreasing b, which decides where realignment loses digits.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "parts")
 
     def __init__(self, ctx: PadicContext, terms: Mapping[tuple[int, int], PadicScaled]):
-        clean = {}
+        rows: dict[int, list[Triple]] = {}
         for (a, b), coeff in terms.items():
             if a < 0 or b < 0:
                 raise BadIndexError(f"negative exponent pair ({a},{b})")
             t = _to_triple(ctx, coeff)
             if t is not None:
-                clean[(a, b)] = t
-        self.ctx = ctx
-        self.terms = clean
+                row = rows.setdefault(a + b, [])
+                row.extend([None] * (b + 1 - len(row)))
+                row[b] = t
+        self.ctx, self.parts = ctx, _trim(rows)
 
     @classmethod
-    def _clean(cls, ctx: PadicContext, terms: dict[tuple[int, int], Triple]) -> "BivarPoly":
-        """Wrap terms as is: exponents >= 0 and no zero (None) coefficient."""
+    def _wrap(cls, ctx: PadicContext, parts: dict[int, tuple[Triple, ...]]) -> "BivarPoly":
+        """Wrap parts that already keep the invariants of the class."""
         poly = object.__new__(cls)
-        poly.ctx = ctx
-        poly.terms = terms
+        poly.ctx, poly.parts = ctx, parts
         return poly
 
     @classmethod
-    def _sum(cls, ctx: PadicContext, acc: dict[tuple[int, int], Triple]) -> "BivarPoly":
-        """Wrap accumulated terms, dropping the ones that cancelled to zero."""
-        if None not in acc.values():
-            return cls._clean(ctx, acc)
-        return cls._clean(ctx, {key: t for key, t in acc.items() if t is not None})
-
-    @classmethod
     def zero(cls, ctx: PadicContext) -> "BivarPoly":
-        return cls._clean(ctx, {})
+        return cls._wrap(ctx, {})
 
     @classmethod
     def monomial(cls, ctx: PadicContext, a: int, b: int, coeff=1) -> "BivarPoly":
@@ -119,15 +128,21 @@ class BivarPoly:
         return cls.monomial(ctx, 1, 0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.parts
 
     def weight(self) -> int | None:
         """Common total degree of all terms, or None if mixed or zero."""
-        degrees = {a + b for a, b in self.terms}
-        return degrees.pop() if len(degrees) == 1 else None
+        return next(iter(self.parts)) if len(self.parts) == 1 else None
+
+    @property
+    def terms(self) -> Mapping[tuple[int, int], Triple]:
+        """The nonzero coefficients as {(a, b): triple}, by weight and then b; read-only."""
+        return MappingProxyType({(n - b, b): t for n, row in self.parts.items()
+                                 for b, t in enumerate(row) if t is not None})
 
     def coefficient(self, a: int, b: int) -> PadicScaled:
-        return PadicScaled._from_triple(self.ctx, self.terms.get((a, b)))
+        row = self.parts.get(a + b, ())
+        return PadicScaled._from_triple(self.ctx, row[b] if 0 <= b < len(row) else None)
 
     def _check(self, other: "BivarPoly") -> None:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
@@ -136,49 +151,59 @@ class BivarPoly:
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
         self._check(other)
         p = self.ctx.p
-        acc = dict(self.terms)
-        for key, t in other.terms.items():
-            acc[key] = scaled_add(p, acc[key], t) if key in acc else t
-        return BivarPoly._sum(self.ctx, acc)
+        rows: dict[int, Sequence[Triple]] = dict(self.parts)
+        for n, ys in other.parts.items():
+            acc = list(rows.get(n, ()))
+            acc.extend([None] * (len(ys) - len(acc)))
+            for b, y in enumerate(ys):
+                acc[b] = scaled_add(p, acc[b], y)
+            rows[n] = acc
+        return BivarPoly._wrap(self.ctx, _trim(rows))
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        """Term products by scaled_mul's rule, written out on unpacked triples
-        (a stored coefficient is never None), summed in order by scaled_add."""
+        """Each pair of parts convolved over b, term products by scaled_mul's rule on unpacked
+        triples, summed by scaled_add in the left's canonical order (b2 up meets b1 down)."""
         self._check(other)
-        p = self.ctx.p
-        pw = _p_powers(p, self.ctx.N)
-        right = [(a, b, v, u, s) for (a, b), (v, u, s) in other.terms.items()]
-        acc: dict[tuple[int, int], Triple] = {}
-        get = acc.get
-        for (a1, b1), (v1, u1, s1) in self.terms.items():
-            for a2, b2, v2, u2, s2 in right:
-                key = (a1 + a2, b1 + b2)
-                s = s1 if s1 < s2 else s2
-                prod = (v1 + v2, u1 * u2 % pw[s], s)
-                prev = get(key)
-                acc[key] = prod if prev is None else scaled_add(p, prev, prod)
-        return BivarPoly._sum(self.ctx, acc)
+        p, pw = self.ctx.p, _p_powers(self.ctx.p, self.ctx.N)
+        rows: dict[int, list[Triple]] = {}
+        for n1, xs in self.parts.items():
+            for n2, ys in other.parts.items():
+                acc = rows.setdefault(n1 + n2, [])
+                acc.extend([None] * (len(xs) + len(ys) - 1 - len(acc)))
+                for b2, y in enumerate(ys):
+                    if y is None:
+                        continue
+                    v2, u2, s2 = y
+                    for b, x in enumerate(xs, b2):  # b = b1 + b2
+                        if x is not None:
+                            v1, u1, s1 = x
+                            s = s1 if s1 < s2 else s2
+                            prod = (v1 + v2, u1 * u2 % pw[s], s)
+                            prev = acc[b]
+                            acc[b] = prod if prev is None else scaled_add(p, prev, prod)
+        return BivarPoly._wrap(self.ctx, _trim(rows))
 
     def scale(self, factor) -> "BivarPoly":
-        p, f = self.ctx.p, _to_triple(self.ctx, factor)
-        if f is None:
-            return BivarPoly.zero(self.ctx)
-        return BivarPoly._clean(self.ctx, {k: scaled_mul(p, t, f) for k, t in self.terms.items()})
+        p, f = self.ctx.p, _to_triple(self.ctx, factor)  # a zero factor leaves rows of None
+        return BivarPoly._wrap(self.ctx, _trim({n: [scaled_mul(p, t, f) for t in row]
+                                                for n, row in self.parts.items()}))
 
     def scale_p(self, m: int) -> "BivarPoly":
         """Multiply by p**m (m may be negative); p**0 gives self back unchanged."""
         if m == 0:
             return self
-        return BivarPoly._clean(self.ctx, {k: (v + m, u, s) for k, (v, u, s) in self.terms.items()})
+        return BivarPoly._wrap(self.ctx, {n: tuple([None if t is None else (t[0] + m, t[1], t[2])
+                                                 for t in row]) for n, row in self.parts.items()})
 
     def substitute(self, u_value: PadicInt | int, v_value: PadicInt | int) -> PadicScaled:
         """Evaluate at ring elements (u, v) = (u_value, v_value).
 
         Each monomial is evaluated on residues, from tables of u**a and
         v**b mod p**N built by running products for this call.  The
-        terms, in sorted exponent order, go into one exact int sum
-        scaled by p**-low, low the least coefficient valuation, and the
-        sum is reduced and its valuation stripped once, at the end.
+        terms, in sorted exponent order (a part read in decreasing b),
+        go into one exact int sum scaled by p**-low, low the least
+        coefficient valuation, and the sum is reduced and its valuation
+        stripped once, at the end.
 
         The result is the triple that summing the terms one by one with
         scaled_add gives.  The sum knows the least absolute precision
@@ -188,19 +213,25 @@ class BivarPoly:
         afresh from the exact zero whenever the partial sum is 0 mod
         p**A, A its precision so far, and so forgets A.
         """
-        ctx = self.ctx
+        ctx, parts = self.ctx, self.parts
         p, N, M = ctx.p, ctx.N, ctx.modulus
         u, v = ctx.residue(u_value), ctx.residue(v_value)
-        u_pows = _residue_powers(u, max((a for a, _ in self.terms), default=0), M)
-        v_pows = _residue_powers(v, max((b for _, b in self.terms), default=0), M)
-        vals = [val for val, _, _ in self.terms.values()]
+        if len(parts) == 1:
+            (n, row), = parts.items()
+            terms = zip(range(n - len(row) + 1, n + 1), range(len(row) - 1, -1, -1), reversed(row))
+        else:  # mixed weights interleave in sorted (a, b) order
+            terms = sorted((n - b, b, t) for n, row in parts.items() for b, t in enumerate(row))
+        u_pows = _residue_powers(u, max(parts, default=0), M)
+        v_pows = _residue_powers(v, max(map(len, parts.values()), default=1) - 1, M)
+        vals = [t[0] for row in parts.values() for t in row if t is not None]
         low = min(vals, default=0)
         pp = _p_powers(p, max(vals, default=0) - low + N)
         acc, prec = 0, None  # sum since the last reset, scaled by p**-low; its least val + sig
-        for (a, b), (val, unit, sig) in sorted(self.terms.items()):
+        for a, b, t in terms:
             r = u_pows[a] * v_pows[b] % M
-            if r == 0:
+            if t is None or r == 0:
                 continue
+            val, unit, sig = t
             w = 0
             while r % pp[w + 1] == 0:
                 w += 1
@@ -218,22 +249,17 @@ class BivarPoly:
 
     def graded_parts(self) -> dict[int, "BivarPoly"]:
         """Split into homogeneous pieces keyed by total degree."""
-        parts: dict[int, dict[tuple[int, int], Triple]] = {}
-        for (a, b), t in self.terms.items():
-            parts.setdefault(a + b, {})[(a, b)] = t
-        return {d: BivarPoly._clean(self.ctx, t) for d, t in sorted(parts.items())}
+        return {n: BivarPoly._wrap(self.ctx, {n: row}) for n, row in self.parts.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BivarPoly):
             return NotImplemented
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             return False
-        if self.terms.keys() != other.terms.keys():
-            return False
-        if self.terms == other.terms:  # identical triples agree on every digit
-            return True
-        p = self.ctx.p
-        return all(scaled_eq(p, t, other.terms[k]) for k, t in self.terms.items())
+        p = self.ctx.p  # identical parts agree on every digit, so no scaled_eq runs on them
+        return self.parts == other.parts or self.parts.keys() == other.parts.keys() and all(
+            len(xs) == len(ys) and all(map(scaled_eq, [p] * len(xs), xs, ys))
+            for xs, ys in zip(self.parts.values(), other.parts.values()))
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -270,29 +296,22 @@ def c_poly(ctx: PadicContext, k: int) -> BivarPoly:
     need = required_precision(ctx.p, k)
     if ctx.N < need:
         raise PrecisionExhaustedError(f"c_{k} at p={ctx.p} needs N >= {need}, have {ctx.N}")
-    p = ctx.p
-    q_hat = ctx.q ** (p - 1)
-    num: dict[tuple[int, int], int] = {(0, 0): 1}
+    p, q_hat = ctx.p, ctx.q ** (ctx.p - 1)
+    num = [1]  # num[b]: the coefficient of u**(i-b) * v**b in prod_{i' < i} (v - q_hat**i' * u)
     for i in range(k):
         qi = q_hat**i
-        nxt: dict[tuple[int, int], int] = {}
-        for (a, b), coeff in num.items():
-            nxt[(a, b + 1)] = nxt.get((a, b + 1), 0) + coeff
-            nxt[(a + 1, b)] = nxt.get((a + 1, b), 0) - qi * coeff
+        nxt = [0] + num
+        for b, coeff in enumerate(num):
+            nxt[b] -= qi * coeff
         num = nxt
-    den = 1
-    qk = q_hat**k
-    for i in range(k):
-        den *= qk - q_hat**i
+    den = math.prod(q_hat**k - q_hat**i for i in range(k))
     d = nu_int(p, den) if k else 0
     den_unit_inv = pow(den // p**d, -1, ctx.modulus)
-    terms = {}
-    for (a, b), coeff in num.items():
-        if coeff == 0:
-            continue
+    row = []
+    for coeff in num:  # +-e_{k-b}(1, q_hat, ..., q_hat**(k-1)), never zero
         v = nu_int(p, coeff)
-        terms[(a, b)] = (v - d, (coeff // p**v) * den_unit_inv % ctx.modulus, ctx.N)
-    return BivarPoly._clean(ctx, terms)
+        row.append((v - d, (coeff // p**v) * den_unit_inv % ctx.modulus, ctx.N))
+    return BivarPoly._wrap(ctx, {k: tuple(row)})
 
 
 def f_poly(ctx: PadicContext, k: int) -> BivarPoly:
@@ -318,20 +337,16 @@ def big_F(ctx: PadicContext, i: int, j: int, k: int, raw: bool = False) -> Bivar
             raise BadIndexError(f"basis element needs j <= nu({k}!) = {nu}, got j={j}")
         if j < nu and i != 0:
             raise BadIndexError(f"basis element with j < nu({k}!) = {nu} needs i = 0, got i={i}")
-    shift, m = i + j, nu - j
-    return BivarPoly._clean(
-        ctx, {(a + shift, b): (v + m, u, s) for (a, b), (v, u, s) in c_poly(ctx, k).terms.items()}
-    )
+    f = c_poly(ctx, k).scale_p(nu - j)
+    return BivarPoly._wrap(ctx, {n + i + j: row for n, row in f.parts.items()})
 
 
 def g_poly(ctx: PadicContext, m: int, l: int) -> BivarPoly:
     """The weight-m basis element built on f_l, for 0 <= l <= m."""
     if not 0 <= l <= m:
         raise BadIndexError(f"g_poly needs 0 <= l <= m, got (m,l)=({m},{l})")
-    nu = nu_factorial(ctx.p, l)
-    if m - l <= nu:
-        return big_F(ctx, 0, m - l, l)
-    return big_F(ctx, m - l - nu, nu, l)
+    j = min(m - l, nu_factorial(ctx.p, l))
+    return big_F(ctx, m - l - j, j, l)
 
 
 def beta(p: int, m: int, i: int) -> int:
@@ -345,13 +360,11 @@ def beta(p: int, m: int, i: int) -> int:
 
 def psi_action(f: BivarPoly) -> BivarPoly:
     """The ring map fixing u and sending v to q_hat * v."""
-    ctx = f.ctx
-    p, N = ctx.p, ctx.N
-    q_pows = _residue_powers(ctx.q_hat_residue, max((b for _, b in f.terms), default=0), ctx.modulus)
-    return BivarPoly._clean(ctx, {
-        (a, b): scaled_mul(p, t, scaled_from_residue(p, N, q_pows[b]))
-        for (a, b), t in f.terms.items()
-    })
+    ctx, p = f.ctx, f.ctx.p
+    q_pows = _residue_powers(ctx.q_hat_residue, max(map(len, f.parts.values()), default=1) - 1, ctx.modulus)
+    qs = [scaled_from_residue(p, ctx.N, r) for r in q_pows]
+    return BivarPoly._wrap(ctx, {n: tuple(map(scaled_mul, [p] * len(row), row, qs))
+                                 for n, row in f.parts.items()})
 
 
 def expand_in_c_basis(f: BivarPoly) -> list[PadicScaled]:
@@ -385,10 +398,8 @@ def expand_in_c_basis(f: BivarPoly) -> list[PadicScaled]:
             if not lam.is_zero():
                 acc = acc - lam * qbinom_eval(s, r, q_hat)
         out.append(acc)
-    rebuilt = BivarPoly.zero(ctx)
-    for s, lam in enumerate(out):
-        if not lam.is_zero():
-            rebuilt = rebuilt + (c_poly(ctx, s) * BivarPoly.monomial(ctx, n - s, 0)).scale(lam)
+    rebuilt = sum(((c_poly(ctx, s) * BivarPoly.monomial(ctx, n - s, 0)).scale(lam)
+                   for s, lam in enumerate(out) if not lam.is_zero()), BivarPoly.zero(ctx))
     if rebuilt != f:
         raise PrecisionExhaustedError("c-basis expansion failed to rebuild its input")
     return out
@@ -402,9 +413,8 @@ class IntegralityResult(NamedTuple):
 
 
 def check_integrality(f: BivarPoly) -> IntegralityResult:
-    lambdas = expand_in_c_basis(f)
-    cond1 = all(lam.is_padic_integer() for lam in lambdas)
-    cond2 = all(val >= -(a + b) for (a, b), (val, _, _) in f.terms.items())
+    cond1 = all(lam.is_padic_integer() for lam in expand_in_c_basis(f))
+    cond2 = all(t[0] >= -n for n, row in f.parts.items() for t in row if t is not None)
     return IntegralityResult(cond1=cond1, cond2=cond2)
 
 
@@ -414,15 +424,9 @@ def expand_in_g_basis(f: BivarPoly) -> list[PadicScaled]:
     Derived from the c-basis expansion: u**(n-s) * c_s differs from
     g_{n,s} by the exact power p**max(0, nu(s!) - (n-s)).
     """
-    n = f.weight()
-    if n is None:
-        raise DomainError("expansion needs a nonzero homogeneous polynomial")
-    p = f.ctx.p
-    out = []
-    for s, lam in enumerate(expand_in_c_basis(f)):
-        shift = max(0, nu_factorial(p, s) - (n - s))
-        out.append(lam.scale_by_p_power(-shift))
-    return out
+    lambdas = expand_in_c_basis(f)
+    n, p = len(lambdas) - 1, f.ctx.p
+    return [lam.scale_by_p_power(-max(0, nu_factorial(p, s) - (n - s))) for s, lam in enumerate(lambdas)]
 
 
 def sample_integrality(f: BivarPoly, trials: int, rng) -> bool:
@@ -434,17 +438,13 @@ def sample_integrality(f: BivarPoly, trials: int, rng) -> bool:
     every condition-(1) failure.  The remaining trials draw random
     u, v in 1 + pZ_p as independent spot checks.
     """
-    ctx = f.ctx
-    p, M = ctx.p, ctx.modulus
+    p, M = f.ctx.p, f.ctx.modulus
     parts = f.graded_parts()
-    for weight, part in parts.items():
-        for j in range(weight + 1):
-            if not part.substitute(1, pow(ctx.q_hat_residue, j, M)).is_padic_integer():
-                return False
+    if not all(part.substitute(1, pow(f.ctx.q_hat_residue, j, M)).is_padic_integer()
+               for n, part in parts.items() for j in range(n + 1)):
+        return False
     for _ in range(trials):
-        u_val = 1 + p * rng.randrange(M // p)
-        v_val = 1 + p * rng.randrange(M // p)
-        for part in parts.values():
-            if not part.substitute(u_val, v_val).is_padic_integer():
-                return False
+        u_val, v_val = 1 + p * rng.randrange(M // p), 1 + p * rng.randrange(M // p)
+        if not all(part.substitute(u_val, v_val).is_padic_integer() for part in parts.values()):
+            return False
     return True

@@ -21,11 +21,11 @@ PadicContext.residue: an int is reduced mod p**N, and a PadicInt must
 belong to the context.  The operators of both value types coerce their
 operands through it too.
 
-The precision rules of PadicScaled live in the scaled_* functions, which
-work on plain (val, unit, sig) triples with None for zero.  PadicScaled
-calls them, and so does every BivarPoly coefficient, so there is one copy
-of the rules, with two inline copies kept in step with it: the product
-rule in BivarPoly.__mul__ and the sum rule in BivarPoly.substitute.
+The precision rules of PadicScaled live in the scaled_* functions, on
+plain (val, unit, sig) triples with None for zero: PadicScaled and each
+BivarPoly coefficient tuple call them.  Two inline copies are kept in
+step: the product rule in the convolution of BivarPoly.__mul__, and the
+sum rule of BivarPoly.substitute, which reads each part in decreasing b.
 """
 
 from __future__ import annotations
