@@ -216,11 +216,7 @@ class BivarPoly:
         ctx, parts = self.ctx, self.parts
         p, N, M = ctx.p, ctx.N, ctx.modulus
         u, v = ctx.residue(u_value), ctx.residue(v_value)
-        if len(parts) == 1:
-            (n, row), = parts.items()
-            terms = zip(range(n - len(row) + 1, n + 1), range(len(row) - 1, -1, -1), reversed(row))
-        else:  # mixed weights interleave in sorted (a, b) order
-            terms = sorted((n - b, b, t) for n, row in parts.items() for b, t in enumerate(row))
+        terms = sorted((n - b, b, t) for n, row in parts.items() for b, t in enumerate(row))
         u_pows = _residue_powers(u, max(parts, default=0), M)
         v_pows = _residue_powers(v, max(map(len, parts.values()), default=1) - 1, M)
         vals = [t[0] for row in parts.values() for t in row if t is not None]

@@ -73,5 +73,3 @@ def test_traced_counts_match_the_budget(name, bench_workloads):
     workload = bench_workloads.WORKLOADS[name]
     metrics = _traced_counts(workload)
     assert {key: metrics[key] for key in BUDGET[name]} == BUDGET[name]
-    for layer in workload.predicts:
-        assert metrics[f"{layer}.calls"] > 0, layer
