@@ -63,11 +63,55 @@ def _to_triple(ctx: PadicContext, v: PadicScaled | PadicInt | int) -> Triple:
 
 def _residue_powers(x: int, e: int, M: int) -> list[int]:
     """[x**0, x**1, ..., x**e] mod M for a residue x, by running products."""
-    if x == 1:
-        return [1] * (e + 1)
     out = [1]
     for _ in range(e):
         out.append(out[-1] * x % M)
+    return out
+
+
+def _horner_values(ctx: PadicContext, row: Sequence[Triple], ts: Sequence[int]) -> list[Triple]:
+    """One part at (u, v) = (1, t) for each unit residue t in ts.
+
+    row is a part's coefficient tuple, entry b the triple of
+    u**(n-b) * v**b.  Horner in decreasing b,
+
+        H_b = H_(b+1) * t + unit_b * p**(val_b - low),
+
+    low the least coefficient valuation, is the sorted chain of
+    substitute divided by the unit t**b (a None entry only multiplies
+    by t).  So the two agree on the least precision val + min(sig, N)
+    (a unit monomial has valuation 0), on every reset and on the final
+    residue.  H is kept reduced mod A = p**(prec - low), prec the least
+    val + sig so far, since A only shrinks until a reset; like
+    scaled_add, H starts afresh from the exact zero whenever it is 0
+    mod A.  The plan is built once for all the points.
+    """
+    p, N = ctx.p, ctx.N
+    vals = [t[0] for t in row if t is not None]
+    low = min(vals)
+    pp = _p_powers(p, max(vals) - low + N)
+    plan = [None if c is None else (c[1] * pp[c[0] - low], c[0] - low + (c[2] if c[2] < N else N))
+            for c in reversed(row)]
+    out: list[Triple] = []
+    for t in ts:
+        acc, e, A = 0, None, 1  # H scaled by p**-low, prec - low (None after a reset), p**e
+        for term in plan:
+            if term is None:
+                acc = acc * t % A
+                continue
+            c, cap = term
+            if e is None or cap < e:
+                e, A = cap, pp[cap]
+            acc = (acc * t + c) % A
+            if acc == 0:
+                e = None
+        if e is None:
+            out.append(None)
+            continue
+        w = 0
+        while acc % pp[w + 1] == 0:
+            w += 1
+        out.append((low + w, acc // pp[w], e - w))
     return out
 
 
@@ -198,24 +242,31 @@ class BivarPoly:
     def substitute(self, u_value: PadicInt | int, v_value: PadicInt | int) -> PadicScaled:
         """Evaluate at ring elements (u, v) = (u_value, v_value).
 
-        Each monomial is evaluated on residues, from tables of u**a and
-        v**b mod p**N built by running products for this call.  The
-        terms, in sorted exponent order (a part read in decreasing b),
-        go into one exact int sum scaled by p**-low, low the least
-        coefficient valuation, and the sum is reduced and its valuation
-        stripped once, at the end.
-
         The result is the triple that summing the terms one by one with
-        scaled_add gives.  The sum knows the least absolute precision
-        val + sig of its terms; a term whose monomial residue has
-        valuation w knows val + min(sig + w, N).  A monomial that
-        evaluates to zero adds nothing.  Like scaled_add, the sum starts
-        afresh from the exact zero whenever the partial sum is 0 mod
-        p**A, A its precision so far, and so forgets A.
+        scaled_add, in sorted exponent order (a part read in decreasing
+        b), gives.  The sum knows the least absolute precision val + sig
+        of its terms; a term whose monomial residue has valuation w
+        knows val + min(sig + w, N).  A monomial that evaluates to zero
+        adds nothing.  Like scaled_add, the sum starts afresh from the
+        exact zero whenever the partial sum is 0 mod p**A, A its
+        precision so far, and so forgets A.
+
+        A homogeneous polynomial of weight n at units u, v is the
+        Horner sum of _horner_values at t = v / u times u**n.  Any other
+        input is summed in that order as one exact int, scaled by
+        p**-low (low the least coefficient valuation), from tables of
+        u**a and v**b mod p**N built for this call, and reduced and
+        stripped of its valuation once, at the end.
         """
         ctx, parts = self.ctx, self.parts
         p, N, M = ctx.p, ctx.N, ctx.modulus
         u, v = ctx.residue(u_value), ctx.residue(v_value)
+        if len(parts) == 1 and u % p and v % p:
+            (n, row), = parts.items()
+            t = _horner_values(ctx, row, [v * pow(u, -1, M) % M])[0]
+            if t is not None:
+                t = (t[0], t[1] * pow(u, n, M) % _p_powers(p, N)[t[2]], t[2])
+            return PadicScaled._from_triple(ctx, t)
         terms = sorted((n - b, b, t) for n, row in parts.items() for b, t in enumerate(row))
         u_pows = _residue_powers(u, max(parts, default=0), M)
         v_pows = _residue_powers(v, max(map(len, parts.values()), default=1) - 1, M)
@@ -375,7 +426,9 @@ def expand_in_c_basis(f: BivarPoly) -> list[PadicScaled]:
 
     whose multipliers c_r(1, q_hat**s) are exactly the Gaussian
     binomials [s, r] at q_hat, honest ring elements, read from the
-    residue q-Pascal rows of qcalc, so no polynomial in q is built.
+    residue q-Pascal rows of qcalc, so no polynomial in q is built.  All
+    n + 1 evaluations come from one Horner pass over f's coefficient
+    tuple, and a row of the system subtracts only the nonzero lambda_r.
     Solving this way never multiplies one extracted coefficient back
     into the negative powers of p inside a c polynomial, so precision
     loss does not compound across steps.  The expansion is verified by
@@ -387,15 +440,18 @@ def expand_in_c_basis(f: BivarPoly) -> list[PadicScaled]:
     if n is None:
         raise DomainError("expansion needs a nonzero homogeneous polynomial")
     q_hat = ctx.q_hat()
+    points = _residue_powers(ctx.q_hat_residue, n, ctx.modulus)
     out: list[PadicScaled] = []
-    for s in range(n + 1):
-        acc = f.substitute(1, ctx.q_hat_pow(s))
-        for r, lam in enumerate(out):
-            if not lam.is_zero():
-                acc = acc - lam * qbinom_eval(s, r, q_hat)
+    nonzero: list[tuple[int, PadicScaled]] = []  # (r, lambda_r) with lambda_r != 0
+    for s, value in enumerate(_horner_values(ctx, f.parts[n], points)):
+        acc = PadicScaled._from_triple(ctx, value)
+        for r, lam in nonzero:
+            acc = acc - lam * qbinom_eval(s, r, q_hat)
         out.append(acc)
+        if not acc.is_zero():
+            nonzero.append((s, acc))
     rebuilt = sum(((c_poly(ctx, s) * BivarPoly.monomial(ctx, n - s, 0)).scale(lam)
-                   for s, lam in enumerate(out) if not lam.is_zero()), BivarPoly.zero(ctx))
+                   for s, lam in nonzero), BivarPoly.zero(ctx))
     if rebuilt != f:
         raise PrecisionExhaustedError("c-basis expansion failed to rebuild its input")
     return out
@@ -431,14 +487,17 @@ def sample_integrality(f: BivarPoly, trials: int, rng) -> bool:
     Probes the coefficient-reading points (1, q_hat**j) first: if any
     expansion coefficient fails to be integral, the first failing one
     appears undiluted at its own reading point, so these probes refute
-    every condition-(1) failure.  The remaining trials draw random
-    u, v in 1 + pZ_p as independent spot checks.
+    every condition-(1) failure.  Each part reads all its points in one
+    Horner pass, before any random draw.  The remaining trials draw
+    random u, v in 1 + pZ_p as independent spot checks.
     """
-    p, M = f.ctx.p, f.ctx.modulus
-    parts = f.graded_parts()
-    if not all(part.substitute(1, pow(f.ctx.q_hat_residue, j, M)).is_padic_integer()
-               for n, part in parts.items() for j in range(n + 1)):
+    ctx = f.ctx
+    p, M = ctx.p, ctx.modulus
+    points = _residue_powers(ctx.q_hat_residue, max(f.parts, default=0), M)
+    if not all(t is None or t[0] >= 0 for n, row in f.parts.items()
+               for t in _horner_values(ctx, row, points[:n + 1])):
         return False
+    parts = f.graded_parts()
     for _ in range(trials):
         u_val, v_val = 1 + p * rng.randrange(M // p), 1 + p * rng.randrange(M // p)
         if not all(part.substitute(u_val, v_val).is_padic_integer() for part in parts.values()):

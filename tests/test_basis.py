@@ -387,6 +387,86 @@ def test_substitute_keeps_the_least_precision_and_skips_vanishing_monomials():
     assert poly.substitute(p, 1).triple() == ref_substitute(poly, p, 1).triple() == (0, 4, 3)
 
 
+def _homogeneous_cancelling_terms(ctx, draw_int) -> dict:
+    """One weight n <= 6, each b absent a third of the time (a None gap), sig 1..3, units near +-1."""
+    n, out = draw_int(0, 6), {}
+    for b in range(n + 1):
+        if draw_int(0, 2):
+            sig = draw_int(1, 3)
+            units = _near_units(ctx.p, sig)
+            out[(n - b, b)] = PadicScaled(ctx, draw_int(-2, 2), units[draw_int(0, len(units) - 1)], sig)
+    return out
+
+
+def _unit_point(ctx, kind: int, r: int) -> int:
+    """-1, a unit near +-1, any unit, or 1 + p*r (never 1), as kind 0..3."""
+    p, M = ctx.p, ctx.modulus
+    near = [x for x in _near_units(ctx.p, ctx.N) if x != 1]
+    unit = 2 + r % (M - 3)
+    unit += unit % p == 0
+    return (M - 1, near[r % len(near)], unit, (1 + p * (r % (M // p - 1) + 1)) % M)[kind]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_substitute_at_unit_points_matches_the_chain(data):
+    """A homogeneous part at units u != 1 and v: Horner in v / u, times u**n, is the sorted chain."""
+    ctx = data.draw(st.sampled_from(CANCEL_CONTEXTS))
+
+    def draw_int(lo, hi):
+        return data.draw(st.integers(lo, hi))
+
+    poly = BivarPoly(ctx, _homogeneous_cancelling_terms(ctx, draw_int))
+    u = _unit_point(ctx, draw_int(0, 3), draw_int(0, ctx.modulus))
+    v = data.draw(st.just(1) | st.just(u)) if draw_int(0, 3) == 0 else _unit_point(
+        ctx, draw_int(0, 3), draw_int(0, ctx.modulus))
+    assert u != 1 and u % ctx.p and v % ctx.p
+    assert poly.substitute(u, v).triple() == ref_substitute(poly, u, v).triple()
+
+
+def _chain_resets_partway(poly, u: int, v: int) -> bool:
+    """Whether the reference chain cancels to zero before its last term, after a nonzero start."""
+    ctx, M = poly.ctx, poly.ctx.modulus
+    keys = sorted(poly.terms)
+    acc = PadicScaled.zero(ctx)
+    for i, (a, b) in enumerate(keys):
+        value = PadicScaled.from_int(ctx, pow(u, a, M) * pow(v, b, M))
+        nxt = ref_scaled_add(acc, ref_scaled_mul(poly.coefficient(a, b), value))
+        if nxt.is_zero() and not acc.is_zero() and i < len(keys) - 1:
+            return True
+        acc = nxt
+    return False
+
+
+def test_substitute_at_unit_points_matches_the_chain_on_a_fixed_sample():
+    """Seeded, so resets partway through a Horner sum are sure to be among the cases."""
+    rng = random.Random(2212)
+    resets = 0
+    for _ in range(2000):
+        ctx = rng.choice(CANCEL_CONTEXTS)
+        poly = BivarPoly(ctx, _homogeneous_cancelling_terms(ctx, rng.randint))
+        u = rng.choice([1, _unit_point(ctx, rng.randint(0, 3), rng.randrange(ctx.modulus))])
+        v = _unit_point(ctx, rng.randint(0, 3), rng.randrange(ctx.modulus))
+        assert poly.substitute(u, v).triple() == ref_substitute(poly, u, v).triple(), (poly, u, v)
+        resets += _chain_resets_partway(poly, u, v)
+    assert resets >= 50
+
+
+def test_reading_points_in_one_pass_match_the_chain(ctx):
+    """The batched values at (1, q_hat**s), s = 0..n, are the per-point evaluations."""
+    polys = [c_poly(ctx, k) for k in range(KMAX + 1)] + [f_poly(ctx, k) for k in range(KMAX + 1)]
+    for m in range(KMAX + 1):
+        for l in range(m + 1):
+            polys += [g_poly(ctx, m, l), psi_action(g_poly(ctx, m, l))]
+    q_hat, M = ctx.q_hat_residue, ctx.modulus
+    for poly in polys:
+        (n, row), = poly.parts.items()
+        points = [pow(q_hat, s, M) for s in range(n + 1)]
+        got = basis._horner_values(ctx, row, points)
+        assert got == [ref_substitute(poly, 1, x).triple() for x in points], poly
+        assert got == [poly.substitute(1, x).triple() for x in points], poly
+
+
 @settings(max_examples=50)
 @given(st.data())
 def test_bivar_eq_ignores_digits_below_sig(data):

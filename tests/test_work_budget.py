@@ -31,7 +31,7 @@ BUDGET = {
         "utmat.mul.madds": 9324,
         "ops.build_Rn.calls": 6,
         "basis.BivarPoly.mul.calls": 195,
-        "basis.substitute.calls": 159,
+        "basis.substitute.calls": 35,
         "basis.c_poly.calls": 231,
     },
     "matrix-wide": {
@@ -47,7 +47,7 @@ BUDGET = {
         "utmat.mul.madds": 0,
         "ops.build_Rn.calls": 0,
         "basis.BivarPoly.mul.calls": 335,
-        "basis.substitute.calls": 234,
+        "basis.substitute.calls": 45,
         "basis.c_poly.calls": 342,
     },
 }
