@@ -332,17 +332,18 @@ def _cancelling_point(ctx, kind: int, r: int) -> int:
     return (0, 1, p, unit, (1 + p * r) % M)[kind]
 
 
-def _chain_cancels(poly, u: int, v: int) -> bool:
-    """Whether a partial sum of the reference chain cancels to zero after a nonzero start."""
+def _chain_cancels_at(poly, u: int, v: int) -> int | None:
+    """The index of the first term at which the reference chain cancels to zero after a
+    nonzero start, or None."""
     ctx, M = poly.ctx, poly.ctx.modulus
     acc = PadicScaled.zero(ctx)
-    for a, b in sorted(poly.terms):
+    for i, (a, b) in enumerate(sorted(poly.terms)):
         value = PadicScaled.from_int(ctx, pow(u, a, M) * pow(v, b, M))
         nxt = ref_scaled_add(acc, ref_scaled_mul(poly.coefficient(a, b), value))
         if nxt.is_zero() and not acc.is_zero():
-            return True
+            return i
         acc = nxt
-    return False
+    return None
 
 
 @settings(max_examples=300)
@@ -370,7 +371,7 @@ def test_substitute_one_pass_matches_the_chain_on_a_fixed_sample():
         u = _cancelling_point(ctx, rng.randint(0, 4), rng.randrange(ctx.modulus))
         v = _cancelling_point(ctx, rng.randint(0, 4), rng.randrange(ctx.modulus))
         assert poly.substitute(u, v).triple() == ref_substitute(poly, u, v).triple(), (poly, u, v)
-        cancelled += _chain_cancels(poly, u, v)
+        cancelled += _chain_cancels_at(poly, u, v) is not None
     assert cancelled >= 50
 
 
@@ -424,20 +425,6 @@ def test_substitute_at_unit_points_matches_the_chain(data):
     assert poly.substitute(u, v).triple() == ref_substitute(poly, u, v).triple()
 
 
-def _chain_resets_partway(poly, u: int, v: int) -> bool:
-    """Whether the reference chain cancels to zero before its last term, after a nonzero start."""
-    ctx, M = poly.ctx, poly.ctx.modulus
-    keys = sorted(poly.terms)
-    acc = PadicScaled.zero(ctx)
-    for i, (a, b) in enumerate(keys):
-        value = PadicScaled.from_int(ctx, pow(u, a, M) * pow(v, b, M))
-        nxt = ref_scaled_add(acc, ref_scaled_mul(poly.coefficient(a, b), value))
-        if nxt.is_zero() and not acc.is_zero() and i < len(keys) - 1:
-            return True
-        acc = nxt
-    return False
-
-
 def test_substitute_at_unit_points_matches_the_chain_on_a_fixed_sample():
     """Seeded, so resets partway through a Horner sum are sure to be among the cases."""
     rng = random.Random(2212)
@@ -448,7 +435,8 @@ def test_substitute_at_unit_points_matches_the_chain_on_a_fixed_sample():
         u = rng.choice([1, _unit_point(ctx, rng.randint(0, 3), rng.randrange(ctx.modulus))])
         v = _unit_point(ctx, rng.randint(0, 3), rng.randrange(ctx.modulus))
         assert poly.substitute(u, v).triple() == ref_substitute(poly, u, v).triple(), (poly, u, v)
-        resets += _chain_resets_partway(poly, u, v)
+        first = _chain_cancels_at(poly, u, v)
+        resets += first is not None and first < len(poly.terms) - 1
     assert resets >= 50
 
 
