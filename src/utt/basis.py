@@ -79,8 +79,8 @@ def _horner_values(ctx: PadicContext, row: Sequence[Triple], ts: Sequence[int]) 
 
     low the least coefficient valuation, is the sorted chain of
     substitute divided by the unit t**b (a None entry only multiplies
-    by t).  So the two agree on the least precision val + min(sig, N)
-    (a unit monomial has valuation 0), on every reset and on the final
+    by t).  So the two agree on the least precision val + sig (a unit
+    monomial has valuation 0), on every reset and on the final
     residue.  H is kept reduced mod A = p**(prec - low), prec the least
     val + sig so far, since A only shrinks until a reset; like
     scaled_add, H starts afresh from the exact zero whenever it is 0
@@ -90,8 +90,7 @@ def _horner_values(ctx: PadicContext, row: Sequence[Triple], ts: Sequence[int]) 
     vals = [t[0] for t in row if t is not None]
     low = min(vals)
     pp = _p_powers(p, max(vals) - low + N)
-    plan = [None if c is None else (c[1] * pp[c[0] - low], c[0] - low + (c[2] if c[2] < N else N))
-            for c in reversed(row)]
+    plan = [None if c is None else (c[1] * pp[c[0] - low], c[0] - low + c[2]) for c in reversed(row)]
     out: list[Triple] = []
     for t in ts:
         acc, e, A = 0, None, 1  # H scaled by p**-low, prec - low (None after a reset), p**e
@@ -107,11 +106,9 @@ def _horner_values(ctx: PadicContext, row: Sequence[Triple], ts: Sequence[int]) 
                 e = None
         if e is None:
             out.append(None)
-            continue
-        w = 0
-        while acc % pp[w + 1] == 0:
-            w += 1
-        out.append((low + w, acc // pp[w], e - w))
+        else:
+            w = nu_int(p, acc)
+            out.append((low + w, acc // pp[w], e - w))
     return out
 
 
