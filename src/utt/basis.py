@@ -239,57 +239,25 @@ class BivarPoly:
     def substitute(self, u_value: PadicInt | int, v_value: PadicInt | int) -> PadicScaled:
         """Evaluate at ring elements (u, v) = (u_value, v_value).
 
-        The result is the triple that summing the terms one by one with
-        scaled_add, in sorted exponent order (a part read in decreasing
-        b), gives.  The sum knows the least absolute precision val + sig
-        of its terms; a term whose monomial residue has valuation w
-        knows val + min(sig + w, N).  A monomial that evaluates to zero
-        adds nothing.  Like scaled_add, the sum starts afresh from the
-        exact zero whenever the partial sum is 0 mod p**A, A its
-        precision so far, and so forgets A.
-
-        A homogeneous polynomial of weight n at units u, v is the
-        Horner sum of _horner_values at t = v / u times u**n.  Any other
-        input is summed in that order as one exact int, scaled by
-        p**-low (low the least coefficient valuation), from tables of
-        u**a and v**b mod p**N built for this call, and reduced and
-        stripped of its valuation once, at the end.
+        The terms are summed one by one with scaled_add, in sorted
+        exponent order (a part read in decreasing b), each the scaled_mul
+        of its coefficient and the residue of its monomial, from tables
+        of u**a and v**b mod p**N built for this call.  So a term whose
+        monomial residue has valuation w knows val + min(sig + w, N)
+        absolute digits, a monomial that evaluates to zero adds nothing,
+        and the sum starts afresh from the exact zero whenever a partial
+        sum cancels through its known digits.
         """
         ctx, parts = self.ctx, self.parts
         p, N, M = ctx.p, ctx.N, ctx.modulus
         u, v = ctx.residue(u_value), ctx.residue(v_value)
-        if len(parts) == 1 and u % p and v % p:
-            (n, row), = parts.items()
-            t = _horner_values(ctx, row, [v * pow(u, -1, M) % M])[0]
-            if t is not None:
-                t = (t[0], t[1] * pow(u, n, M) % _p_powers(p, N)[t[2]], t[2])
-            return PadicScaled._from_triple(ctx, t)
-        terms = sorted((n - b, b, t) for n, row in parts.items() for b, t in enumerate(row))
         u_pows = _residue_powers(u, max(parts, default=0), M)
         v_pows = _residue_powers(v, max(map(len, parts.values()), default=1) - 1, M)
-        vals = [t[0] for row in parts.values() for t in row if t is not None]
-        low = min(vals, default=0)
-        pp = _p_powers(p, max(vals, default=0) - low + N)
-        acc, prec = 0, None  # sum since the last reset, scaled by p**-low; its least val + sig
-        for a, b, t in terms:
-            r = u_pows[a] * v_pows[b] % M
-            if t is None or r == 0:
-                continue
-            val, unit, sig = t
-            w = 0
-            while r % pp[w + 1] == 0:
-                w += 1
-            cap = val + (sig + w if sig + w < N else N)
-            acc += unit * r * pp[val - low]
-            if prec is None or cap < prec:
-                prec = cap
-            if acc % pp[prec - low] == 0:
-                acc, prec = 0, None
-        if prec is None:
-            return PadicScaled._from_triple(ctx, None)
-        r = acc % pp[prec - low]
-        w = nu_int(p, r)
-        return PadicScaled._from_triple(ctx, (low + w, r // pp[w], prec - low - w))
+        acc = None
+        for a, b, t in sorted((n - b, b, t) for n, row in parts.items() for b, t in enumerate(row)
+                              if t is not None):
+            acc = scaled_add(p, acc, scaled_mul(p, t, scaled_from_residue(p, N, u_pows[a] * v_pows[b] % M)))
+        return PadicScaled._from_triple(ctx, acc)
 
     def graded_parts(self) -> dict[int, "BivarPoly"]:
         """Split into homogeneous pieces keyed by total degree."""

@@ -25,9 +25,8 @@ The precision rules of PadicScaled live in the scaled_* functions, on
 plain (val, unit, sig) triples with None for zero: PadicScaled and each
 BivarPoly coefficient tuple call them.  Inline copies are kept in step:
 the product rule in the convolution of BivarPoly.__mul__, and the sum
-rule, reset to the exact zero included, twice in utt.basis: the sorted
-one-pass sum of BivarPoly.substitute and the Horner kernel
-_horner_values, which evaluates one part at unit points.
+rule, reset to the exact zero included, in the Horner kernel
+utt.basis._horner_values, which evaluates one part at unit points.
 """
 
 from __future__ import annotations
@@ -226,12 +225,11 @@ def scaled_from_residue(p: int, N: int, r: int) -> Triple:
 
 # p**e for e = 0, 1, ... in one list per prime, read by the scaled kernels.
 # They ask for no exponent above the largest sig they are given (at most the
-# N of a context), and BivarPoly.__mul__ reads it up to N;
-# BivarPoly.substitute and the Horner kernel of utt.basis ask for N plus
-# the spread of the coefficient valuations they sum, which bounds each
-# list.  Each kernel
-# indexes the table itself: a helper call per operation would cost about
-# half of what the table saves.
+# N of a context), and BivarPoly.__mul__ reads it up to N; the Horner
+# kernel of utt.basis asks for N plus the spread of the coefficient
+# valuations it sums, which bounds each list.  Each kernel indexes the
+# table itself: a helper call per operation would cost about half of what
+# the table saves.
 _P_POWERS: dict[int, list[int]] = {}
 
 
@@ -270,10 +268,9 @@ def scaled_add(p: int, x: Triple, y: Triple) -> Triple:
     digit (sig < 1, never true of a canonical triple) raises
     PrecisionExhaustedError.
 
-    BivarPoly.substitute sums in one pass, and utt.basis._horner_values
-    by Horner at unit points, but both reproduce this rule, the reset to
-    the exact zero included, so a change to the cancellation rule here
-    must be made in both of them too.
+    utt.basis._horner_values sums by Horner at unit points but
+    reproduces this rule, the reset to the exact zero included, so a
+    change to the cancellation rule here must be made there too.
     """
     if x is None:
         return y
