@@ -29,7 +29,7 @@ from .basis import (
 )
 from .conj import AFormMatrix, conjugator, verify_conjugation
 from .ops import alpha, build_D, build_R, build_S, build_Xn, rpower_closed, xn_closed, xn_expand_binomial
-from .padic import PadicContext, nu_factorial, nu_int
+from .padic import PadicContext, nu_factorial, nu_int, scaled_add, scaled_eq, scaled_neg
 from .qcalc import qbinom_eval
 from .utmat import UTWindow
 
@@ -75,19 +75,32 @@ def _coverage(prefix: str, anchor: str, ctx: PadicContext, kmax: int, hit: set, 
     )
 
 
-def _first_mismatch(a: UTWindow, b: UTWindow) -> str:
-    """Where a and b first differ, both residues, and to how many digits they agree."""
-    for i, (row_a, row_b) in enumerate(zip(a.rows(), b.rows())):
-        for c, (x, y) in enumerate(zip(row_a, row_b)):
-            if x != y:
-                agree = nu_int(a.ctx.p, x - y)
-                return f"first mismatch at ({i},{i + c}): {x} vs {y}, nu_p(diff)={agree}"
+def _mismatch(a: UTWindow | BivarPoly, b: UTWindow | BivarPoly) -> str:
+    """Where a and b first differ, both values, and to how many digits they agree; "" if equal.
+
+    A window names an entry, a polynomial the first monomial in sorted (a, b) order.
+    """
+    p = a.ctx.p
+    if isinstance(a, UTWindow):
+        for i, (row_a, row_b) in enumerate(zip(a.rows(), b.rows())):
+            for c, (x, y) in enumerate(zip(row_a, row_b)):
+                if x != y:
+                    return f"first mismatch at ({i},{i + c}): {x} vs {y}, nu_p(diff)={nu_int(p, x - y)}"
+        return ""
+    xs, ys = a.terms, b.terms
+    for k in sorted(xs.keys() | ys.keys()):
+        x, y = xs.get(k), ys.get(k)
+        if not scaled_eq(p, x, y):
+            diff = scaled_add(p, x, scaled_neg(p, y))
+            return f"first mismatch at u^{k[0]}v^{k[1]}: {x} vs {y}, nu_p(diff)={diff[0]}"
     return ""
 
 
-def _check_windows(name: str, anchor: str, lhs: UTWindow, rhs: UTWindow, ctx: PadicContext,
-                   **params) -> CheckResult:
-    return _check(name, anchor, lhs == rhs, ctx, lambda: _first_mismatch(lhs, rhs), W=lhs.W, **params)
+def _compare(name: str, anchor: str, lhs, rhs, ctx: PadicContext, **params) -> CheckResult:
+    """The record of lhs == rhs for two windows or two polynomials; a window's W leads its params."""
+    if isinstance(lhs, UTWindow):
+        params = {"W": lhs.W, **params}
+    return _check(name, anchor, lhs == rhs, ctx, lambda: _mismatch(lhs, rhs), **params)
 
 
 def suite_qbinom_matrix(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckResult]:
@@ -101,7 +114,7 @@ def suite_qbinom_matrix(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckR
     for n in range(nmax + 1):
         terms = ((d_pows[i] * s_pows[n - i]).scale(qbinom_eval(n, i, q_hat)) for i in range(n + 1))
         rhs = sum(terms, UTWindow.zero(ctx, W))
-        yield _check_windows(f"qbinom-matrix/n={n}", ANCHOR_QBINOM_MATRIX, R**n, rhs, ctx, n=n)
+        yield _compare(f"qbinom-matrix/n={n}", ANCHOR_QBINOM_MATRIX, R**n, rhs, ctx, n=n)
 
 
 def suite_rpower(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckResult]:
@@ -114,10 +127,8 @@ def suite_rpower(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckResult]:
     for n in range(nmax + 1):
         if n:
             power = power * R
-        yield _check_windows(
-            f"rpower/n={n}", ANCHOR_RPOWER, power,
-            UTWindow.from_fn(ctx, W, lambda i, j: rpower_closed(ctx, n, i, j - i)), ctx, n=n,
-        )
+        closed = UTWindow.from_fn(ctx, W, lambda i, j: rpower_closed(ctx, n, i, j - i))
+        yield _compare(f"rpower/n={n}", ANCHOR_RPOWER, power, closed, ctx, n=n)
 
 
 def suite_xn(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckResult]:
@@ -139,8 +150,8 @@ def suite_xn(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckResult]:
         expanded = xn_expand_binomial(ctx, n, W)
         yield _check(
             f"xn/entries/n={n}", ANCHOR_XN_ENTRIES, direct == closed == expanded, ctx,
-            lambda: f"closed={'ok' if direct == closed else _first_mismatch(direct, closed)}"
-            f" expanded={'ok' if direct == expanded else _first_mismatch(direct, expanded)}",
+            lambda: f"closed={'ok' if direct == closed else _mismatch(direct, closed)}"
+            f" expanded={'ok' if direct == expanded else _mismatch(direct, expanded)}",
             W=W, n=n,
         )
 
@@ -177,7 +188,7 @@ def suite_conjugation(ctx: PadicContext, W: int, trials: int, seed: int) -> Iter
         in_unit_group = all(row[0] % ctx.p == 1 for row in u.rows())
         yield _check(
             f"conjugation/uc-ru/trial={t}", ANCHOR_CONJUGATION, lhs == rhs and in_unit_group, ctx,
-            lambda: _first_mismatch(lhs, rhs) or "U is outside the unit group: diagonal not 1 mod p",
+            lambda: _mismatch(lhs, rhs) or "U is outside the unit group: diagonal not 1 mod p",
             W=W, trial=t, seed=trial_seed,
         )
     R = build_R(ctx, W)
@@ -185,10 +196,8 @@ def suite_conjugation(ctx: PadicContext, W: int, trials: int, seed: int) -> Iter
         trial_seed = rng.getrandbits(32)
         a_mat = AFormMatrix.random(ctx, W, random.Random(trial_seed))
         b = conjugator(a_mat)
-        yield _check_windows(
-            f"conjugation/end-to-end/trial={t}", ANCHOR_CONJUGATION,
-            b * a_mat.to_window() * b.inverse(), R, ctx, trial=t, seed=trial_seed,
-        )
+        yield _compare(f"conjugation/end-to-end/trial={t}", ANCHOR_CONJUGATION,
+                       b * a_mat.to_window() * b.inverse(), R, ctx, trial=t, seed=trial_seed)
 
 
 SAMPLE_TRIALS = 5  # substitution samples per polynomial
@@ -247,28 +256,22 @@ def suite_integrality(ctx: PadicContext, kmax: int, seed: int) -> Iterator[Check
         rebuilt = sum((g_poly(ctx, kmax, s).scale(mu) for s, mu in enumerate(mus)), BivarPoly.zero(ctx))
         yield _check(
             f"integrality/g-expansion/trial={t}", ANCHOR_BASIS, integral and rebuilt == f, ctx,
-            lambda: f"integral={integral} reconstructed={rebuilt == f}", n=kmax, trial=t, seed=seed,
+            lambda: f"integral={integral} reconstructed={'ok' if rebuilt == f else _mismatch(rebuilt, f)}",
+            n=kmax, trial=t, seed=seed,
         )
 
 
-def _diag_action(p: int, m: int) -> tuple[str, int]:
-    """Branch of psi(g_{m,m}) and the p-power on its g_{m,m-1} term."""
-    if m == 0:
-        return "identity", 0
-    if m < p:
-        return "small", 0
-    if m == p:
-        return "p", 1
-    return "large", nu_int(p, m) + 1
-
-
-def _offdiag_action(p: int, m: int, n: int) -> tuple[str, int]:
-    """Branch of psi(g_{m,n}), n < m, and the p-power on its g_{m,n-1} term."""
-    if m > nu_factorial(p, n) + n:
+def _action_branch(p: int, m: int, l: int) -> tuple[str, int]:
+    """Branch of psi(g_{m,l}), l <= m, and the p-power on its g_{m,l-1} term."""
+    if l == m:
+        if m < p:
+            return ("small" if m else "identity"), 0
+        return ("p", 1) if m == p else ("large", nu_int(p, m) + 1)
+    if m > nu_factorial(p, l) + l:
         return "above", 0
-    if m > nu_factorial(p, n - 1) + n - 1:
-        return "window", nu_factorial(p, n) + n - m
-    return "below", nu_int(p, n) + 1
+    if m > nu_factorial(p, l - 1) + l - 1:
+        return "window", nu_factorial(p, l) + l - m
+    return "below", nu_int(p, l) + 1
 
 
 def reachable_action_branches(p: int, kmax: int) -> frozenset[str]:
@@ -294,28 +297,17 @@ def suite_action(ctx: PadicContext, kmax: int) -> Iterator[CheckResult]:
     u = BivarPoly.u_hat(ctx)
     for m in range(1, kmax + 1):
         f = f_poly(ctx, m)
-        lhs = psi_action(f)
         rhs = f.scale(ctx.q_hat_pow(m)) + (u * f_poly(ctx, m - 1)).scale_p(nu_int(p, m))
-        yield _check(f"action/f/m={m}", ANCHOR_ACTION_F, lhs == rhs, ctx, m=m)
+        yield _compare(f"action/f/m={m}", ANCHOR_ACTION_F, psi_action(f), rhs, ctx, m=m)
     hit: set[str] = set()
-    for m in range(kmax + 1):
-        branch, exponent = _diag_action(p, m)
-        hit.add(f"diag:{branch}")
-        g = g_poly(ctx, m, m)
+    diagonal = [(m, m) for m in range(kmax + 1)]
+    for m, l in diagonal + [(m, l) for m in range(2, kmax + 1) for l in range(1, m)]:
+        branch, exponent = _action_branch(p, m, l)
+        hit.add(f"{'diag' if l == m else 'off'}:{branch}")
+        g = g_poly(ctx, m, l)
         lhs = psi_action(g)
-        if m == 0:
-            rhs = g
-        else:
-            rhs = g.scale(ctx.q_hat_pow(m)) + g_poly(ctx, m, m - 1).scale_p(exponent)
-        yield _check(f"action/g/m={m},l={m}", ANCHOR_ACTION_G, lhs == rhs, ctx, m=m, l=m, branch=branch)
-    for m in range(2, kmax + 1):
-        for n in range(1, m):
-            branch, exponent = _offdiag_action(p, m, n)
-            hit.add(f"off:{branch}")
-            g = g_poly(ctx, m, n)
-            lhs = psi_action(g)
-            rhs = g.scale(ctx.q_hat_pow(n)) + g_poly(ctx, m, n - 1).scale_p(exponent)
-            yield _check(f"action/g/m={m},l={n}", ANCHOR_ACTION_G, lhs == rhs, ctx, m=m, l=n, branch=branch)
+        rhs = g if m == 0 else g.scale(ctx.q_hat_pow(l)) + g_poly(ctx, m, l - 1).scale_p(exponent)
+        yield _compare(f"action/g/m={m},l={l}", ANCHOR_ACTION_G, lhs, rhs, ctx, m=m, l=l, branch=branch)
     yield _coverage("action/g", ANCHOR_ACTION_G, ctx, kmax, hit, reachable_action_branches(p, kmax))
 
 
@@ -333,7 +325,7 @@ def suite_alglem(ctx: PadicContext, kmax: int) -> Iterator[CheckResult]:
             rhs = (f_poly(ctx, i) * BivarPoly.monomial(ctx, nu_m + m - i, 0)).scale_p(
                 -nu_i - beta(p, m, i)
             )
-            yield _check(f"alglem/m={m},i={i}", ANCHOR_ALGLEM, lhs == rhs, ctx, m=m, i=i, branch=branch)
+            yield _compare(f"alglem/m={m},i={i}", ANCHOR_ALGLEM, lhs, rhs, ctx, m=m, i=i, branch=branch)
     required = ({"gt"} if kmax >= 1 else set()) | ({"le"} if kmax >= p + 1 else set())
     yield _coverage("alglem", ANCHOR_ALGLEM, ctx, kmax, hit, required)
 
@@ -366,7 +358,7 @@ def suite_lower_g(ctx: PadicContext, kmax: int) -> Iterator[CheckResult]:
         """Report position of (m, n, i): after the checks of every smaller m, then smaller n."""
         return m * (m + 1) * (m + 2) // 6 + n * (n + 1) // 2 + i
 
-    passed = [False] * slot(kmax + 1, 0, 0)
+    verdicts: list[bool | str] = [False] * slot(kmax + 1, 0, 0)  # True, or a failure's detail
     for i in range(kmax + 1):
         column = [g_poly(ctx, n, i) for n in range(i, kmax + 1)]
         f, nu_i = f_poly(ctx, i), nus[i]
@@ -377,15 +369,16 @@ def suite_lower_g(ctx: PadicContext, kmax: int) -> Iterator[CheckResult]:
                     rhs = (f * u_pows[n - i]).scale_p(-min(n - i, nu_i))
                 else:
                     rhs = column[m - i].scale_p(_lower_g_branch(nu_i, m, n, i)[1])
-                passed[slot(m, n, i)] = lhs == rhs
+                verdicts[slot(m, n, i)] = lhs == rhs or _mismatch(lhs, rhs)
     hit: set[str] = set()
     for m in range(kmax + 1):
         for n in range(m + 1):
             for i in range(n + 1):
                 branch = _lower_g_branch(nus[i], m, n, i)[0]
                 hit.add(branch)
-                yield _check(f"lower-g/m={m},n={n},i={i}", ANCHOR_LOWER_G, passed[slot(m, n, i)],
-                             ctx, m=m, n=n, i=i, branch=branch)
+                verdict = verdicts[slot(m, n, i)]
+                yield _check(f"lower-g/m={m},n={n},i={i}", ANCHOR_LOWER_G, verdict is True,
+                             ctx, lambda: verdict, m=m, n=n, i=i, branch=branch)
     required = {"low"} | ({"mid", "high"} if kmax >= 1 else set())
     yield _coverage("lower-g", ANCHOR_LOWER_G, ctx, kmax, hit, required)
 

@@ -10,9 +10,10 @@ from types import ModuleType
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 import utt
-from utt.padic import PadicContext, PadicInt, make_context
+from utt.padic import PadicContext, PadicInt, PadicScaled, make_context
 
 settings.register_profile(
     "suite",
@@ -251,3 +252,19 @@ def ref_substitute(poly, u: int, v: int):
         value = PadicScaled.from_int(ctx, pow(u, a, M) * pow(v, b, M))
         acc = ref_scaled_add(acc, ref_scaled_mul(poly.coefficient(a, b), value))
     return acc
+
+
+LOW_CTX = make_context(3, 2, 6)  # few digits, so products realign and cancel
+
+
+@st.composite
+def low_precision_terms(draw, sizes=st.integers(0, 5)):
+    """{(a, b): PadicScaled} in LOW_CTX with colliding exponents, sig in 1..N."""
+    p, N = LOW_CTX.p, LOW_CTX.N
+    out = {}
+    for _ in range(draw(sizes)):
+        key = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        sig = draw(st.integers(1, N))
+        unit = draw(st.integers(1, p**sig - 1).filter(lambda u: u % p))
+        out[key] = PadicScaled(LOW_CTX, draw(st.integers(-3, 3)), unit, sig)
+    return out

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import STANDARD_TRIPLES, ref_bivar_product, ref_scaled_add, ref_scaled_mul, ref_substitute
+from conftest import (
+    LOW_CTX,
+    STANDARD_TRIPLES,
+    low_precision_terms,
+    ref_bivar_product,
+    ref_scaled_add,
+    ref_scaled_mul,
+    ref_substitute,
+)
 from utt import basis
 from utt.basis import (
     C_POLY_CACHE_SIZE,
@@ -85,22 +93,6 @@ def test_bivar_ring_laws(ctx):
         assert a * (b + c) == a * b + a * c
         assert (a + a.scale(-1)).is_zero()
         assert a * BivarPoly.monomial(ctx, 0, 0) == a
-
-
-LOW_CTX = make_context(3, 2, 6)  # few digits, so products realign and cancel
-
-
-@st.composite
-def low_precision_terms(draw, sizes=st.integers(0, 5)):
-    """{(a, b): PadicScaled} in LOW_CTX with colliding exponents, sig in 1..N."""
-    p, N = LOW_CTX.p, LOW_CTX.N
-    out = {}
-    for _ in range(draw(sizes)):
-        key = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
-        sig = draw(st.integers(1, N))
-        unit = draw(st.integers(1, p**sig - 1).filter(lambda u: u % p))
-        out[key] = PadicScaled(LOW_CTX, draw(st.integers(-3, 3)), unit, sig)
-    return out
 
 
 def _canonical(terms: dict) -> dict:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import csv
 import inspect
 import json
 import re
@@ -12,11 +14,13 @@ from itertools import takewhile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import STANDARD_TRIPLES, child_env
+from conftest import LOW_CTX, STANDARD_TRIPLES, child_env, low_precision_terms, ref_scaled_eq
 from utt import cli, conj, ops, qcalc, verify
 from utt.basis import BivarPoly, g_poly
-from utt.padic import PadicInt, make_context, nu_factorial, nu_int
+from utt.padic import PadicInt, PadicScaled, make_context, nu_factorial, nu_int
 from utt.utmat import UTWindow
 from utt.verify import (
     ALL_ANCHORS,
@@ -187,8 +191,117 @@ def test_first_mismatch_gives_residues_and_agreeing_digits(ctx3):
         x = 10 * at[0] + at[1] + 1
         y = (x + delta) % M
         want = f"first mismatch at ({at[0]},{at[1]}): {x} vs {y}, nu_p(diff)={nu_int(p, delta)}"
-        assert verify._first_mismatch(base, other) == want
-    assert verify._first_mismatch(base, base) == ""
+        assert verify._mismatch(base, other) == want
+    assert verify._mismatch(base, base) == ""
+
+
+MONOMIAL_DETAIL = re.compile(r"first mismatch at u\^(\d+)v\^(\d+): (.+) vs (.+), nu_p\(diff\)=(-?\d+)")
+
+
+def _named_monomial(detail: str) -> tuple[tuple[int, int], object, object, int]:
+    """The key, both triples and the valuation a polynomial mismatch detail names."""
+    found = MONOMIAL_DETAIL.fullmatch(detail)
+    assert found, detail
+    x, y = ast.literal_eval(found[3]), ast.literal_eval(found[4])
+    return (int(found[1]), int(found[2])), x, y, int(found[5])
+
+
+def _truncated(terms: dict, cut: int) -> dict:
+    """The same coefficients knowing at most `cut` digits: equal on the digits both sides know."""
+    return {key: PadicScaled(LOW_CTX, c.val, c.unit, min(c.sig, cut)) for key, c in terms.items()}
+
+
+@settings(max_examples=300)
+@given(low_precision_terms(), low_precision_terms(), st.sampled_from(["other", "overlay", "truncated"]),
+       st.integers(1, LOW_CTX.N))
+def test_polynomial_mismatch_is_empty_exactly_on_equal_polynomials(x, y, how, cut):
+    """A non-empty detail names the first key in sorted order where the coefficients differ,
+    and the valuation of their difference, taken on exact ints."""
+    p = LOW_CTX.p
+    a = BivarPoly(LOW_CTX, x)
+    b = BivarPoly(LOW_CTX, {"other": y, "overlay": {**x, **y}, "truncated": _truncated(x, cut)}[how])
+    detail = verify._mismatch(a, b)
+    assert (detail == "") == (a == b)
+    if detail:
+        key, tx, ty, w = _named_monomial(detail)
+        differ = [k for k in sorted(a.terms.keys() | b.terms.keys())
+                  if not ref_scaled_eq(a.coefficient(*k), b.coefficient(*k))]
+        assert key == differ[0]
+        assert (tx, ty) == (a.terms.get(key), b.terms.get(key))
+        low = min(t[0] for t in (tx, ty) if t is not None)
+        exact = sum(sign * t[1] * p ** (t[0] - low) for sign, t in ((1, tx), (-1, ty)) if t is not None)
+        assert w == low + nu_int(p, exact)
+    else:
+        assert verify._mismatch(b, a) == ""
+
+
+def test_polynomial_mismatch_on_a_key_of_one_side(ctx3):
+    a = BivarPoly(ctx3, {(1, 2): PadicScaled(ctx3, 2, 5, 20), (0, 3): PadicScaled(ctx3, 0, 1, 20)})
+    b = BivarPoly(ctx3, {(0, 3): PadicScaled(ctx3, 0, 1, 20)})
+    assert verify._mismatch(a, b) == "first mismatch at u^1v^2: (2, 5, 20) vs None, nu_p(diff)=2"
+    assert verify._mismatch(b, a) == "first mismatch at u^1v^2: None vs (2, 5, 20), nu_p(diff)=2"
+
+
+def test_polynomial_mismatch_ignores_digits_beyond_the_smaller_sig(ctx3):
+    """5 known to 3 digits and 5 + 2*3**4 known to 6 agree on the 3 digits both know."""
+    a = BivarPoly(ctx3, {(2, 0): PadicScaled(ctx3, 1, 5, 3)})
+    b = BivarPoly(ctx3, {(2, 0): PadicScaled(ctx3, 1, 5 + 2 * 3**4, 6)})
+    assert a == b
+    assert verify._mismatch(a, b) == verify._mismatch(b, a) == ""
+
+
+def test_polynomial_mismatch_between_two_valuations(ctx3):
+    """p * 2 against p**3 * 2: the difference has the smaller valuation."""
+    a = BivarPoly(ctx3, {(0, 1): PadicScaled(ctx3, 1, 2, 10)})
+    b = BivarPoly(ctx3, {(0, 1): PadicScaled(ctx3, 3, 2, 10)})
+    assert verify._mismatch(a, b) == "first mismatch at u^0v^1: (1, 2, 10) vs (3, 2, 10), nu_p(diff)=1"
+
+
+def test_action_failure_names_the_faulty_coefficient(ctx3, monkeypatch):
+    """psi(g_{4,2}) off by 3 at its first monomial fails action/g/m=4,l=2 alone, with nu_p(diff) = 1."""
+    target, real = g_poly(ctx3, 4, 2), verify.psi_action
+    key = min(real(target).terms)
+
+    def one_coefficient_off(poly):
+        out = real(poly)
+        return out + BivarPoly.monomial(ctx3, *key, 3) if poly == target else out
+
+    monkeypatch.setattr(verify, "psi_action", one_coefficient_off)
+    (bad,) = _failures(ctx3, "action")
+    assert bad.name == "action/g/m=4,l=2"
+    named, x, _, w = _named_monomial(bad.detail)
+    assert (named, x, w) == (key, one_coefficient_off(target).terms[key], 1)
+
+
+def test_alglem_failure_names_the_faulty_coefficient(ctx3, monkeypatch):
+    """f_2 off by 1 at u^2 reaches the right side of every alglem/m,i=2 record, times u^(nu(m!)+m-2)
+    and divided by p**(nu(2!) + beta)."""
+    p, real = ctx3.p, verify.f_poly
+
+    def f_2_off_at_u2(ctx, k):
+        return real(ctx, k) + BivarPoly.monomial(ctx, 2, 0, 1) if k == 2 else real(ctx, k)
+
+    monkeypatch.setattr(verify, "f_poly", f_2_off_at_u2)
+    bad = _failures(ctx3, "alglem")
+    assert [r.name for r in bad] == [f"alglem/m={m},i=2" for m in range(3, FAST_CFG["kmax"] + 1)]
+    for r in bad:
+        m = r.params["m"]
+        key, _, _, w = _named_monomial(r.detail)
+        assert key == (nu_factorial(p, m) + m, 0)
+        assert w == -nu_factorial(p, 2) - verify.beta(p, m, 2)
+
+
+def test_g_expansion_failure_names_the_first_monomial_rebuilt_wrong(ctx3, monkeypatch):
+    """Doubled coefficients stay integral but rebuild 2f, wrong at f's first monomial."""
+    real = verify.expand_in_g_basis
+    monkeypatch.setattr(verify, "expand_in_g_basis", lambda f: [mu * 2 for mu in real(f)])
+    bad = [r for r in _failures(ctx3, "integrality") if "g-expansion" in r.name]
+    assert len(bad) == verify.G_EXPANSION_TRIALS
+    for r in bad:
+        integral, _, rebuilt = r.detail.partition(" reconstructed=")
+        assert integral == "integral=True"
+        _, x, y, w = _named_monomial(rebuilt)
+        assert w == x[0] == y[0]
 
 
 def test_coverage_failure_lists_expected_branches(ctx3, monkeypatch):
@@ -436,10 +549,14 @@ def test_corrupted_g_fails_exactly_the_records_that_read_it(ctx3, monkeypatch, n
         return g.scale(2) if (m, l) == (n0, i0) else g
 
     monkeypatch.setattr(verify, "g_poly", corrupted)
-    failed = {(r.params["m"], r.params["n"], r.params["i"])
-              for r in verify.suite_lower_g(ctx3, kmax) if not r.passed}
+    bad = [r for r in verify.suite_lower_g(ctx3, kmax) if not r.passed]
+    failed = {(r.params["m"], r.params["n"], r.params["i"]) for r in bad}
     reads = {(m, n, i0) for m in range(kmax + 1) for n in range(i0, m + 1) if n0 in (m, n)}
     assert (n0, n0, i0) in failed and failed == reads
+    for r in bad:
+        m, n = r.params["m"], r.params["n"]
+        lhs = real(ctx3, n, i0) * BivarPoly.monomial(ctx3, m - n, 0)
+        _assert_names_the_first_doubled_monomial(r.detail, lhs)
 
 
 @pytest.mark.parametrize("i0", [0, 3, 8])
@@ -448,9 +565,41 @@ def test_corrupted_f_fails_exactly_the_diagonal_lower_g_records(ctx3, monkeypatc
     kmax = 8
     real = verify.f_poly
     monkeypatch.setattr(verify, "f_poly", lambda ctx, k: real(ctx, k).scale(2) if k == i0 else real(ctx, k))
-    failed = {(r.params["m"], r.params["n"], r.params["i"])
-              for r in verify.suite_lower_g(ctx3, kmax) if not r.passed}
+    bad = [r for r in verify.suite_lower_g(ctx3, kmax) if not r.passed]
+    failed = {(r.params["m"], r.params["n"], r.params["i"]) for r in bad}
     assert failed == {(n, n, i0) for n in range(i0, kmax + 1)}
+    for r in bad:
+        _assert_names_the_first_doubled_monomial(r.detail, g_poly(ctx3, r.params["n"], i0))
+
+
+def _assert_names_the_first_doubled_monomial(detail: str, side: BivarPoly) -> None:
+    """One side of the record is `side` scaled by 2, a unit at p = 3, so every coefficient differs:
+    the first is at side's least key, and the difference c - 2c has c's valuation."""
+    key, x, y, w = _named_monomial(detail)
+    assert key == min(side.terms)
+    assert w == x[0] == y[0] == side.terms[key][0]
+
+
+def test_failing_lower_g_report_carries_its_detail_in_json_and_csv(monkeypatch, capsys):
+    """The CLI contract on a failing basis report: exit 1, and each failing line holds its detail,
+    whose commas survive the csv quoting."""
+    real = verify.g_poly
+
+    def g_3_1_doubled(ctx, m, l):
+        g = real(ctx, m, l)
+        return g.scale(2) if (m, l) == (3, 1) else g
+
+    monkeypatch.setattr(verify, "g_poly", g_3_1_doubled)
+    argv = ["verify", "lower-g", "--p", "3", "--q", "2", "--N", "20", "--kmax", "4"]
+    assert cli.main(argv) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+    details = {r["check"]: r["detail"] for r in records if not r["pass"]}
+    assert details and all(r.get("detail") is None for r in records if r["pass"])
+    assert all(_named_monomial(d) for d in details.values())
+    assert cli.main([*argv, "--format", "csv"]) == 1
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert {row[0]: row[3] for row in rows[:-1] if row[2] == "FAIL"} == details
+    assert all(row[3] == "" for row in rows[:-1] if row[2] == "pass")
 
 
 def test_denominator_checks_read_the_exact_product(capsys):
