@@ -68,7 +68,7 @@ from .padic import (
     nu_factorial,
     nu_int,
 )
-from .qcalc import QPoly, binom, qbinom, qbinom_eval, qbinom_residue
+from .qcalc import binom, qbinom, qbinom_eval, qbinom_residue
 from .utmat import UTWindow
 
 __version__ = "0.1.0"

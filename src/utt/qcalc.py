@@ -4,120 +4,59 @@ Both constructions use the Pascal-style recurrence
 
     [n, i] = [n-1, i-1] + q**i * [n-1, i]
 
-qbinom runs it on exact polynomials in Z[q]; qbinom_residue runs it on
-the values at one point x mod M, row by row, and builds no polynomial.
-The verify suites only ever need [n, i] at q_hat mod p**N, so they read
-the residue rows; the polynomials serve `utt qbinom` and the exact
-evaluation at an int, which the tests compare the rows with.  The
-quotient-of-products form is deliberately not used here; it survives
-only as an independent oracle in the test suite.
+qbinom runs it on exact coefficient tuples in Z[q], row by row, keeping
+only the entries of each row that [n, i] reads; qbinom_residue runs it on
+the values at one point x mod M and builds no polynomial.  The verify
+suites only ever need [n, i] at q_hat mod p**N, so they read the residue
+rows; the polynomials serve `utt qbinom` and the exact evaluation at an
+int, which the tests compare the rows with.  The quotient-of-products
+form is deliberately not used here; it survives only as an independent
+oracle in the test suite.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable
+from operator import add
 
 from .errors import DomainError
 from .padic import PadicInt
 
-
-class QPoly:
-    """Polynomial in q with integer coefficients, stored ascending."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls((1,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int | None:
-        """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
-
-    def shifted(self, k: int) -> "QPoly":
-        """Multiply by q**k."""
-        if self.is_zero():
-            return self
-        return QPoly((0,) * k + self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __call__(self, x: int) -> int:
-        """Evaluate at an ordinary integer (Horner)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "QPoly(0)"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                parts.append(f"{head}q^{i}" if i > 1 else f"{head}q")
-        return "QPoly(" + " + ".join(parts).replace("+ -", "- ") + ")"
+# Polynomials qbinom keeps, so a long-lived process holds a bounded number;
+# each is the answer to one call, and no call keeps the rows it was built
+# from.  At the degree cap of `utt qbinom` an entry holds 2501 coefficients.
+QBINOM_CACHE_SIZE = 64
 
 
-# Rows of the q-Pascal triangle that one recursion may descend before it
-# reaches a row the memo already holds.
-QBINOM_STEP = 128
+@lru_cache(maxsize=QBINOM_CACHE_SIZE)
+def qbinom(n: int, i: int) -> tuple[int, ...]:
+    """Gaussian binomial [n choose i]_q, its coefficients ascending.
 
-
-@lru_cache(maxsize=None)
-def qbinom(n: int, i: int) -> QPoly:
-    """Gaussian binomial [n choose i]_q via the q-Pascal recurrence.
-
-    Out-of-range indices give the zero polynomial, matching the
+    Out-of-range indices give the zero polynomial (), matching the
     convention used by the matrix entry formulas.
 
-    The memo is filled bottom-up first, at every QBINOM_STEP-th row of
-    the cone of (n, i) in ascending order, so the recursion never runs
-    more than QBINOM_STEP rows deep, however large n is.
+    Rows m = 1..n are built in turn, and row m holds only the entries
+    j in [max(0, i - (n - m)), min(i, m)] from which [n, i] is reached,
+    so two rows are live at a time and nothing recurses.
     """
     if n < 0:
         raise DomainError("qbinom needs n >= 0")
     if i < 0 or i > n:
-        return QPoly.zero()
-    if i == 0 or i == n:
-        return QPoly.one()
-    for m in range(QBINOM_STEP, n, QBINOM_STEP):
-        for j in range(max(1, i - (n - m)), min(i, m - 1) + 1):
-            qbinom(m, j)
-    return qbinom(n - 1, i - 1) + qbinom(n - 1, i).shifted(i)
+        return ()
+    row, lo = [(1,)], 0
+    for m in range(1, n + 1):
+        new_lo = max(0, i - (n - m))
+        new = []
+        for j in range(new_lo, min(i, m) + 1):
+            a = list(row[j - 1 - lo]) if j > 0 else []  # [m-1, j-1]
+            if j < m:  # plus q**j * [m-1, j]
+                b = row[j - lo]
+                a += [0] * (j + len(b) - len(a))
+                a[j:] = map(add, a[j:], b)
+            new.append(tuple(a))
+        row, lo = new, new_lo
+    return row[0]
 
 
 # Bounded because the point and the modulus are the key: a sweep over
@@ -161,12 +100,15 @@ def qbinom_eval(n: int, i: int, x: PadicInt | int):
 
     At a PadicInt the value comes from the residue rows of
     qbinom_residue, and no polynomial is built.  At an int it is the
-    polynomial qbinom(n, i) evaluated by Horner on exact ints.
+    coefficients of qbinom(n, i) summed by Horner on exact ints.
     """
     if isinstance(x, PadicInt):
         ctx = x.ctx
         return PadicInt(ctx, qbinom_residue(n, i, x.residue, ctx.modulus))
-    return qbinom(n, i)(x)
+    acc = 0
+    for c in reversed(qbinom(n, i)):
+        acc = acc * x + c
+    return acc
 
 
 def binom(n: int, k: int) -> int:

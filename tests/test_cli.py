@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import hashlib
 import json
 import os
 import subprocess
@@ -347,25 +348,35 @@ def test_qbinom_command(capsys):
 
 
 def test_qbinom_command_at_large_n_exits_zero_quietly():
-    """A fresh process has a cold qbinom memo; n = 2000 must not reach the recursion limit."""
+    """A fresh process has a cold qbinom memo; n = 2000 builds 2000 rows and does not recurse."""
     proc = subprocess.run([sys.executable, "-m", "utt", "qbinom", "--n", "2000", "--k", "1"],
                           capture_output=True, env=child_env(), timeout=120)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert json.loads(proc.stdout) == [1] * 2000
 
 
-def _qbinom_in_child(n: int, k: int) -> subprocess.CompletedProcess:
-    """`utt qbinom` in a child that may map at most 512 MiB, so that a missing
-    limit ends in a MemoryError rather than in a host out of memory."""
-    limit = 512 << 20
+def _qbinom_in_child(n: int, k: int, limit: int = 512 << 20) -> subprocess.CompletedProcess:
+    """`utt qbinom` in a child that may map at most `limit` bytes, so that a
+    missing limit ends in a MemoryError rather than in a host out of memory."""
     code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
             f"from utt import cli; sys.exit(cli.main(['qbinom', '--n', '{n}', '--k', '{k}']))")
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env(), timeout=60)
 
 
+# sha256 of the stdout of `utt qbinom --n 100 --k 50`, the JSON coefficient list.
+QBINOM_100_50_SHA256 = "043b47ad655015ac666323a7c0c55a5d06f6598d47079ea95e9140cd95f5aece"
+
+
+def test_qbinom_at_the_degree_limit_fits_in_64_mib():
+    """[100, 50] has degree 2500, the cap; two rows of its cone fit in 64 MiB."""
+    proc = _qbinom_in_child(100, 50, limit=64 << 20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == QBINOM_100_50_SHA256
+
+
 def test_qbinom_above_the_degree_limit_exits_two_at_once():
-    """[400, 200] has degree 40000; its memo would need about 20 GiB."""
+    """[400, 200] has degree 40000, which the cap rejects before any work."""
     proc = _qbinom_in_child(400, 200)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (f"error: qbinom prints degree k(n-k) <= {cli.QBINOM_MAX_DEGREE}, "

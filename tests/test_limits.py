@@ -1,4 +1,4 @@
-"""Projective-limit compatibility of the basis kernels: reduction in N.
+"""Projective-limit compatibility: reduction in N, and in the window size W.
 
 A coefficient computed at precision N is one finite stage of a p-adic
 number.  The same computation at N + EXTRA knows more digits of that
@@ -6,6 +6,10 @@ number, so every digit the N-side triple claims must agree with the
 N + EXTRA triple.  This judge needs no second implementation; it sees a
 result that claims digits it does not know, which a check comparing two
 routes at one precision can miss when both routes share the kernel.
+
+A W x W window mod p**N is likewise one finite stage of an infinite
+matrix over Z_p, so every window builder must commute with truncation:
+its leading W' x W' block mod p**N' is the same builder at (W', N').
 """
 
 from __future__ import annotations
@@ -24,7 +28,10 @@ from utt.basis import (
     psi_action,
     required_precision,
 )
+from utt.conj import AFormMatrix, build_U
+from utt.ops import alpha, build_R, build_Xn
 from utt.padic import make_context
+from utt.utmat import UTWindow
 
 KMAX = 8
 EXTRA = 12
@@ -164,3 +171,54 @@ def test_g_expansion_mu0_agrees_across_precision():
         f = sum((g_poly(ctx, m, s).scale(a) for s, a in enumerate(coeffs)), BivarPoly.zero(ctx))
         mus.append([mu.triple() for mu in expand_in_g_basis(f)])
     assert all(honest(p, N, x, y) for x, y in zip(*mus, strict=True))
+
+
+# ------------------------------------------------------------------ windows
+
+WIDE = (16, 30)  # (W, N) the builders run at first
+NARROW = ((11, 20), (1, 1))  # the (W', N') each result is truncated to
+XN_MAX = 17
+DRAWS = 5
+
+
+def truncate(win: UTWindow, ctx, W: int) -> UTWindow:
+    """The leading W x W block of `win`, each entry reduced mod ctx's modulus."""
+    M = ctx.modulus
+    return UTWindow(ctx, W, [v % M for i, row in enumerate(win.rows()[:W]) for v in row[:W - i]])
+
+
+def _windows(ctx, W: int, coeff_vectors, c_forms) -> dict[str, UTWindow]:
+    """R, X_n and R**n for n <= XN_MAX, alpha of each vector and build_U of each C-form."""
+    R = build_R(ctx, W)
+    out = {"R": R}
+    for n in range(XN_MAX + 1):
+        out[f"X_{n}"] = build_Xn(ctx, n, W)
+        out[f"R^{n}"] = R**n
+    for k, coeffs in enumerate(coeff_vectors):
+        out[f"alpha#{k}"] = alpha([ctx.from_int(coeffs[0]), *coeffs[1:]], W)
+    for k, c in enumerate(c_forms):
+        out[f"U#{k}"] = build_U(c)
+    return out
+
+
+@pytest.mark.parametrize("pq", [(p, q) for p, q, _ in STANDARD_TRIPLES], ids=lambda t: f"p{t[0]}")
+def test_window_builders_commute_with_truncation(pq):
+    """Built at WIDE and truncated to each NARROW size, or built at that size: the same window.
+
+    The coefficient vectors and C-forms are drawn once at WIDE; the narrow
+    C-form is the truncation, read back through AFormMatrix.from_window.
+    """
+    p, q = pq
+    W, N = WIDE
+    wide_ctx = make_context(p, q, N)
+    rng = random.Random(p)
+    coeff_vectors = [[rng.randrange(wide_ctx.modulus) for _ in range(W + 4)] for _ in range(DRAWS)]
+    c_forms = [AFormMatrix.random(wide_ctx, W, rng, c_form=True) for _ in range(DRAWS)]
+    wide = _windows(wide_ctx, W, coeff_vectors, c_forms)
+    bad = []
+    for W2, N2 in NARROW:
+        ctx = make_context(p, q, N2)
+        narrow_forms = [AFormMatrix.from_window(truncate(c.to_window(), ctx, W2)) for c in c_forms]
+        narrow = _windows(ctx, W2, coeff_vectors, narrow_forms)
+        bad += [(W2, N2, name) for name, win in wide.items() if truncate(win, ctx, W2) != narrow[name]]
+    assert bad == []

@@ -1,9 +1,11 @@
-"""Gaussian binomials and integer polynomials in one variable."""
+"""Gaussian binomials: exact coefficient tuples and residue rows."""
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import pkgutil
 import random
 import sys
 from operator import mul
@@ -12,13 +14,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import utt
 from utt import cli, qcalc
 from utt.cli import emit_qpoly
 from utt.padic import make_context
 from utt.qcalc import (
     QBINOM_ROWS_CACHE_SIZE,
-    QBINOM_STEP,
-    QPoly,
     binom,
     qbinom,
     qbinom_eval,
@@ -101,13 +102,13 @@ def _eval_mod(coeffs, x_pows: list[int], M: int) -> int:
 
 
 def test_qbinom_frozen_values():
-    assert qbinom(2, 1).coeffs == (1, 1)
-    assert qbinom(4, 2).coeffs == (1, 1, 2, 1, 1)
+    assert qbinom(2, 1) == (1, 1)
+    assert qbinom(4, 2) == (1, 1, 2, 1, 1)
     for n in range(9):
-        assert qbinom(n, 0) == QPoly.one()
-        assert qbinom(n, n) == QPoly.one()
-    assert qbinom(3, 5) == QPoly.zero()
-    assert qbinom(3, -1) == QPoly.zero()
+        assert qbinom(n, 0) == (1,)
+        assert qbinom(n, n) == (1,)
+    assert qbinom(3, 5) == ()
+    assert qbinom(3, -1) == ()
     with pytest.raises(ValueError):
         qbinom(-1, 0)
 
@@ -115,7 +116,7 @@ def test_qbinom_frozen_values():
 @pytest.mark.parametrize("n", range(0, 11))
 def test_qbinom_matches_product_formula(n):
     for i in range(n + 1):
-        got = list(qbinom(n, i).coeffs)
+        got = list(qbinom(n, i))
         want = qbinom_product_formula(n, i)
         # strip trailing zeros from the oracle before comparing
         while len(want) > 1 and want[-1] == 0:
@@ -125,33 +126,44 @@ def test_qbinom_matches_product_formula(n):
 
 @pytest.mark.parametrize("i", [1, 2])
 def test_qbinom_deep_cold_cache_matches_product_formula(i):
-    """A cold memo is filled bottom-up, so n = 1000 does not exhaust the recursion limit."""
+    """A cold call builds row by row, so n = 1000 does not exhaust the recursion limit."""
     qbinom.cache_clear()
-    assert list(qbinom(1000, i).coeffs) == qbinom_product_formula(1000, i)
+    assert list(qbinom(1000, i)) == qbinom_product_formula(1000, i)
 
 
 def test_qbinom_recursion_depth_does_not_grow_with_n():
-    """With the limit a few QBINOM_STEPs above the current depth, n = 20 * QBINOM_STEP still works."""
+    """With the limit 50 frames above the current depth, n = 2560 still works."""
     qbinom.cache_clear()
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 3 * QBINOM_STEP + 50)
+    sys.setrecursionlimit(depth + 50)
     try:
-        got = qbinom(20 * QBINOM_STEP, 1)
+        got = qbinom(2560, 1)
     finally:
         sys.setrecursionlimit(limit)
-    assert got.coeffs == (1,) * (20 * QBINOM_STEP)
+    assert got == (1,) * 2560
 
 
 def test_qbinom_pascal_recurrences():
     """Both q-Pascal forms hold on a grid (the builder uses only one)."""
+
+    def add(a, b):
+        out = [0] * max(len(a), len(b))
+        for poly in (a, b):
+            for d, c in enumerate(poly):
+                out[d] += c
+        return tuple(out)
+
+    def shift(a, k):
+        return (0,) * k + a if a else a
+
     for n in range(1, 11):
         for i in range(0, n + 1):
             lhs = qbinom(n, i)
-            a = qbinom(n - 1, i - 1) + qbinom(n - 1, i).shifted(i)
-            b = qbinom(n - 1, i - 1).shifted(n - i) + qbinom(n - 1, i)
+            a = add(qbinom(n - 1, i - 1), shift(qbinom(n - 1, i), i))
+            b = add(shift(qbinom(n - 1, i - 1), n - i), qbinom(n - 1, i))
             assert lhs == a, (n, i)
             assert lhs == b, (n, i)
 
@@ -159,13 +171,11 @@ def test_qbinom_pascal_recurrences():
 def test_qbinom_specializations():
     for n in range(0, 11):
         for i in range(0, n + 1):
-            poly = qbinom(n, i)
-            assert poly(1) == math.comb(n, i)
-            assert poly(0) == 1
-            coeffs = list(poly.coeffs)
+            coeffs = qbinom(n, i)
+            assert qbinom_eval(n, i, 1) == math.comb(n, i)
+            assert qbinom_eval(n, i, 0) == 1
             assert coeffs == coeffs[::-1]  # palindromic
-            if 0 < i < n:
-                assert poly.degree == i * (n - i)
+            assert len(coeffs) - 1 == i * (n - i)  # the degree
 
 
 def test_qbinom_eval_frozen():
@@ -183,38 +193,6 @@ def test_binom_frozen():
     assert binom(5, -1) == 0
     with pytest.raises(ValueError):
         binom(-1, 0)
-
-
-# --------------------------------------------------------------- QPoly API
-
-
-small_polys = st.lists(st.integers(min_value=-9, max_value=9), max_size=6).map(QPoly)
-
-
-@given(small_polys, small_polys, small_polys)
-def test_qpoly_ring_laws(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert a + b == b + a
-    assert a + QPoly.zero() == a
-
-
-@given(small_polys, st.integers(min_value=-20, max_value=20))
-def test_qpoly_eval_is_hom(a, x):
-    b = QPoly([3, 0, -2])
-    assert (a + b)(x) == a(x) + b(x)
-    assert a.shifted(2)(x) == x**2 * a(x)
-
-
-@given(small_polys, st.integers(min_value=0, max_value=5))
-def test_qpoly_shift_is_monomial_mul(a, k):
-    assert a.shifted(k) == QPoly(_poly_mul(list(a.coeffs), [0] * k + [1]))
-
-
-def test_qpoly_trimming_and_degree():
-    assert QPoly([0, 0, 0]) == QPoly.zero()
-    assert QPoly.zero().degree is None
-    assert QPoly([5]).degree == 0
-    assert QPoly([1, 2, 0]).degree == 1
 
 
 def test_qbinom_eval_padic_matches_int_eval():
@@ -276,17 +254,30 @@ def _sampled_columns(n: int) -> set[int]:
     return {0, 1, 2, n // 3, n // 2, n - 2, n - 1, n}
 
 
+@pytest.fixture(scope="module")
+def exact_int_residues() -> dict:
+    """qbinom_eval(n, i, x) at an int, reduced mod M, for the points of every
+    row context: (n, i) outside and the contexts and points inside, so each
+    polynomial is built once."""
+    contexts = {triple: make_context(*triple) for triple in ROW_CONTEXTS}
+    points = {triple: _row_points(ctx) for triple, ctx in contexts.items()}
+    out = {triple: {} for triple in ROW_CONTEXTS}
+    for n in range(ROW_NMAX + 1):
+        for i in sorted(_sampled_columns(n)):
+            for triple, ctx in contexts.items():
+                for x in points[triple]:
+                    out[triple][n, i, x] = qbinom_eval(n, i, x) % ctx.modulus
+    return out
+
+
 @pytest.mark.parametrize("triple", ROW_CONTEXTS, ids=lambda t: "p{}q{}".format(*t))
-def test_rows_match_exact_int_branch_mod_m(triple, cold_rows):
+def test_rows_match_exact_int_branch_mod_m(triple, exact_int_residues, cold_rows):
     """The int branch evaluates the polynomial exactly; only then is it reduced."""
     ctx = make_context(*triple)
     M = ctx.modulus
-    for x in _row_points(ctx):
-        for n in range(ROW_NMAX + 1):
-            for i in sorted(_sampled_columns(n)):
-                assert qbinom_residue(n, i, x, M) == qbinom_eval(n, i, x) % M, (x, n, i)
-                assert qbinom_eval(n, i, ctx.from_int(x)).residue == qbinom_eval(n, i, x) % M
-    qbinom.cache_clear()  # the int branch filled the polynomial memo to n = 60
+    for (n, i, x), want in exact_int_residues[triple].items():
+        assert qbinom_residue(n, i, x, M) == want, (x, n, i)
+        assert qbinom_eval(n, i, ctx.from_int(x)).residue == want, (x, n, i)
 
 
 def test_rows_out_of_range_and_negative_n(ctx3, cold_rows):
@@ -328,7 +319,29 @@ def test_verify_builds_no_qbinom_polynomial(argv, capsys):
     assert qbinom.cache_info().currsize == 0
 
 
-@given(small_polys)
+def test_every_utt_memo_is_bounded():
+    """Every lru_cache at module level in utt has a finite maxsize."""
+    memos = {}
+    for info in pkgutil.iter_modules(utt.__path__, "utt."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                memos[f"{info.name}.{name}"] = obj.cache_info().maxsize
+    assert {"utt.qcalc.qbinom", "utt.qcalc._qbinom_rows", "utt.basis.c_poly",
+            "utt.ops._xn_chain"} <= memos.keys()
+    assert {name: size for name, size in memos.items() if size is None} == {}
+
+
+@given(st.lists(st.integers(min_value=-9, max_value=9), max_size=6).map(tuple))
 def test_qpoly_json_round_trip(a):
-    """`utt qbinom` JSON is the ascending coefficient list; it rebuilds the polynomial."""
-    assert QPoly(json.loads(emit_qpoly(a, "json"))) == a
+    """`utt qbinom` JSON is the ascending coefficient list; it rebuilds the tuple."""
+    assert tuple(json.loads(emit_qpoly(a, "json"))) == a
+
+
+def test_qpoly_pretty_frozen():
+    """The pretty form names each nonzero term, and () is QPoly(0)."""
+    assert emit_qpoly((), "pretty") == "QPoly(0)"
+    assert emit_qpoly((1,), "pretty") == "QPoly(1)"
+    assert emit_qpoly(qbinom(4, 2), "pretty") == "QPoly(1 + q + 2*q^2 + q^3 + q^4)"
+    assert emit_qpoly((3, 0, -1, 1, -2), "pretty") == "QPoly(3 - q^2 + q^3 - 2*q^4)"
+    assert emit_qpoly((0, -1, 0, 5), "pretty") == "QPoly(-q + 5*q^3)"
