@@ -152,11 +152,10 @@ def emit_qpoly(coeffs: tuple[int, ...], fmt: str) -> str:
         return ",".join(map(str, coeffs))
     parts = []
     for d, c in enumerate(coeffs):
-        if c and d == 0:
-            parts.append(str(c))
-        elif c:
-            head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-            parts.append(f"{head}q^{d}" if d > 1 else f"{head}q")
+        if c == 0:
+            continue
+        head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
+        parts.append(str(c) if d == 0 else f"{head}q^{d}" if d > 1 else f"{head}q")
     return "QPoly(" + (" + ".join(parts).replace("+ -", "- ") or "0") + ")"
 
 

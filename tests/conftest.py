@@ -135,12 +135,13 @@ def dense_product(a, b):
     )
 
 
-def sub_window(win, W2: int):
-    """The leading W2-by-W2 window of `win`, read from its rows."""
+def sub_window(win, W2: int, ctx=None):
+    """The leading W2-by-W2 window of `win`, read from its rows; with `ctx`
+    (the same p and q at a smaller N) each entry is reduced into it."""
     from utt.utmat import UTWindow
 
     assert 1 <= W2 <= win.W
-    return UTWindow(win.ctx, W2, [v for i, row in enumerate(win.rows()[:W2]) for v in row[:W2 - i]])
+    return UTWindow(ctx or win.ctx, W2, [v for i, row in enumerate(win.rows()[:W2]) for v in row[:W2 - i]])
 
 
 def multiplicative_order(a: int, modulus: int) -> int:

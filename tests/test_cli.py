@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import hashlib
+import io
 import json
 import os
 import subprocess

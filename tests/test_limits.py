@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from conftest import STANDARD_TRIPLES
+from conftest import STANDARD_TRIPLES, sub_window
 from utt.basis import (
     BivarPoly,
     c_poly,
@@ -181,12 +181,6 @@ XN_MAX = 17
 DRAWS = 5
 
 
-def truncate(win: UTWindow, ctx, W: int) -> UTWindow:
-    """The leading W x W block of `win`, each entry reduced mod ctx's modulus."""
-    M = ctx.modulus
-    return UTWindow(ctx, W, [v % M for i, row in enumerate(win.rows()[:W]) for v in row[:W - i]])
-
-
 def _windows(ctx, W: int, coeff_vectors, c_forms) -> dict[str, UTWindow]:
     """R, X_n and R**n for n <= XN_MAX, alpha of each vector and build_U of each C-form."""
     R = build_R(ctx, W)
@@ -218,7 +212,7 @@ def test_window_builders_commute_with_truncation(pq):
     bad = []
     for W2, N2 in NARROW:
         ctx = make_context(p, q, N2)
-        narrow_forms = [AFormMatrix.from_window(truncate(c.to_window(), ctx, W2)) for c in c_forms]
+        narrow_forms = [AFormMatrix.from_window(sub_window(c.to_window(), W2, ctx)) for c in c_forms]
         narrow = _windows(ctx, W2, coeff_vectors, narrow_forms)
-        bad += [(W2, N2, name) for name, win in wide.items() if truncate(win, ctx, W2) != narrow[name]]
+        bad += [(W2, N2, name) for name, win in wide.items() if sub_window(win, W2, ctx) != narrow[name]]
     assert bad == []
