@@ -1,8 +1,8 @@
 """Bivariate polynomials over scaled p-adics and the integral basis.
 
 Polynomials live in span{u**a * v**b} with scaled p-adic coefficients, so
-negative powers of p are first-class.  They are stored by total degree,
-one coefficient tuple per weight, since the distinguished family
+negative powers of p are first-class.  Each is homogeneous and stored as
+its weight and one coefficient tuple, since the distinguished family
 
     c_k = prod_{i<k} (v - q_hat**i * u) / (q_hat**k - q_hat**i)
     f_k = p**nu(k!) * c_k
@@ -70,10 +70,10 @@ def _residue_powers(x: int, e: int, M: int) -> list[int]:
 
 
 def _horner_values(ctx: PadicContext, row: Sequence[Triple], ts: Sequence[int]) -> list[Triple]:
-    """One part at (u, v) = (1, t) for each unit residue t in ts.
+    """A nonzero polynomial at (u, v) = (1, t) for each unit residue t in ts.
 
-    row is a part's coefficient tuple, entry b the triple of
-    u**(n-b) * v**b.  Horner in decreasing b,
+    row is its coefficient tuple, entry b the triple of u**(n-b) * v**b.
+    Horner in decreasing b,
 
         H_b = H_(b+1) * t + unit_b * p**(val_b - low),
 
@@ -112,53 +112,48 @@ def _horner_values(ctx: PadicContext, row: Sequence[Triple], ts: Sequence[int]) 
     return out
 
 
-def _trim(rows: Mapping[int, Sequence[Triple]]) -> dict[int, tuple[Triple, ...]]:
-    """Rows as parts: in increasing weight, trailing zeros cut, empty rows dropped."""
-    parts = {}
-    for n in sorted(rows):
-        row = rows[n]  # a list, or a tuple that already ends in a nonzero coefficient
-        while row and row[-1] is None:
-            row.pop()
-        if row:
-            parts[n] = tuple(row)
-    return parts
-
-
 class BivarPoly:
-    """Polynomial in two variables u, v with scaled p-adic coefficients.
+    """Homogeneous polynomial in two variables u, v with scaled p-adic coefficients.
 
-    parts maps each weight n, in increasing order, to a tuple whose
-    entry b is the (val, unit, sig) triple of utt.padic of u**(n-b) *
-    v**b, or None for zero; no tuple ends in None, so equal terms give
-    equal parts.  Instances are never mutated.  Coefficients cross the
-    API as PadicScaled.  Sums run in one canonical order, by weight and
-    then by decreasing b, which decides where realignment loses digits.
+    n is the weight, the total degree of every term, or None for zero;
+    coeffs[b] is the (val, unit, sig) triple of utt.padic of u**(n-b) *
+    v**b, or None for zero, and coeffs never ends in None, so equal terms
+    give equal coeffs.  Terms of two weights, in the constructor or
+    under +, raise DomainError.  Instances are never mutated.
+    Coefficients cross the API as PadicScaled.  Sums run in one canonical
+    order, by decreasing b, which decides where realignment loses digits.
     """
 
-    __slots__ = ("ctx", "parts")
+    __slots__ = ("ctx", "n", "coeffs")
 
     def __init__(self, ctx: PadicContext, terms: Mapping[tuple[int, int], PadicScaled]):
-        rows: dict[int, list[Triple]] = {}
+        n, row = None, []
         for (a, b), coeff in terms.items():
             if a < 0 or b < 0:
                 raise BadIndexError(f"negative exponent pair ({a},{b})")
             t = _to_triple(ctx, coeff)
             if t is not None:
-                row = rows.setdefault(a + b, [])
+                if n is None:
+                    n = a + b
+                elif a + b != n:
+                    raise DomainError(f"terms of weights {n} and {a + b}: a BivarPoly is homogeneous")
                 row.extend([None] * (b + 1 - len(row)))
                 row[b] = t
-        self.ctx, self.parts = ctx, _trim(rows)
+        self.ctx, self.n, self.coeffs = ctx, n, tuple(row)
 
     @classmethod
-    def _wrap(cls, ctx: PadicContext, parts: dict[int, tuple[Triple, ...]]) -> "BivarPoly":
-        """Wrap parts that already keep the invariants of the class."""
+    def _wrap(cls, ctx: PadicContext, n: int | None, row: Sequence[Triple]) -> "BivarPoly":
+        """The weight-n polynomial of a coefficient row, its trailing zeros cut; all zeros give zero."""
+        end = len(row)
+        while end and row[end - 1] is None:
+            end -= 1
         poly = object.__new__(cls)
-        poly.ctx, poly.parts = ctx, parts
+        poly.ctx, poly.n, poly.coeffs = ctx, n if end else None, tuple(row[:end])
         return poly
 
     @classmethod
     def zero(cls, ctx: PadicContext) -> "BivarPoly":
-        return cls._wrap(ctx, {})
+        return cls._wrap(ctx, None, ())
 
     @classmethod
     def monomial(cls, ctx: PadicContext, a: int, b: int, coeff=1) -> "BivarPoly":
@@ -169,21 +164,21 @@ class BivarPoly:
         return cls.monomial(ctx, 1, 0)
 
     def is_zero(self) -> bool:
-        return not self.parts
+        return not self.coeffs
 
     def weight(self) -> int | None:
-        """Common total degree of all terms, or None if mixed or zero."""
-        return next(iter(self.parts)) if len(self.parts) == 1 else None
+        """Total degree of every term, or None for zero."""
+        return self.n
 
     @property
     def terms(self) -> Mapping[tuple[int, int], Triple]:
-        """The nonzero coefficients as {(a, b): triple}, by weight and then b; read-only."""
-        return MappingProxyType({(n - b, b): t for n, row in self.parts.items()
-                                 for b, t in enumerate(row) if t is not None})
+        """The nonzero coefficients as {(a, b): triple}, by increasing b; read-only."""
+        n = self.n
+        return MappingProxyType({(n - b, b): t for b, t in enumerate(self.coeffs) if t is not None})
 
     def coefficient(self, a: int, b: int) -> PadicScaled:
-        row = self.parts.get(a + b, ())
-        return PadicScaled._from_triple(self.ctx, row[b] if 0 <= b < len(row) else None)
+        row = self.coeffs
+        return PadicScaled._from_triple(self.ctx, row[b] if a + b == self.n and 0 <= b < len(row) else None)
 
     def _check(self, other: "BivarPoly") -> None:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
@@ -191,87 +186,85 @@ class BivarPoly:
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
         self._check(other)
-        p = self.ctx.p
-        rows: dict[int, Sequence[Triple]] = dict(self.parts)
-        for n, ys in other.parts.items():
-            acc = list(rows.get(n, ()))
-            acc.extend([None] * (len(ys) - len(acc)))
-            for b, y in enumerate(ys):
-                acc[b] = scaled_add(p, acc[b], y)
-            rows[n] = acc
-        return BivarPoly._wrap(self.ctx, _trim(rows))
+        if other.n is None:
+            return self
+        if self.n is None:
+            return BivarPoly._wrap(self.ctx, other.n, other.coeffs)
+        if self.n != other.n:
+            raise DomainError(f"sum of weights {self.n} and {other.n}: a BivarPoly is homogeneous")
+        p, ys = self.ctx.p, other.coeffs
+        acc = list(self.coeffs)
+        acc.extend([None] * (len(ys) - len(acc)))
+        for b, y in enumerate(ys):
+            acc[b] = scaled_add(p, acc[b], y)
+        return BivarPoly._wrap(self.ctx, self.n, acc)
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
-        """Each pair of parts convolved over b, term products by scaled_mul's rule on unpacked
+        """The coefficient rows convolved over b, term products by scaled_mul's rule on unpacked
         triples, summed by scaled_add in the left's canonical order (b2 up meets b1 down)."""
         self._check(other)
+        xs, ys = self.coeffs, other.coeffs
+        if not xs or not ys:
+            return BivarPoly.zero(self.ctx)
         p, pw = self.ctx.p, _p_powers(self.ctx.p, self.ctx.N)
-        rows: dict[int, list[Triple]] = {}
-        for n1, xs in self.parts.items():
-            for n2, ys in other.parts.items():
-                acc = rows.setdefault(n1 + n2, [])
-                acc.extend([None] * (len(xs) + len(ys) - 1 - len(acc)))
-                for b2, y in enumerate(ys):
-                    if y is None:
-                        continue
-                    v2, u2, s2 = y
-                    for b, x in enumerate(xs, b2):  # b = b1 + b2
-                        if x is not None:
-                            v1, u1, s1 = x
-                            s = s1 if s1 < s2 else s2
-                            prod = (v1 + v2, u1 * u2 % pw[s], s)
-                            prev = acc[b]
-                            acc[b] = prod if prev is None else scaled_add(p, prev, prod)
-        return BivarPoly._wrap(self.ctx, _trim(rows))
+        acc: list[Triple] = [None] * (len(xs) + len(ys) - 1)
+        for b2, y in enumerate(ys):
+            if y is None:
+                continue
+            v2, u2, s2 = y
+            for b, x in enumerate(xs, b2):  # b = b1 + b2
+                if x is not None:
+                    v1, u1, s1 = x
+                    s = s1 if s1 < s2 else s2
+                    prod = (v1 + v2, u1 * u2 % pw[s], s)
+                    prev = acc[b]
+                    acc[b] = prod if prev is None else scaled_add(p, prev, prod)
+        return BivarPoly._wrap(self.ctx, self.n + other.n, acc)
 
     def scale(self, factor) -> "BivarPoly":
-        p, f = self.ctx.p, _to_triple(self.ctx, factor)  # a zero factor leaves rows of None
-        return BivarPoly._wrap(self.ctx, _trim({n: [scaled_mul(p, t, f) for t in row]
-                                                for n, row in self.parts.items()}))
+        p, f = self.ctx.p, _to_triple(self.ctx, factor)  # a zero factor gives a row of None
+        return BivarPoly._wrap(self.ctx, self.n, [scaled_mul(p, t, f) for t in self.coeffs])
 
     def scale_p(self, m: int) -> "BivarPoly":
         """Multiply by p**m (m may be negative); p**0 gives self back unchanged."""
         if m == 0:
             return self
-        return BivarPoly._wrap(self.ctx, {n: tuple([None if t is None else (t[0] + m, t[1], t[2])
-                                                 for t in row]) for n, row in self.parts.items()})
+        return BivarPoly._wrap(self.ctx, self.n, [None if t is None else (t[0] + m, t[1], t[2])
+                                                  for t in self.coeffs])
 
     def substitute(self, u_value: PadicInt | int, v_value: PadicInt | int) -> PadicScaled:
         """Evaluate at ring elements (u, v) = (u_value, v_value).
 
-        The terms are summed one by one with scaled_add, in sorted
-        exponent order (a part read in decreasing b), each the scaled_mul
-        of its coefficient and the residue of its monomial, from tables
-        of u**a and v**b mod p**N built for this call.  So a term whose
-        monomial residue has valuation w knows val + min(sig + w, N)
-        absolute digits, a monomial that evaluates to zero adds nothing,
-        and the sum starts afresh from the exact zero whenever a partial
-        sum cancels through its known digits.
+        The terms are summed one by one with scaled_add, in decreasing b
+        (which is sorted exponent order), each the scaled_mul of its
+        coefficient and the residue of its monomial, from tables of u**a
+        and v**b mod p**N built for this call.  So a term whose monomial
+        residue has valuation w knows val + min(sig + w, N) absolute
+        digits, a monomial that evaluates to zero adds nothing, and the
+        sum starts afresh from the exact zero whenever a partial sum
+        cancels through its known digits.
         """
-        ctx, parts = self.ctx, self.parts
+        ctx, n, row = self.ctx, self.n, self.coeffs
         p, N, M = ctx.p, ctx.N, ctx.modulus
         u, v = ctx.residue(u_value), ctx.residue(v_value)
-        u_pows = _residue_powers(u, max(parts, default=0), M)
-        v_pows = _residue_powers(v, max(map(len, parts.values()), default=1) - 1, M)
         acc = None
-        for a, b, t in sorted((n - b, b, t) for n, row in parts.items() for b, t in enumerate(row)
-                              if t is not None):
-            acc = scaled_add(p, acc, scaled_mul(p, t, scaled_from_residue(p, N, u_pows[a] * v_pows[b] % M)))
+        if row:
+            u_pows = _residue_powers(u, n, M)
+            v_pows = _residue_powers(v, len(row) - 1, M)
+            for b in reversed(range(len(row))):
+                if row[b] is not None:
+                    r = u_pows[n - b] * v_pows[b] % M
+                    acc = scaled_add(p, acc, scaled_mul(p, row[b], scaled_from_residue(p, N, r)))
         return PadicScaled._from_triple(ctx, acc)
-
-    def graded_parts(self) -> dict[int, "BivarPoly"]:
-        """Split into homogeneous pieces keyed by total degree."""
-        return {n: BivarPoly._wrap(self.ctx, {n: row}) for n, row in self.parts.items()}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BivarPoly):
             return NotImplemented
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             return False
-        p = self.ctx.p  # identical parts agree on every digit, so no scaled_eq runs on them
-        return self.parts == other.parts or self.parts.keys() == other.parts.keys() and all(
-            len(xs) == len(ys) and all(map(scaled_eq, [p] * len(xs), xs, ys))
-            for xs, ys in zip(self.parts.values(), other.parts.values()))
+        xs, ys = self.coeffs, other.coeffs  # identical rows agree on every digit, so no scaled_eq runs
+        return self.n == other.n and (xs == ys or len(xs) == len(ys) and all(
+            map(scaled_eq, [self.ctx.p] * len(xs), xs, ys)))
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -323,7 +316,7 @@ def c_poly(ctx: PadicContext, k: int) -> BivarPoly:
     for coeff in num:  # +-e_{k-b}(1, q_hat, ..., q_hat**(k-1)), never zero
         v = nu_int(p, coeff)
         row.append((v - d, (coeff // p**v) * den_unit_inv % ctx.modulus, ctx.N))
-    return BivarPoly._wrap(ctx, {k: tuple(row)})
+    return BivarPoly._wrap(ctx, k, row)
 
 
 def f_poly(ctx: PadicContext, k: int) -> BivarPoly:
@@ -350,7 +343,7 @@ def big_F(ctx: PadicContext, i: int, j: int, k: int, raw: bool = False) -> Bivar
         if j < nu and i != 0:
             raise BadIndexError(f"basis element with j < nu({k}!) = {nu} needs i = 0, got i={i}")
     f = c_poly(ctx, k).scale_p(nu - j)
-    return BivarPoly._wrap(ctx, {n + i + j: row for n, row in f.parts.items()})
+    return BivarPoly._wrap(ctx, f.n + i + j, f.coeffs)
 
 
 def g_poly(ctx: PadicContext, m: int, l: int) -> BivarPoly:
@@ -372,17 +365,16 @@ def beta(p: int, m: int, i: int) -> int:
 
 def psi_action(f: BivarPoly) -> BivarPoly:
     """The ring map fixing u and sending v to q_hat * v."""
-    ctx, p = f.ctx, f.ctx.p
-    q_pows = _residue_powers(ctx.q_hat_residue, max(map(len, f.parts.values()), default=1) - 1, ctx.modulus)
+    ctx, p, row = f.ctx, f.ctx.p, f.coeffs
+    q_pows = _residue_powers(ctx.q_hat_residue, len(row) - 1, ctx.modulus)
     qs = [scaled_from_residue(p, ctx.N, r) for r in q_pows]
-    return BivarPoly._wrap(ctx, {n: tuple(map(scaled_mul, [p] * len(row), row, qs))
-                                 for n, row in f.parts.items()})
+    return BivarPoly._wrap(ctx, f.n, tuple(map(scaled_mul, [p] * len(row), row, qs)))
 
 
 def expand_in_c_basis(f: BivarPoly) -> list[PadicScaled]:
     """Coefficients lambda_0..lambda_n of f over {u**(n-s) * c_s}.
 
-    f must be homogeneous of some weight n.  Works by evaluation at
+    f must be nonzero, of weight n.  Works by evaluation at
     (1, q_hat**s) for s = 0..n: every c_r with r > s vanishes there and
     c_s evaluates to 1, so the evaluations determine the coefficients
     through the triangular system
@@ -403,12 +395,12 @@ def expand_in_c_basis(f: BivarPoly) -> list[PadicScaled]:
     ctx = f.ctx
     n = f.weight()
     if n is None:
-        raise DomainError("expansion needs a nonzero homogeneous polynomial")
+        raise DomainError("expansion needs a nonzero polynomial")
     q_hat = ctx.q_hat()
     points = _residue_powers(ctx.q_hat_residue, n, ctx.modulus)
     out: list[PadicScaled] = []
     nonzero: list[tuple[int, PadicScaled]] = []  # (r, lambda_r) with lambda_r != 0
-    for s, value in enumerate(_horner_values(ctx, f.parts[n], points)):
+    for s, value in enumerate(_horner_values(ctx, f.coeffs, points)):
         acc = PadicScaled._from_triple(ctx, value)
         for r, lam in nonzero:
             acc = acc - lam * qbinom_eval(s, r, q_hat)
@@ -431,7 +423,7 @@ class IntegralityResult(NamedTuple):
 
 def check_integrality(f: BivarPoly) -> IntegralityResult:
     cond1 = all(lam.is_padic_integer() for lam in expand_in_c_basis(f))
-    cond2 = all(t[0] >= -n for n, row in f.parts.items() for t in row if t is not None)
+    cond2 = all(t[0] >= -f.n for t in f.coeffs if t is not None)
     return IntegralityResult(cond1=cond1, cond2=cond2)
 
 
@@ -452,19 +444,17 @@ def sample_integrality(f: BivarPoly, trials: int, rng) -> bool:
     Probes the coefficient-reading points (1, q_hat**j) first: if any
     expansion coefficient fails to be integral, the first failing one
     appears undiluted at its own reading point, so these probes refute
-    every condition-(1) failure.  Each part reads all its points in one
-    Horner pass, before any random draw.  The remaining trials draw
-    random u, v in 1 + pZ_p as independent spot checks.
+    every condition-(1) failure.  All the points are read in one Horner
+    pass, before any random draw.  The remaining trials draw random u, v
+    in 1 + pZ_p as independent spot checks.
     """
     ctx = f.ctx
     p, M = ctx.p, ctx.modulus
-    points = _residue_powers(ctx.q_hat_residue, max(f.parts, default=0), M)
-    if not all(t is None or t[0] >= 0 for n, row in f.parts.items()
-               for t in _horner_values(ctx, row, points[:n + 1])):
+    if f.coeffs and not all(t is None or t[0] >= 0 for t in _horner_values(
+            ctx, f.coeffs, _residue_powers(ctx.q_hat_residue, f.n, M))):
         return False
-    parts = f.graded_parts()
     for _ in range(trials):
         u_val, v_val = 1 + p * rng.randrange(M // p), 1 + p * rng.randrange(M // p)
-        if not all(part.substitute(u_val, v_val).is_padic_integer() for part in parts.values()):
+        if not f.substitute(u_val, v_val).is_padic_integer():
             return False
     return True

@@ -221,6 +221,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 # at degree 2500 the peak RSS was at most 18 MiB and 0.09 s (n = 100,
 # k = 50), at degree 10000 45 MiB and 0.9 s; the time grows about as the
 # degree squared, so `--n 400 --k 200` (degree 40000) would take some 15 s.
+# [n, 0] and [n, n] have degree 0 at any n; qbinom returns them at once.
 QBINOM_MAX_DEGREE = 2500
 
 

@@ -26,7 +26,7 @@ plain (val, unit, sig) triples with None for zero: PadicScaled and each
 BivarPoly coefficient tuple call them.  Inline copies are kept in step:
 the product rule in the convolution of BivarPoly.__mul__, and the sum
 rule, reset to the exact zero included, in the Horner kernel
-utt.basis._horner_values, which evaluates one part at unit points.
+utt.basis._horner_values, which evaluates a polynomial at unit points.
 """
 
 from __future__ import annotations

@@ -44,6 +44,8 @@ def qbinom(n: int, i: int) -> tuple[int, ...]:
         raise DomainError("qbinom needs n >= 0")
     if i < 0 or i > n:
         return ()
+    if i in (0, n):  # degree 0: no row needs building
+        return (1,)
     row, lo = [(1,)], 0
     for m in range(1, n + 1):
         new_lo = max(0, i - (n - m))

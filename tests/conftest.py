@@ -259,13 +259,17 @@ LOW_CTX = make_context(3, 2, 6)  # few digits, so products realign and cancel
 
 
 @st.composite
-def low_precision_terms(draw, sizes=st.integers(0, 5)):
-    """{(a, b): PadicScaled} in LOW_CTX with colliding exponents, sig in 1..N."""
+def low_precision_terms(draw, sizes=st.integers(0, 5), weights=st.integers(0, 4)):
+    """{(a, b): PadicScaled} in LOW_CTX of one drawn weight n, sig in 1..N.
+
+    b is drawn in 0..n, so keys collide, rows have gaps, and the top
+    coefficients of a weight are often zero.
+    """
     p, N = LOW_CTX.p, LOW_CTX.N
-    out = {}
+    n, out = draw(weights), {}
     for _ in range(draw(sizes)):
-        key = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        b = draw(st.integers(0, n))
         sig = draw(st.integers(1, N))
         unit = draw(st.integers(1, p**sig - 1).filter(lambda u: u % p))
-        out[key] = PadicScaled(LOW_CTX, draw(st.integers(-3, 3)), unit, sig)
+        out[(n - b, b)] = PadicScaled(LOW_CTX, draw(st.integers(-3, 3)), unit, sig)
     return out

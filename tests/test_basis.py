@@ -35,7 +35,7 @@ from utt.basis import (
     sample_integrality,
 )
 from utt.cli import emit_bivar
-from utt.errors import BadIndexError, ContextMismatchError, PrecisionExhaustedError
+from utt.errors import BadIndexError, ContextMismatchError, DomainError, PrecisionExhaustedError
 from utt.padic import PadicScaled, make_context, nu_factorial, nu_int
 from utt.qcalc import qbinom_eval
 
@@ -51,9 +51,11 @@ def test_bivar_construction_and_weight(ctx):
     assert u.weight() == 1 and v.weight() == 1
     assert (u * v).weight() == 2
     assert (u + v).weight() == 1
-    assert (u * u + v).weight() is None  # mixed degrees
     assert BivarPoly.zero(ctx).weight() is None
-    assert BivarPoly.monomial(ctx, 0, 0).weight() == 0
+    one = BivarPoly.monomial(ctx, 0, 0)  # the coefficient tuple of u, at weight 0
+    assert one.weight() == 0
+    assert one.coeffs == u.coeffs and one != u and u != one
+    assert u.coefficient(0, 0).is_zero() and not one.coefficient(0, 0).is_zero()
 
 
 def test_bivar_rejects_negative_exponents(ctx):
@@ -70,22 +72,18 @@ def test_bivar_drops_zero_terms(ctx):
     assert (u + u.scale(-1)).is_zero()
 
 
+def _rand_poly(ctx, rng, n: int, top: int):
+    """Three draws of u**(n-b) * v**b with b < 3 and coefficients in 1..top-1."""
+    return BivarPoly(ctx, {(n - b, b): PadicScaled.from_int(ctx, rng.randrange(1, top))
+                           for b in (rng.randrange(min(n, 2) + 1) for _ in range(3))})
+
+
 def test_bivar_ring_laws(ctx):
+    """The sums draw their operands at one weight, which changes between rounds."""
     rng = random.Random(12)
-
-    def rand_poly():
-        return BivarPoly(
-            ctx,
-            {
-                (rng.randrange(3), rng.randrange(3)): PadicScaled.from_int(
-                    ctx, rng.randrange(1, 50)
-                )
-                for _ in range(3)
-            },
-        )
-
     for _ in range(10):
-        a, b, c = rand_poly(), rand_poly(), rand_poly()
+        n = rng.randrange(4)
+        a, b, c = (_rand_poly(ctx, rng, n, 50) for _ in range(3))
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
         assert (a * b) * c == a * (b * c)
@@ -96,8 +94,8 @@ def test_bivar_ring_laws(ctx):
 
 
 def _canonical(terms: dict) -> dict:
-    """The terms in BivarPoly's summation order: by weight, then by decreasing b."""
-    return dict(sorted(terms.items(), key=lambda item: (sum(item[0]), -item[0][1])))
+    """The terms in BivarPoly's summation order: by decreasing b."""
+    return dict(sorted(terms.items(), key=lambda item: -item[0][1]))
 
 
 @settings(max_examples=200)
@@ -112,13 +110,16 @@ def test_bivar_product_matches_reference(x, y):
 @settings(max_examples=200)
 @given(low_precision_terms(), st.randoms(use_true_random=False))
 def test_bivar_parts_do_not_depend_on_dict_order(terms, rnd):
-    """The same terms in another dict order build the same parts, in increasing weight."""
+    """The same terms in another dict order build the same weight and coefficient tuple,
+    which ends in a nonzero coefficient."""
     items = list(terms.items())
     rnd.shuffle(items)
-    poly = BivarPoly(LOW_CTX, terms)
-    assert BivarPoly(LOW_CTX, dict(items)).parts == poly.parts
-    assert list(poly.parts) == sorted(poly.parts)
-    assert all(row and row[-1] is not None for row in poly.parts.values())
+    poly, other = BivarPoly(LOW_CTX, terms), BivarPoly(LOW_CTX, dict(items))
+    assert (other.n, other.coeffs) == (poly.n, poly.coeffs)
+    if terms:
+        assert poly.n == sum(next(iter(terms))) and poly.coeffs[-1] is not None
+    else:
+        assert poly.n is None and poly.coeffs == ()
 
 
 @settings(max_examples=200)
@@ -183,28 +184,30 @@ def test_psi_action_matches_reference(terms):
 def test_bivar_sum_that_cancels_one_key_drops_only_that_key(terms, data):
     poly = BivarPoly(LOW_CTX, terms)
     gone = data.draw(st.sampled_from(sorted(poly.terms)))
-    extra = {(3 + a, b): c for (a, b), c in data.draw(low_precision_terms()).items()}
+    extra = {key: c for key, c in data.draw(low_precision_terms(weights=st.just(poly.n))).items()
+             if key not in poly.terms}
     other = BivarPoly(LOW_CTX, {gone: -poly.coefficient(*gone), **extra})
     want = {key: t for key, t in {**poly.terms, **other.terms}.items() if key != gone}
     got = (poly + other).terms
     assert got == want
-    assert list(got) == sorted(want, key=lambda key: (sum(key), key[1]))
+    assert list(got) == sorted(want, key=lambda key: key[1])
 
 
 def test_bivar_substitute_sums_in_sorted_order():
     """A partial sum that cancels to zero forgets its precision, so the order shows.
 
-    In sorted order 1 + (-1), both known to 2 digits, cancels first and the
-    full-precision u**2 term is added to zero.  Any order that adds the
-    u**2 term before the cancellation keeps only 2 digits.  This is known
-    behaviour, shared with scaled_add: the result claims 6 digits of a sum
-    known mod p**2, and tracking inexact zeros will turn it into (0, 1, 2).
+    In sorted order, which is decreasing b, v**2 + (-1) * u*v, both known
+    to 2 digits, cancels first and the full-precision u**2 term is added
+    to zero.  Any order that adds the u**2 term before the cancellation
+    keeps only 2 digits.  This is known behaviour, shared with scaled_add:
+    the result claims 6 digits of a sum known mod p**2, and tracking
+    inexact zeros will turn it into (0, 1, 2).
     """
     p = LOW_CTX.p
     poly = BivarPoly(LOW_CTX, {
         (2, 0): PadicScaled(LOW_CTX, 0, 1, 6),
-        (1, 0): PadicScaled(LOW_CTX, 0, p**2 - 1, 2),
-        (0, 0): PadicScaled(LOW_CTX, 0, 1, 2),
+        (1, 1): PadicScaled(LOW_CTX, 0, p**2 - 1, 2),
+        (0, 2): PadicScaled(LOW_CTX, 0, 1, 2),
     })
     assert poly.substitute(1, 1).triple() == ref_substitute(poly, 1, 1).triple() == (0, 1, 6)
 
@@ -240,12 +243,13 @@ def test_bivar_substitute_is_evaluation(ctx):
 def test_bivar_substitute_respects_products(ctx):
     rng = random.Random(13)
     a = BivarPoly.monomial(ctx, 1, 0, 4) + BivarPoly.monomial(ctx, 0, 1, 1)
-    b = BivarPoly.monomial(ctx, 0, 2, 2) + BivarPoly.monomial(ctx, 0, 0)
+    b = BivarPoly.monomial(ctx, 0, 2, 2) + BivarPoly.monomial(ctx, 2, 0)
+    c = BivarPoly.monomial(ctx, 0, 1, 5)
     for _ in range(5):
         u = ctx.from_int(rng.randrange(1, ctx.modulus))
         v = ctx.from_int(rng.randrange(1, ctx.modulus))
         assert (a * b).substitute(u, v) == a.substitute(u, v) * b.substitute(u, v)
-        assert (a + b).substitute(u, v) == a.substitute(u, v) + b.substitute(u, v)
+        assert (a + c).substitute(u, v) == a.substitute(u, v) + c.substitute(u, v)
 
 
 STANDARD_CONTEXTS = [make_context(*t) for t in STANDARD_TRIPLES]
@@ -253,12 +257,13 @@ STANDARD_CONTEXTS = [make_context(*t) for t in STANDARD_TRIPLES]
 
 @st.composite
 def wide_polys(draw):
-    """A BivarPoly of mixed degree, exponents up to 12, at a standard context."""
+    """A BivarPoly of weight up to 24, exponents up to 12, at a standard context."""
     ctx = draw(st.sampled_from(STANDARD_CONTEXTS))
     p, N = ctx.p, ctx.N
-    terms = {}
+    n, terms = draw(st.integers(0, 24)), {}
     for _ in range(draw(st.integers(0, 8))):
-        key = (draw(st.integers(0, 12)), draw(st.integers(0, 12)))
+        b = draw(st.integers(max(0, n - 12), min(n, 12)))
+        key = (n - b, b)
         sig = draw(st.integers(1, N))
         unit = draw(st.integers(1, p**sig - 1).filter(lambda u: u % p))
         terms[key] = PadicScaled(ctx, draw(st.integers(-6, 6)), unit, sig)
@@ -289,7 +294,7 @@ def test_substitute_of_zero_and_exponent_zero(ctx):
         (BivarPoly.monomial(ctx, 0, 0, 7), 0, 0, 7),
         (BivarPoly.monomial(ctx, 0, 3, 1), 0, 2, 8),
         (BivarPoly.monomial(ctx, 2, 0, 1), 3, 0, 9),
-        (BivarPoly.monomial(ctx, 2, 0, 1) + BivarPoly.monomial(ctx, 0, 1, 1), 3, 0, 9),
+        (BivarPoly.monomial(ctx, 2, 0, 1) + BivarPoly.monomial(ctx, 1, 1, 1), 3, 0, 9),
         (BivarPoly.monomial(ctx, 1, 1, 1), 0, 5, 0),
     ]
     for poly, u, v, want in cases:
@@ -307,12 +312,19 @@ def _near_units(p: int, sig: int) -> list[int]:
 
 
 def _cancelling_terms(ctx, draw_int) -> dict:
-    """{(a, b): PadicScaled} with few digits, valuations -2..2 and units near +-1."""
-    out = {}
-    for _ in range(draw_int(0, 6)):
+    """{(a, b): PadicScaled} of one weight n in 2..8, up to 10 draws, few digits, valuations
+    -2..2 and units near +-1.
+
+    Where u or v is 0 or p, the monomials of one weight differ in valuation
+    and fewer terms meet, so a weight below 2 or fewer draws leave the seeded
+    sample short of its 50 cancellations.
+    """
+    n, out = draw_int(2, 8), {}
+    for _ in range(draw_int(0, 10)):
         sig = draw_int(1, 3) if draw_int(0, 3) else draw_int(1, ctx.N)
         units = _near_units(ctx.p, sig)
-        out[(draw_int(0, 2), draw_int(0, 2))] = PadicScaled(
+        b = draw_int(0, n)
+        out[(n - b, b)] = PadicScaled(
             ctx, draw_int(-2, 2), units[draw_int(0, len(units) - 1)], sig)
     return out
 
@@ -370,13 +382,13 @@ def test_substitute_one_pass_matches_the_chain_on_a_fixed_sample():
 def test_substitute_keeps_the_least_precision_and_skips_vanishing_monomials():
     p = LOW_CTX.p
     # 1 to 2 digits plus 1 to 6 digits knows 2 digits.
-    poly = BivarPoly(LOW_CTX, {(0, 0): PadicScaled(LOW_CTX, 0, 1, 2), (1, 0): PadicScaled(LOW_CTX, 0, 1, 6)})
+    poly = BivarPoly(LOW_CTX, {(0, 1): PadicScaled(LOW_CTX, 0, 1, 2), (1, 0): PadicScaled(LOW_CTX, 0, 1, 6)})
     assert poly.substitute(1, 1).triple() == (0, 2, 2)
     # At u = 0 the u-term is no summand, so its 3 absolute digits do not cap the sum.
-    poly = BivarPoly(LOW_CTX, {(0, 0): PadicScaled(LOW_CTX, 0, 1, 6), (1, 0): PadicScaled(LOW_CTX, -3, 1, 6)})
+    poly = BivarPoly(LOW_CTX, {(0, 1): PadicScaled(LOW_CTX, 0, 1, 6), (1, 0): PadicScaled(LOW_CTX, -3, 1, 6)})
     assert poly.substitute(0, 1).triple() == (0, 1, 6)
     # u = p lends the 2-digit term one more absolute digit: the sum knows 3.
-    poly = BivarPoly(LOW_CTX, {(0, 0): PadicScaled(LOW_CTX, 0, 1, 6), (1, 0): PadicScaled(LOW_CTX, 0, 1, 2)})
+    poly = BivarPoly(LOW_CTX, {(0, 1): PadicScaled(LOW_CTX, 0, 1, 6), (1, 0): PadicScaled(LOW_CTX, 0, 1, 2)})
     assert poly.substitute(p, 1).triple() == ref_substitute(poly, p, 1).triple() == (0, 4, 3)
 
 
@@ -401,14 +413,14 @@ def _unit_point(ctx, kind: int, r: int) -> int:
 
 
 def _horner_at(poly, t: int):
-    """The Horner kernel's value of a homogeneous poly at (1, t); None for the zero poly."""
-    return next((basis._horner_values(poly.ctx, row, [t])[0] for row in poly.parts.values()), None)
+    """The Horner kernel's value of a poly at (1, t); None for the zero poly."""
+    return basis._horner_values(poly.ctx, poly.coeffs, [t])[0] if poly.coeffs else None
 
 
 @settings(max_examples=300)
 @given(st.data())
 def test_horner_at_unit_points_matches_the_chain(data):
-    """A homogeneous part at (1, t), t a unit: Horner in decreasing b is the sorted chain."""
+    """A polynomial at (1, t), t a unit: Horner in decreasing b is the sorted chain."""
     ctx = data.draw(st.sampled_from(CANCEL_CONTEXTS))
 
     def draw_int(lo, hi):
@@ -442,9 +454,8 @@ def test_reading_points_in_one_pass_match_the_chain(ctx):
             polys += [g_poly(ctx, m, l), psi_action(g_poly(ctx, m, l))]
     q_hat, M = ctx.q_hat_residue, ctx.modulus
     for poly in polys:
-        (n, row), = poly.parts.items()
-        points = [pow(q_hat, s, M) for s in range(n + 1)]
-        got = basis._horner_values(ctx, row, points)
+        points = [pow(q_hat, s, M) for s in range(poly.n + 1)]
+        got = basis._horner_values(ctx, poly.coeffs, points)
         assert got == [ref_substitute(poly, 1, x).triple() for x in points], poly
         assert got == [poly.substitute(1, x).triple() for x in points], poly
 
@@ -481,25 +492,11 @@ def test_bivar_eq_on_identical_triples_skips_the_digit_loop(ctx, monkeypatch):
     real = basis.scaled_eq
     monkeypatch.setattr(basis, "scaled_eq", lambda p, x, y: calls.append(1) or real(p, x, y))
     assert f_poly(ctx, 5) == f_poly(ctx, 5) and not calls
-    coarse = BivarPoly(ctx, {(1, 2): PadicScaled(ctx, -1, 2, 5), (0, 0): 1})
-    finer = BivarPoly(ctx, {(1, 2): PadicScaled(ctx, -1, 2 + 7 * ctx.p**5, ctx.N), (0, 0): 1})
+    coarse = BivarPoly(ctx, {(1, 2): PadicScaled(ctx, -1, 2, 5), (3, 0): 1})
+    finer = BivarPoly(ctx, {(1, 2): PadicScaled(ctx, -1, 2 + 7 * ctx.p**5, ctx.N), (3, 0): 1})
     assert coarse == finer and calls
-    off = BivarPoly(ctx, {(1, 2): PadicScaled(ctx, -1, 2 + ctx.p**4, ctx.N), (0, 0): 1})
+    off = BivarPoly(ctx, {(1, 2): PadicScaled(ctx, -1, 2 + ctx.p**4, ctx.N), (3, 0): 1})
     assert coarse != off
-
-
-def test_bivar_graded_parts_sum_back(ctx):
-    poly = (
-        BivarPoly.monomial(ctx, 2, 0, 2)
-        + BivarPoly.monomial(ctx, 0, 1, 3)
-        + BivarPoly.monomial(ctx, 0, 0)
-    )
-    parts = poly.graded_parts()
-    assert sorted(parts) == [0, 1, 2]
-    total = BivarPoly.zero(ctx)
-    for part in parts.values():
-        total = total + part
-    assert total == poly
 
 
 def test_bivar_scale_p_shifts_valuation(ctx):
@@ -706,20 +703,9 @@ def test_psi_on_generators(ctx):
 
 def test_psi_is_a_ring_map(ctx):
     rng = random.Random(21)
-
-    def rand_poly():
-        return BivarPoly(
-            ctx,
-            {
-                (rng.randrange(3), rng.randrange(3)): PadicScaled.from_int(
-                    ctx, rng.randrange(1, 99)
-                )
-                for _ in range(3)
-            },
-        )
-
     for _ in range(10):
-        a, b = rand_poly(), rand_poly()
+        n = rng.randrange(4)
+        a, b = _rand_poly(ctx, rng, n, 99), _rand_poly(ctx, rng, n, 99)
         assert psi_action(a * b) == psi_action(a) * psi_action(b)
         assert psi_action(a + b) == psi_action(a) + psi_action(b)
 
@@ -793,11 +779,21 @@ def test_expand_g_basis_recovers_random_combinations(ctx):
 
 
 def test_expand_rejects_non_homogeneous(ctx):
-    with pytest.raises(ValueError):
+    """The zero polynomial has no weight to expand in, and no polynomial of two weights
+    can be built: the constructor and + reject it before any expansion."""
+    with pytest.raises(DomainError, match="nonzero"):
         expand_in_c_basis(BivarPoly.zero(ctx))
-    mixed = BivarPoly.monomial(ctx, 0, 0) + BivarPoly.u_hat(ctx)
-    with pytest.raises(ValueError):
-        expand_in_c_basis(mixed)
+    one, u = BivarPoly.monomial(ctx, 0, 0), BivarPoly.u_hat(ctx)
+    with pytest.raises(DomainError, match="weights 0 and 1"):
+        one + u
+    with pytest.raises(DomainError, match="weights 1 and 0"):
+        u + one
+    with pytest.raises(DomainError, match="weights 0 and 1"):
+        BivarPoly(ctx, {(0, 0): 1, (0, 1): 2})
+    zero = PadicScaled.zero(ctx)  # a zero term is dropped first, so it has no weight to clash
+    assert BivarPoly(ctx, {(0, 0): zero, (0, 1): 2}) == BivarPoly.monomial(ctx, 0, 1, 2)
+    assert one + BivarPoly.zero(ctx) == one and (BivarPoly.zero(ctx) + u).weight() == 1
+    assert (one * BivarPoly.zero(ctx)).is_zero() and (BivarPoly.zero(ctx) * u).weight() is None
 
 
 # ------------------------------------------------------------- integrality

@@ -355,13 +355,14 @@ def test_qbinom_command_at_large_n_exits_zero_quietly():
     assert json.loads(proc.stdout) == [1] * 2000
 
 
-def _qbinom_in_child(n: int, k: int, limit: int = 512 << 20) -> subprocess.CompletedProcess:
+def _qbinom_in_child(n: int, k: int, limit: int = 512 << 20,
+                     timeout: float = 60) -> subprocess.CompletedProcess:
     """`utt qbinom` in a child that may map at most `limit` bytes, so that a
     missing limit ends in a MemoryError rather than in a host out of memory."""
     code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
             f"from utt import cli; sys.exit(cli.main(['qbinom', '--n', '{n}', '--k', '{k}']))")
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=child_env(), timeout=60)
+                          env=child_env(), timeout=timeout)
 
 
 # sha256 of the stdout of `utt qbinom --n 100 --k 50`, the JSON coefficient list.
@@ -389,6 +390,14 @@ def test_qbinom_degree_limit_is_inclusive(n, k, code):
     proc = _qbinom_in_child(n, k)
     assert proc.returncode == code, proc.stderr
     assert proc.stderr.count("error:") == (code == 2)
+
+
+@pytest.mark.parametrize("k", [0, 10**9])
+def test_qbinom_of_degree_zero_returns_at_once(k):
+    """[n, 0] = [n, n] = 1 has degree 0, which the cap lets through at any n;
+    no row of the cone is built, so n = 10**9 answers within the 2 s timeout."""
+    proc = _qbinom_in_child(10**9, k, timeout=2)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[1]\n", "")
 
 
 def test_basis_commands(capsys):

@@ -14,9 +14,12 @@ its leading W' x W' block mod p**N' is the same builder at (W', N').
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import STANDARD_TRIPLES, sub_window
 from utt.basis import (
@@ -109,7 +112,7 @@ def test_scale_and_scale_p_agree_across_precision(pair):
 
 def _known_digits(poly: BivarPoly) -> int:
     """The least val + sig of the coefficients: the absolute digits any sum of them knows."""
-    return min(t[0] + t[2] for row in poly.parts.values() for t in row if t is not None)
+    return min(t[0] + t[2] for t in poly.coeffs if t is not None)
 
 
 def test_substitute_agrees_across_precision(pair):
@@ -176,7 +179,7 @@ def test_g_expansion_mu0_agrees_across_precision():
 # ------------------------------------------------------------------ windows
 
 WIDE = (16, 30)  # (W, N) the builders run at first
-NARROW = ((11, 20), (1, 1))  # the (W', N') each result is truncated to
+NARROW = ((11, 20), (1, 1))  # (W', N') every run truncates to, besides the drawn ones
 XN_MAX = 17
 DRAWS = 5
 
@@ -195,22 +198,31 @@ def _windows(ctx, W: int, coeff_vectors, c_forms) -> dict[str, UTWindow]:
     return out
 
 
-@pytest.mark.parametrize("pq", [(p, q) for p, q, _ in STANDARD_TRIPLES], ids=lambda t: f"p{t[0]}")
-def test_window_builders_commute_with_truncation(pq):
-    """Built at WIDE and truncated to each NARROW size, or built at that size: the same window.
-
-    The coefficient vectors and C-forms are drawn once at WIDE; the narrow
-    C-form is the truncation, read back through AFormMatrix.from_window.
-    """
-    p, q = pq
+@functools.cache
+def _wide(p: int, q: int):
+    """The coefficient vectors and C-forms drawn once at WIDE, and the windows built there."""
     W, N = WIDE
     wide_ctx = make_context(p, q, N)
     rng = random.Random(p)
     coeff_vectors = [[rng.randrange(wide_ctx.modulus) for _ in range(W + 4)] for _ in range(DRAWS)]
     c_forms = [AFormMatrix.random(wide_ctx, W, rng, c_form=True) for _ in range(DRAWS)]
-    wide = _windows(wide_ctx, W, coeff_vectors, c_forms)
+    return coeff_vectors, c_forms, _windows(wide_ctx, W, coeff_vectors, c_forms)
+
+
+@pytest.mark.parametrize("pq", [(p, q) for p, q, _ in STANDARD_TRIPLES], ids=lambda t: f"p{t[0]}")
+@given(st.tuples(st.integers(1, WIDE[0]), st.integers(1, WIDE[1])))
+def test_window_builders_commute_with_truncation(pq, size):
+    """Built at WIDE and truncated to (W', N'), or built at (W', N'): the same window.
+
+    (W', N') is drawn, W' <= W and N' <= N, and every run also checks each
+    NARROW size.  The coefficient vectors and C-forms are drawn once at
+    WIDE; the narrow C-form is the truncation, read back through
+    AFormMatrix.from_window.
+    """
+    p, q = pq
+    coeff_vectors, c_forms, wide = _wide(p, q)
     bad = []
-    for W2, N2 in NARROW:
+    for W2, N2 in {size, *NARROW}:
         ctx = make_context(p, q, N2)
         narrow_forms = [AFormMatrix.from_window(sub_window(c.to_window(), W2, ctx)) for c in c_forms]
         narrow = _windows(ctx, W2, coeff_vectors, narrow_forms)

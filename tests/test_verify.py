@@ -212,12 +212,13 @@ def _truncated(terms: dict, cut: int) -> dict:
 
 
 @settings(max_examples=300)
-@given(low_precision_terms(), low_precision_terms(), st.sampled_from(["other", "overlay", "truncated"]),
-       st.integers(1, LOW_CTX.N))
-def test_polynomial_mismatch_is_empty_exactly_on_equal_polynomials(x, y, how, cut):
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(*[low_precision_terms(weights=st.just(n))] * 2)),
+       st.sampled_from(["other", "overlay", "truncated"]), st.integers(1, LOW_CTX.N))
+def test_polynomial_mismatch_is_empty_exactly_on_equal_polynomials(xy, how, cut):
     """A non-empty detail names the first key in sorted order where the coefficients differ,
-    and the valuation of their difference, taken on exact ints."""
-    p = LOW_CTX.p
+    and the valuation of their difference, taken on exact ints.  x and y share a weight,
+    so that their overlay is a polynomial."""
+    (x, y), p = xy, LOW_CTX.p
     a = BivarPoly(LOW_CTX, x)
     b = BivarPoly(LOW_CTX, {"other": y, "overlay": {**x, **y}, "truncated": _truncated(x, cut)}[how])
     detail = verify._mismatch(a, b)
