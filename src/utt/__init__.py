@@ -54,7 +54,6 @@ from .ops import (
     build_Rn,
     build_S,
     build_Xn,
-    build_basic,
     rpower_closed,
     xn_closed,
     xn_expand_binomial,

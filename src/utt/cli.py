@@ -26,7 +26,7 @@ import sys
 
 from .basis import BivarPoly, big_F, c_poly, f_poly, g_poly
 from .errors import UttError
-from .ops import build_Rn, build_Xn, build_basic
+from .ops import build_D, build_R, build_Rn, build_S, build_Xn
 from .padic import PadicContext, make_context
 from .qcalc import qbinom
 from .utmat import UTWindow
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     matrix = _subcommand(sub, "matrix", "print one of the named matrices on a window")
-    matrix.add_argument("kind", choices=("D", "S", "R", "Rn", "Xn"))
+    matrix.add_argument("kind", choices=MATRIX_KINDS)
     _subcommand(sub, "qbinom", "print the Gaussian binomial [n, k]_q as a polynomial")
     basis = _subcommand(sub, "basis", "print one of the basis polynomials")
     basis.add_argument("which", choices=("c", "f", "F", "g"))
@@ -204,15 +204,18 @@ def emit_check(result: CheckResult, fmt: str) -> str:
     return f"[{status}] {result.name} ({result.anchor}){suffix}"
 
 
+# The windows `utt matrix` prints: kind -> builder from the context and the flags.
+MATRIX_KINDS = {
+    "D": lambda ctx, args: build_D(ctx, args.W),
+    "S": lambda ctx, args: build_S(ctx, args.W),
+    "R": lambda ctx, args: build_R(ctx, args.W),
+    "Rn": lambda ctx, args: build_Rn(ctx, *_require(args, "n"), args.W),
+    "Xn": lambda ctx, args: build_Xn(ctx, *_require(args, "n"), args.W),
+}
+
+
 def cmd_matrix(args: argparse.Namespace) -> int:
-    ctx = _context(args)
-    if args.kind in ("D", "S", "R"):
-        win = build_basic(ctx, args.kind, args.W)
-    else:
-        (n,) = _require(args, "n")
-        builder = build_Rn if args.kind == "Rn" else build_Xn
-        win = builder(ctx, n, args.W)
-    print(emit_window(win, args.fmt))
+    print(emit_window(MATRIX_KINDS[args.kind](_context(args), args), args.fmt))
     return 0
 
 

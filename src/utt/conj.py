@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import random
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .errors import BadIndexError, DomainError, InvariantError, NotAUnitError
+from .errors import DomainError, InvariantError, NotAUnitError
 from .ops import build_R
 from .padic import PadicContext, PadicInt
 from .utmat import UTWindow
@@ -42,27 +42,14 @@ class AFormMatrix:
 
     __slots__ = ("ctx", "W", "_win")
 
-    def __init__(
-        self,
-        ctx: PadicContext,
-        W: int,
-        superdiag: Sequence[PadicInt | int],
-        upper: Mapping[tuple[int, int], PadicInt | int],
-    ):
-        if len(superdiag) != W - 1:
-            raise BadIndexError(f"need {W - 1} superdiagonal entries, got {len(superdiag)}")
-        sd = _unit_residues(ctx, superdiag)
-        free = {}
-        for (i, j), v in upper.items():
-            if not (0 <= i and i + 2 <= j < W):
-                raise BadIndexError(f"upper entry ({i},{j}) not strictly above the superdiagonal")
-            free[i, j] = ctx.residue(v)
-        q_hat, m = ctx.q_hat_residue, ctx.modulus
-        self.ctx, self.W = ctx, W
-        self._win = UTWindow(ctx, W, [
-            pow(q_hat, i, m) if j == i else sd[i] if j == i + 1 else free.get((i, j), 0)
-            for i in range(W) for j in range(i, W)
-        ])
+    def __init__(self, win: UTWindow):
+        """Wrap `win` after checking its diagonal q_hat**i and unit superdiagonal."""
+        ctx, rows = win.ctx, win.rows()
+        for i, row in enumerate(rows):
+            if row[0] != pow(ctx.q_hat_residue, i, ctx.modulus):
+                raise DomainError(f"diagonal entry ({i},{i}) is not q_hat**{i}")
+        _unit_residues(ctx, [row[1] for row in rows[:-1]])
+        self.ctx, self.W, self._win = ctx, win.W, win
 
     @property
     def superdiag(self) -> tuple[int, ...]:
@@ -76,23 +63,19 @@ class AFormMatrix:
         return self._win
 
     @classmethod
-    def from_window(cls, win: UTWindow) -> "AFormMatrix":
-        """Wrap `win` after checking its diagonal q_hat**i and unit superdiagonal."""
-        ctx, rows = win.ctx, win.rows()
-        for i, row in enumerate(rows):
-            if row[0] != pow(ctx.q_hat_residue, i, ctx.modulus):
-                raise DomainError(f"diagonal entry ({i},{i}) is not q_hat**{i}")
-        _unit_residues(ctx, [row[1] for row in rows[:-1]])
-        a = cls.__new__(cls)
-        a.ctx, a.W, a._win = ctx, win.W, win
-        return a
-
-    @classmethod
     def random(cls, ctx: PadicContext, W: int, rng: random.Random, c_form: bool = False) -> "AFormMatrix":
-        """Random free part; the superdiagonal is all ones if c_form, else random units."""
+        """Random free part; the superdiagonal is all ones if c_form, else random units.
+
+        The units are drawn first (none for a C-form), then the free entries row by row.
+        """
+        q_hat, m = ctx.q_hat_residue, ctx.modulus
         superdiag = [1] * (W - 1) if c_form else [_random_unit(ctx, rng) for _ in range(W - 1)]
-        upper = {(i, j): rng.randrange(ctx.modulus) for i in range(W) for j in range(i + 2, W)}
-        return cls(ctx, W, superdiag, upper)
+        flat = []
+        for i in range(W):
+            flat.append(pow(q_hat, i, m))
+            flat.extend(superdiag[i:i + 1])
+            flat.extend(rng.randrange(m) for _ in range(i + 2, W))
+        return cls(UTWindow(ctx, W, flat))
 
 
 def _random_unit(ctx: PadicContext, rng: random.Random) -> int:
@@ -102,15 +85,15 @@ def _random_unit(ctx: PadicContext, rng: random.Random) -> int:
     return u
 
 
-def build_E(ctx: PadicContext, superdiag: Sequence[PadicInt | int], W: int) -> UTWindow:
+def build_E(ctx: PadicContext, superdiag: Sequence[PadicInt | int]) -> UTWindow:
     """Diagonal window with E[0,0] = 1 and E[i,i] the product of the
-    first i superdiagonal units; conjugation by E rescales the
-    superdiagonal of an A-form matrix to all ones."""
-    if len(superdiag) < W - 1:
-        raise BadIndexError(f"need {W - 1} superdiagonal entries, got {len(superdiag)}")
+    first i superdiagonal units, of size W = len(superdiag) + 1;
+    conjugation by E rescales the superdiagonal of an A-form matrix to
+    all ones."""
     diag = [1]
-    for u in _unit_residues(ctx, superdiag[: W - 1]):
+    for u in _unit_residues(ctx, superdiag):
         diag.append(diag[-1] * u % ctx.modulus)
+    W = len(diag)
     return UTWindow(ctx, W, [diag[i] if j == i else 0 for i in range(W) for j in range(i, W)])
 
 
@@ -118,15 +101,15 @@ def normalize_superdiag(a: AFormMatrix) -> AFormMatrix:
     """Conjugate by build_E to make every superdiagonal entry exactly 1.
 
     E is diagonal, so E*A*E**-1 is A with entry (i, j) rescaled by
-    e_i * e_j**-1.  The result is read back through from_window, which
-    rejects a disturbed diagonal; build_U rejects a superdiagonal that
-    is not 1.
+    e_i * e_j**-1.  The result is read back through the AFormMatrix
+    constructor, which rejects a disturbed diagonal; build_U rejects a
+    superdiagonal that is not 1.
     """
     ctx, m = a.ctx, a.ctx.modulus
-    e = [row[0] for row in build_E(ctx, a.superdiag, a.W).rows()]
+    e = [row[0] for row in build_E(ctx, a.superdiag).rows()]
     e_inv = [pow(v, -1, m) for v in e]
     rows = a.to_window().rows()
-    return AFormMatrix.from_window(UTWindow(ctx, a.W, [
+    return AFormMatrix(UTWindow(ctx, a.W, [
         e[i] * v * e_inv[i + k] for i, row in enumerate(rows) for k, v in enumerate(row)
     ]))
 
@@ -169,4 +152,4 @@ def verify_conjugation(c_mat: AFormMatrix) -> tuple[UTWindow, UTWindow, UTWindow
 def conjugator(a: AFormMatrix) -> UTWindow:
     """The matrix B = U*E with B * A * B**-1 = R on the window."""
     c_mat = normalize_superdiag(a)
-    return build_U(c_mat) * build_E(a.ctx, a.superdiag, a.W)
+    return build_U(c_mat) * build_E(a.ctx, a.superdiag)

@@ -19,21 +19,10 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .errors import BadIndexError, DomainError
+from .errors import BadIndexError
 from .padic import PadicContext, PadicInt
 from .qcalc import binom, qbinom_eval, qbinom_residue
 from .utmat import UTWindow
-
-
-def row_exponent(s: int, k: int) -> int:
-    """Exponent of q_hat contributed by row s in the closed entry formulas.
-
-    Rows are numbered from 0 everywhere in this package, and the closed
-    formulas below multiply the 0-based row index directly into the
-    exponent.  Both entry formulas route through this helper so the
-    convention cannot drift between them.
-    """
-    return s * k
 
 
 def build_D(ctx: PadicContext, W: int) -> UTWindow:
@@ -54,14 +43,6 @@ def _r_minus(ctx: PadicContext, W: int, c: int) -> UTWindow:
 
 def build_R(ctx: PadicContext, W: int) -> UTWindow:
     return _r_minus(ctx, W, 0)
-
-
-def build_basic(ctx: PadicContext, kind: str, W: int) -> UTWindow:
-    """Dispatch on the generator name: D, S or R."""
-    try:
-        return {"D": build_D, "S": build_S, "R": build_R}[kind](ctx, W)
-    except KeyError:
-        raise BadIndexError(f"unknown basic matrix kind {kind!r}") from None
 
 
 def build_Rn(ctx: PadicContext, n: int, W: int) -> UTWindow:
@@ -117,7 +98,7 @@ def rpower_closed(ctx: PadicContext, n: int, s: int, c: int) -> PadicInt:
     if c < 0 or c > n:
         return ctx.zero()
     q_hat, M = ctx.q_hat_residue, ctx.modulus
-    return PadicInt(ctx, qbinom_residue(n, n - c, q_hat, M) * pow(q_hat, row_exponent(s, n - c), M))
+    return PadicInt(ctx, qbinom_residue(n, n - c, q_hat, M) * pow(q_hat, s * (n - c), M))
 
 
 def xn_closed(ctx: PadicContext, n: int, s: int, c: int) -> PadicInt:
@@ -134,7 +115,7 @@ def xn_closed(ctx: PadicContext, n: int, s: int, c: int) -> PadicInt:
     acc = 0
     for i in range(c, n + 1):
         term = (
-            pow(q_hat, binom(n - i, 2) + row_exponent(s, i - c), M)
+            pow(q_hat, binom(n - i, 2) + s * (i - c), M)
             * qbinom_residue(n, i, q_hat, M)
             * qbinom_residue(i, i - c, q_hat, M)
         )
@@ -161,11 +142,8 @@ def xn_expand_binomial(ctx: PadicContext, n: int, W: int) -> UTWindow:
     return acc
 
 
-def alpha(coeffs: Sequence[PadicInt | int], W: int) -> UTWindow:
-    """The window of sum_n coeffs[n] * X_n.
-
-    coeffs[0] is a PadicInt and names the context; the other
-    coefficients are ints or PadicInts of that context.
+def alpha(ctx: PadicContext, coeffs: Sequence[PadicInt | int], W: int) -> UTWindow:
+    """The window of sum_n coeffs[n] * X_n; each coefficient is an int or a PadicInt of ctx.
 
     Column j of the result is already exact after the first j+1 terms:
     X_n kills the leading n columns, so all terms with n >= W are skipped
@@ -174,10 +152,6 @@ def alpha(coeffs: Sequence[PadicInt | int], W: int) -> UTWindow:
     """
     if not coeffs:
         raise BadIndexError("alpha needs at least one coefficient")
-    if not isinstance(coeffs[0], PadicInt):
-        raise DomainError(f"alpha needs coeffs[0] to be a PadicInt, which names the context; "
-                          f"got {type(coeffs[0]).__name__}")
-    ctx = coeffs[0].ctx
     residues = [ctx.residue(a) for a in coeffs][:W]
     flats = [build_Xn(ctx, n, W).residues() for n in range(len(residues))]
     return UTWindow(ctx, W, [sum(map(mul, residues, entry)) for entry in zip(*flats)])

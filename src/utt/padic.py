@@ -12,9 +12,11 @@ Two value types live here:
 * PadicScaled   -- p**val * unit with an explicit significant-digit
                    count, closed under division by units and by p.
 
-Both are immutable.  Arithmetic that mixes values from different
-contexts raises ContextMismatchError rather than guessing; == between
-them is False.
+No method mutates an instance of either, but neither is frozen: an
+attribute assignment is accepted and nothing checks the value assigned.
+Only PadicContext refuses assignment.  Arithmetic that mixes values from
+different contexts raises ContextMismatchError rather than guessing; ==
+between them is False.
 
 Every ring value enters the package's int kernels through one door,
 PadicContext.residue: an int is reduced mod p**N, and a PadicInt must

@@ -25,7 +25,7 @@ from .padic import PadicContext, PadicInt
 
 
 class UTWindow:
-    """Immutable W-by-W upper-triangular window of canonical int residues.
+    """W-by-W upper-triangular window of canonical int residues.
 
     The entries (i, j), i <= j, are stored row by row in one flat tuple
     of ints in [0, p**N).  Every operation checks the context and size
@@ -39,6 +39,7 @@ class UTWindow:
     the largest sum it can receive, so no slot carries into the next.
     inverse() keeps its own dot products, and so do conj.build_U and the
     dense test oracle, so no check compares the kernel with itself.
+    No method mutates a window, but its attributes accept assignment.
     """
 
     __slots__ = ("ctx", "W", "_e")
@@ -62,9 +63,6 @@ class UTWindow:
         self.ctx, self.W, self._e = ctx, W, e
         return self
 
-    def _idx(self, i: int, j: int) -> int:
-        return i * self.W - i * (i - 1) // 2 + (j - i)
-
     @classmethod
     def from_fn(cls, ctx: PadicContext, W: int, fn: Callable[[int, int], PadicInt | int]) -> "UTWindow":
         """Build from an entry generator fn(i, j) for i <= j."""
@@ -84,7 +82,7 @@ class UTWindow:
             raise BadIndexError(f"({i},{j}) outside {self.W}x{self.W} window")
         if i > j:
             return self.ctx.zero()
-        return PadicInt(self.ctx, self._e[self._idx(i, j)])
+        return PadicInt(self.ctx, self._e[i * self.W - i * (i - 1) // 2 + (j - i)])
 
     def residues(self) -> tuple[int, ...]:
         """All entries (i, j), i <= j, row by row, as the flat tuple of residues."""
@@ -116,10 +114,6 @@ class UTWindow:
     def __add__(self, other: "UTWindow") -> "UTWindow":
         self._check(other)
         return UTWindow(self.ctx, self.W, [a + b for a, b in zip(self._e, other._e)])
-
-    def __sub__(self, other: "UTWindow") -> "UTWindow":
-        self._check(other)
-        return UTWindow(self.ctx, self.W, [a - b for a, b in zip(self._e, other._e)])
 
     def scale(self, c: PadicInt | int) -> "UTWindow":
         c = self.ctx.residue(c)

@@ -167,9 +167,9 @@ def suite_alpha(ctx: PadicContext, W: int, seed: int) -> Iterator[CheckResult]:
     rng = random.Random(seed)
     jmax = min(ALPHA_STABLE_COLS, W - 1)
     for t in range(ALPHA_TRIALS):
-        coeffs = [ctx.from_int(rng.randrange(ctx.modulus)) for _ in range(ALPHA_TERMS + 1)]
-        full = alpha(coeffs, W).rows()
-        truncations = ((j, alpha(coeffs[: j + 1], W).rows()) for j in range(jmax + 1))
+        coeffs = [rng.randrange(ctx.modulus) for _ in range(ALPHA_TERMS + 1)]
+        full = alpha(ctx, coeffs, W).rows()
+        truncations = ((j, alpha(ctx, coeffs[: j + 1], W).rows()) for j in range(jmax + 1))
         unstable = next(((i, j) for j, part in truncations for i in range(j + 1)
                          if full[i][j - i] != part[i][j - i]), None)
         yield _check(

@@ -176,9 +176,9 @@ def test_criterion_7_alpha_stabilization(acceptance_recorder):
     W_a = 8  # large enough to expose columns 0..6
     for _ in range(20):
         coeffs = [ctx.from_int(rng.randrange(ctx.modulus)) for _ in range(M)]
-        full = alpha(coeffs, W_a)
+        full = alpha(ctx, coeffs, W_a)
         for j in range(7):
-            part = alpha(coeffs[: j + 1], W_a)
+            part = alpha(ctx, coeffs[: j + 1], W_a)
             for i in range(j + 1):
                 ok = ok and part.entry(i, j) == full.entry(i, j)
     dt = time.perf_counter() - t0

@@ -9,24 +9,35 @@ from conftest import dense_product
 
 from utt.conj import (
     AFormMatrix,
+    _random_unit,
     build_E,
     build_U,
     conjugator,
     normalize_superdiag,
     verify_conjugation,
 )
-from utt.errors import BadIndexError, ContextMismatchError, NotAUnitError
+from utt.errors import ContextMismatchError, DomainError, NotAUnitError
 from utt.ops import build_R
 from utt.utmat import UTWindow
 
 W = 8
 
 
+def a_form_window(ctx, superdiag, upper=()):
+    """Diagonal q_hat**i, the given superdiagonal, the entries `upper` {(i, j): v} above it, else 0."""
+    upper = dict(upper)
+
+    def entry(i, j):
+        return ctx.q_hat_pow(i) if j == i else superdiag[i] if j == i + 1 else upper.get((i, j), 0)
+
+    return UTWindow.from_fn(ctx, len(superdiag) + 1, entry)
+
+
 # ---------------------------------------------------------------- A-form
 
 
 def test_a_form_window_layout(ctx):
-    a = AFormMatrix(ctx, 4, [1, 2, 1], {(0, 2): 5, (0, 3): 7})
+    a = AFormMatrix(a_form_window(ctx, [1, 2, 1], {(0, 2): 5, (0, 3): 7}))
     win = a.to_window()
     for i in range(4):
         assert win.entry(i, i) == ctx.q_hat_pow(i)
@@ -38,12 +49,11 @@ def test_a_form_window_layout(ctx):
 
 
 def test_a_form_validation(ctx):
-    with pytest.raises(NotAUnitError):
-        AFormMatrix(ctx, 4, [1, ctx.p, 1], {})
-    with pytest.raises(BadIndexError):
-        AFormMatrix(ctx, 4, [1, 1, 1], {(0, 1): 3})  # superdiagonal slot
-    with pytest.raises(BadIndexError):
-        AFormMatrix(ctx, 4, [1, 1, 1], {(2, 1): 3})  # below diagonal
+    with pytest.raises(NotAUnitError, match="superdiagonal entry 1"):
+        AFormMatrix(a_form_window(ctx, [1, ctx.p, 1]))
+    bad_diag = UTWindow.from_fn(ctx, 4, lambda i, j: ctx.q_hat_pow(i) + (i == 2) if j == i else 1)
+    with pytest.raises(DomainError, match="diagonal entry \\(2,2\\)"):
+        AFormMatrix(bad_diag)
 
 
 def test_a_form_random_is_valid(ctx):
@@ -55,11 +65,24 @@ def test_a_form_random_is_valid(ctx):
             assert win.entry(i, i + 1).residue % ctx.p != 0
 
 
+def test_random_draws_the_superdiagonal_then_the_free_entries_by_row(ctx):
+    """The units first (none for a C-form), then the free entries (i, j), j >= i + 2, row-major."""
+
+    def free_entries(rng):
+        return {(i, j): rng.randrange(ctx.modulus) for i in range(W) for j in range(i + 2, W)}
+
+    want_c = a_form_window(ctx, [1] * (W - 1), free_entries(random.Random(10)))
+    assert AFormMatrix.random(ctx, W, random.Random(10), c_form=True).to_window() == want_c
+    rng = random.Random(10)
+    want_a = a_form_window(ctx, [_random_unit(ctx, rng) for _ in range(W - 1)], free_entries(rng))
+    assert AFormMatrix.random(ctx, W, random.Random(10)).to_window() == want_a
+
+
 # ---------------------------------------------------------------- C-form
 
 
 def test_c_form_window_layout(ctx):
-    c = AFormMatrix(ctx, 4, [1, 1, 1], {(0, 2): 3, (1, 3): 9})
+    c = AFormMatrix(a_form_window(ctx, [1, 1, 1], {(0, 2): 3, (1, 3): 9}))
     win = c.to_window()
     for i in range(4):
         assert win.entry(i, i) == ctx.q_hat_pow(i)
@@ -68,45 +91,45 @@ def test_c_form_window_layout(ctx):
     assert win.entry(0, 2).residue == 3
     assert win.entry(1, 3).residue == 9
     assert win.entry(0, 3).residue == 0
-    assert AFormMatrix.from_window(win).to_window().entry(0, 2).residue == 3
+    assert c.is_c_form()
 
 
 def test_c_form_from_window_rejects_wrong_shape(ctx):
     bad_diag = UTWindow.identity(ctx, 4)
     with pytest.raises(ValueError):
-        AFormMatrix.from_window(bad_diag)
+        AFormMatrix(bad_diag)
 
 
 def test_a_form_from_window_round_trip(ctx):
     a = AFormMatrix.random(ctx, W, random.Random(8))
-    back = AFormMatrix.from_window(a.to_window())
+    back = AFormMatrix(a.to_window())
     assert back.superdiag == a.superdiag and back.to_window() == a.to_window()
     assert not back.is_c_form()
 
 
 def test_from_window_wraps_the_checked_window(ctx):
     win = AFormMatrix.random(ctx, W, random.Random(9)).to_window()
-    assert AFormMatrix.from_window(win).to_window() is win
+    assert AFormMatrix(win).to_window() is win
     bad_sd = UTWindow.from_fn(ctx, 3, lambda i, j: ctx.q_hat_pow(i) if i == j else ctx.p)
     with pytest.raises(NotAUnitError):
-        AFormMatrix.from_window(bad_sd)
+        AFormMatrix(bad_sd)
 
 
 def test_foreign_context_rejected_at_construction(ctx3, ctx5):
     """3 is a unit mod 5 but not mod 3: the context must be checked first."""
     with pytest.raises(ContextMismatchError):
-        AFormMatrix(ctx3, 3, [ctx5.from_int(3), 1], {})
+        a_form_window(ctx3, [ctx5.from_int(3), 1])
     with pytest.raises(ContextMismatchError):
-        AFormMatrix(ctx3, 3, [1, 1], {(0, 2): ctx5.from_int(1)})
+        a_form_window(ctx3, [1, 1], {(0, 2): ctx5.from_int(1)})
     with pytest.raises(ContextMismatchError):
-        build_E(ctx3, [ctx5.from_int(3)], 2)
-    own = AFormMatrix(ctx3, 3, [ctx3.from_int(2), 1], {(0, 2): ctx3.from_int(4)})
+        build_E(ctx3, [ctx5.from_int(3)])
+    own = AFormMatrix(a_form_window(ctx3, [ctx3.from_int(2), 1], {(0, 2): ctx3.from_int(4)}))
     assert own.superdiag == (2, 1)
     assert own.to_window().entry(0, 2).residue == 4
 
 
 def test_build_u_rejects_non_c_form(ctx):
-    a = AFormMatrix(ctx, 4, [1, 2, 1], {})
+    a = AFormMatrix(a_form_window(ctx, [1, 2, 1]))
     with pytest.raises(ValueError, match="C-form"):
         build_U(a)
 
@@ -131,12 +154,14 @@ def test_build_e_diagonal_conjugation(ctx):
     """E A E**-1 rescales the superdiagonal to 1 and fixes the diagonal."""
     rng = random.Random(4)
     a = AFormMatrix.random(ctx, W, rng)
-    e = build_E(ctx, a.superdiag, W)
+    e = build_E(ctx, a.superdiag)
+    assert e.W == W
     conj = e * a.to_window() * e.inverse()
     c_win = normalize_superdiag(a).to_window()
     assert conj == c_win
     with pytest.raises(NotAUnitError):
-        build_E(ctx, [ctx.p] * (W - 1), W)
+        build_E(ctx, [ctx.p] * (W - 1))
+    assert build_E(ctx, []) == UTWindow.identity(ctx, 1)
 
 
 # ------------------------------------------------------------- conjugation

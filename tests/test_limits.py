@@ -192,7 +192,7 @@ def _windows(ctx, W: int, coeff_vectors, c_forms) -> dict[str, UTWindow]:
         out[f"X_{n}"] = build_Xn(ctx, n, W)
         out[f"R^{n}"] = R**n
     for k, coeffs in enumerate(coeff_vectors):
-        out[f"alpha#{k}"] = alpha([ctx.from_int(coeffs[0]), *coeffs[1:]], W)
+        out[f"alpha#{k}"] = alpha(ctx, coeffs, W)
     for k, c in enumerate(c_forms):
         out[f"U#{k}"] = build_U(c)
     return out
@@ -217,14 +217,14 @@ def test_window_builders_commute_with_truncation(pq, size):
     (W', N') is drawn, W' <= W and N' <= N, and every run also checks each
     NARROW size.  The coefficient vectors and C-forms are drawn once at
     WIDE; the narrow C-form is the truncation, read back through
-    AFormMatrix.from_window.
+    the AFormMatrix constructor.
     """
     p, q = pq
     coeff_vectors, c_forms, wide = _wide(p, q)
     bad = []
     for W2, N2 in {size, *NARROW}:
         ctx = make_context(p, q, N2)
-        narrow_forms = [AFormMatrix.from_window(sub_window(c.to_window(), W2, ctx)) for c in c_forms]
+        narrow_forms = [AFormMatrix(sub_window(c.to_window(), W2, ctx)) for c in c_forms]
         narrow = _windows(ctx, W2, coeff_vectors, narrow_forms)
         bad += [(W2, N2, name) for name, win in wide.items() if sub_window(win, W2, ctx) != narrow[name]]
     assert bad == []

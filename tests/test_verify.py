@@ -72,6 +72,14 @@ def test_readme_suite_table_matches_the_table():
                           for name, suite in SUITES.items()}
 
 
+def test_readme_library_quick_start_runs():
+    """The python block under `## Library quick start` runs as written; its asserts hold."""
+    text = README.read_text()
+    section = text[text.index("## Library quick start"):]
+    block = section[section.index("```python\n") + len("```python\n"):]
+    exec(compile(block[:block.index("```")], "README.md: Library quick start", "exec"), {})
+
+
 @pytest.mark.parametrize("name", list(SUITES))
 def test_suite_emits_exactly_its_declared_anchors(ctx3, name):
     anchors = {r.anchor for r in run_suites(ctx3, [name], _fast_config())}
@@ -317,8 +325,8 @@ def test_coverage_failure_lists_expected_branches(ctx3, monkeypatch):
 def test_alpha_failure_names_unstable_column(ctx3, monkeypatch):
     real = verify.alpha
 
-    def column_2_drifts(coeffs, W):
-        win = real(coeffs, W)
+    def column_2_drifts(ctx, coeffs, W):
+        win = real(ctx, coeffs, W)
         if len(coeffs) != 3:
             return win
         return UTWindow.from_fn(ctx3, W, lambda i, j: win.entry(i, j) + (i == 1 and j == 2))

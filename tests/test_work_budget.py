@@ -4,7 +4,10 @@ Wall time drifts with the host; the number of window products, R_n
 windows, polynomial products, substitutions and c_k lookups does not.
 This module runs the `small` argvs of every workload in `benchmarks/`
 in-process under the benchmark's own tracer (both files are loaded
-read-only) and compares those counts with the table below.
+read-only) and compares those counts with the table below.  The same
+run checks each workload's `predicts`: every layer the benchmark expects
+the workload to reach is called at least once, so a source change that
+stops calling one shows up here, not only under `benchmarks/`.
 
 A change that does less work lowers the table and says so; a change that
 raises a count explains why.  The lru caches are cleared first, because
@@ -73,3 +76,4 @@ def test_traced_counts_match_the_budget(name, bench_workloads):
     workload = bench_workloads.WORKLOADS[name]
     metrics = _traced_counts(workload)
     assert {key: metrics[key] for key in BUDGET[name]} == BUDGET[name]
+    assert [layer for layer in workload.predicts if metrics[f"{layer}.calls"] <= 0] == []
