@@ -58,7 +58,8 @@ FLAGS = {
 }
 # The flags each command reads, besides --format; any other flag exits 2.
 # verify parses the context, the seed and the flags of every suite group, and
-# cmd_verify rejects a given flag of a group that no chosen suite is in.
+# cmd_verify rejects a given flag of a group that no chosen suite is in;
+# matrix and basis parse all their kinds' flags, and _build does the same per kind.
 GROUP_FLAGS = frozenset(flag for flags in GROUPS.values() for flag in flags)
 COMMAND_FLAGS = {
     "matrix": ("p", "q", "N", "W", "n"),
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("kind", choices=MATRIX_KINDS)
     _subcommand(sub, "qbinom", "print the Gaussian binomial [n, k]_q as a polynomial")
     basis = _subcommand(sub, "basis", "print one of the basis polynomials")
-    basis.add_argument("which", choices=("c", "f", "F", "g"))
+    basis.add_argument("which", choices=BASIS_KINDS)
     verify = _subcommand(sub, "verify", "run a verification suite and report each check")
     verify.add_argument("suite", choices=(*SUITES, "all"))
     _subcommand(sub, "all", "shorthand for: verify all").set_defaults(suite="all")
@@ -204,18 +205,34 @@ def emit_check(result: CheckResult, fmt: str) -> str:
     return f"[{status}] {result.name} ({result.anchor}){suffix}"
 
 
-# The windows `utt matrix` prints: kind -> builder from the context and the flags.
+# The windows `utt matrix` prints and the polynomials `utt basis` prints:
+# kind -> (the flags it reads besides the context, builder(ctx, *their values)).
 MATRIX_KINDS = {
-    "D": lambda ctx, args: build_D(ctx, args.W),
-    "S": lambda ctx, args: build_S(ctx, args.W),
-    "R": lambda ctx, args: build_R(ctx, args.W),
-    "Rn": lambda ctx, args: build_Rn(ctx, *_require(args, "n"), args.W),
-    "Xn": lambda ctx, args: build_Xn(ctx, *_require(args, "n"), args.W),
+    "D": (("W",), build_D),
+    "S": (("W",), build_S),
+    "R": (("W",), build_R),
+    "Rn": (("n", "W"), build_Rn),
+    "Xn": (("n", "W"), build_Xn),
+}
+BASIS_KINDS = {
+    "c": (("k",), c_poly),
+    "f": (("k",), f_poly),
+    "F": (("i", "j", "k"), big_F),
+    "g": (("m", "l"), g_poly),
 }
 
 
+def _build(command: str, kinds: dict, kind: str, args: argparse.Namespace):
+    """Build `kind` from its flags; a given flag it does not read is checked last, and exits 2."""
+    flags, builder = kinds[kind]
+    built = builder(_context(args), *_require(args, *flags))
+    if unread := sorted(args.given - {"p", "q", "N", *flags}):
+        raise ConfigError(f"{command} {kind} does not read --{unread[0]}")
+    return built
+
+
 def cmd_matrix(args: argparse.Namespace) -> int:
-    print(emit_window(MATRIX_KINDS[args.kind](_context(args), args), args.fmt))
+    print(emit_window(_build("matrix", MATRIX_KINDS, args.kind, args), args.fmt))
     return 0
 
 
@@ -240,20 +257,7 @@ def cmd_qbinom(args: argparse.Namespace) -> int:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    ctx = _context(args)
-    if args.which == "c":
-        (k,) = _require(args, "k")
-        poly = c_poly(ctx, k)
-    elif args.which == "f":
-        (k,) = _require(args, "k")
-        poly = f_poly(ctx, k)
-    elif args.which == "F":
-        i, j, k = _require(args, "i", "j", "k")
-        poly = big_F(ctx, i, j, k)
-    else:
-        m, l = _require(args, "m", "l")
-        poly = g_poly(ctx, m, l)
-    print(emit_bivar(poly, args.fmt))
+    print(emit_bivar(_build("basis", BASIS_KINDS, args.which, args), args.fmt))
     return 0
 
 

@@ -16,6 +16,7 @@ both sides of that relation for the caller to compare.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
@@ -85,14 +86,17 @@ def _random_unit(ctx: PadicContext, rng: random.Random) -> int:
     return u
 
 
+def _e_diagonal(ctx: PadicContext, superdiag: Sequence[PadicInt | int]) -> list[int]:
+    """e_0 = 1 and e_i the product of the first i superdiagonal units."""
+    return list(accumulate(_unit_residues(ctx, superdiag), lambda e, u: e * u % ctx.modulus, initial=1))
+
+
 def build_E(ctx: PadicContext, superdiag: Sequence[PadicInt | int]) -> UTWindow:
     """Diagonal window with E[0,0] = 1 and E[i,i] the product of the
     first i superdiagonal units, of size W = len(superdiag) + 1;
     conjugation by E rescales the superdiagonal of an A-form matrix to
     all ones."""
-    diag = [1]
-    for u in _unit_residues(ctx, superdiag):
-        diag.append(diag[-1] * u % ctx.modulus)
+    diag = _e_diagonal(ctx, superdiag)
     W = len(diag)
     return UTWindow(ctx, W, [diag[i] if j == i else 0 for i in range(W) for j in range(i, W)])
 
@@ -101,13 +105,14 @@ def normalize_superdiag(a: AFormMatrix) -> AFormMatrix:
     """Conjugate by build_E to make every superdiagonal entry exactly 1.
 
     E is diagonal, so E*A*E**-1 is A with entry (i, j) rescaled by
-    e_i * e_j**-1.  The result is read back through the AFormMatrix
-    constructor, which rejects a disturbed diagonal; build_U rejects a
-    superdiagonal that is not 1.
+    e_i * e_j**-1.  One inverse serves them all: e_(i+1) = e_i * u_i, so
+    e_i**-1 = e_(i+1)**-1 * u_i from the last one down.  The result is
+    read back through the AFormMatrix constructor, which rejects a
+    disturbed diagonal; build_U rejects a superdiagonal that is not 1.
     """
-    ctx, m = a.ctx, a.ctx.modulus
-    e = [row[0] for row in build_E(ctx, a.superdiag).rows()]
-    e_inv = [pow(v, -1, m) for v in e]
+    ctx, m, units = a.ctx, a.ctx.modulus, a.superdiag
+    e = _e_diagonal(ctx, units)
+    e_inv = list(accumulate(reversed(units), lambda x, u: x * u % m, initial=pow(e[-1], -1, m)))[::-1]
     rows = a.to_window().rows()
     return AFormMatrix(UTWindow(ctx, a.W, [
         e[i] * v * e_inv[i + k] for i, row in enumerate(rows) for k, v in enumerate(row)
@@ -122,25 +127,30 @@ def build_U(c_mat: AFormMatrix) -> UTWindow:
 
         U[i+1] = U[i]*C - q_hat**i * U[i].
 
-    Rows are kept at full length W, so that the result being
-    upper-triangular with a unit diagonal is checked rather than
-    assumed.  c_mat must be a C-form.
+    Rows start at the diagonal: once row i has passed its checks, row i+1
+    is a sum of zeros left of column i.  Its entry (i+1, i) = U[i][i] *
+    (C[i][i] - q_hat**i) is computed and must be zero, and U[i+1][i+1] must
+    be a unit, so the shape of U is checked rather than assumed.  Column j
+    of C drops its top entry as each row completes.  c_mat must be a C-form.
     """
     ctx, W, m = c_mat.ctx, c_mat.W, c_mat.ctx.modulus
     if not c_mat.is_c_form():
         raise DomainError("build_U needs a C-form: every superdiagonal entry must be 1")
     cols = c_mat.to_window().columns()
-    grid = [[1] + [0] * (W - 1)]
+    row, flat = [1] + [0] * (W - 1), []
     for i in range(W - 1):
-        row, q_i = grid[i], pow(ctx.q_hat_residue, i, m)
-        # map() stops at the shorter operand: column j of C has j+1 entries.
-        grid.append([(sum(map(mul, row, col)) - q_i * v) % m for col, v in zip(cols, row)])
-    for i, row in enumerate(grid):
-        if any(row[:i]):
-            raise InvariantError(f"U row {i} is nonzero below the diagonal")
-        if row[i] % ctx.p == 0:
-            raise InvariantError(f"U[{i}][{i}] is not a unit")
-    return UTWindow(ctx, W, [v for i, row in enumerate(grid) for v in row[i:]])
+        flat.extend(row)
+        q_i = pow(ctx.q_hat_residue, i, m)
+        # map() stops at the shorter operand: column j holds C[i..j][j].
+        below, *row = [(sum(map(mul, row, col)) - q_i * v) % m for col, v in zip(cols[i:], row)]
+        if below:
+            raise InvariantError(f"U row {i + 1} is nonzero below the diagonal")
+        if row[0] % ctx.p == 0:
+            raise InvariantError(f"U[{i + 1}][{i + 1}] is not a unit")
+        for col in cols[i + 1:]:
+            del col[0]
+    flat.extend(row)
+    return UTWindow(ctx, W, flat)
 
 
 def verify_conjugation(c_mat: AFormMatrix) -> tuple[UTWindow, UTWindow, UTWindow]:
@@ -150,6 +160,6 @@ def verify_conjugation(c_mat: AFormMatrix) -> tuple[UTWindow, UTWindow, UTWindow
 
 
 def conjugator(a: AFormMatrix) -> UTWindow:
-    """The matrix B = U*E with B * A * B**-1 = R on the window."""
-    c_mat = normalize_superdiag(a)
-    return build_U(c_mat) * build_E(a.ctx, a.superdiag)
+    """B = U*E with B * A * B**-1 = R on the window: E is diagonal, so column j of U scales by e_j."""
+    e, rows = _e_diagonal(a.ctx, a.superdiag), build_U(normalize_superdiag(a)).rows()
+    return UTWindow(a.ctx, a.W, [v * e[j] for i, row in enumerate(rows) for j, v in enumerate(row, i)])

@@ -16,7 +16,6 @@ formulas, so the two routes can be checked against each other.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 from typing import Sequence
 
 from .errors import BadIndexError
@@ -147,11 +146,16 @@ def alpha(ctx: PadicContext, coeffs: Sequence[PadicInt | int], W: int) -> UTWind
 
     Column j of the result is already exact after the first j+1 terms:
     X_n kills the leading n columns, so all terms with n >= W are skipped
-    outright.  Each X_n is read through build_Xn, from its chain cached
-    per (ctx, W).  The sum is one exact int pass per entry, reduced once.
+    outright.  Each X_n is read through build_Xn, from its chain cached per
+    (ctx, W), and the sum is taken on their packed() ints.  At most W terms
+    remain, each adding at most (m - 1)**2 to a slot, m = p**N, so a slot
+    of slot_bytes() bytes, room for W * (m - 1)**2, takes the sum without a
+    carry; each entry is read back and reduced once.
     """
     if not coeffs:
         raise BadIndexError("alpha needs at least one coefficient")
     residues = [ctx.residue(a) for a in coeffs][:W]
-    flats = [build_Xn(ctx, n, W).residues() for n in range(len(residues))]
-    return UTWindow(ctx, W, [sum(map(mul, residues, entry)) for entry in zip(*flats)])
+    chain = [build_Xn(ctx, n, W) for n in range(len(residues))]
+    nb = chain[0].slot_bytes()
+    buf = sum([a * x.packed() for a, x in zip(residues, chain)]).to_bytes(nb * W * (W + 1) // 2, "little")
+    return UTWindow(ctx, W, [int.from_bytes(buf[t:t + nb], "little") for t in range(0, len(buf), nb)])

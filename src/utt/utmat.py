@@ -5,7 +5,9 @@ upper-triangular matrix.  Because such matrices are triangular, the
 window of a product equals the product of the windows: entry (i, j) of
 A*B only involves columns k with i <= k <= j, all inside the window.
 Every operation here leans on that exactness; nothing is approximated
-by the windowing itself.
+by the windowing itself.  A window packs its residues into one int once,
+for the product to read from its right factor and for ops.alpha to sum;
+inverse() and conj.build_U keep their own dot products.
 
 Row and column indices are 0-based throughout the package.
 """
@@ -32,17 +34,18 @@ class UTWindow:
     once, works on plain ints, and reduces modulo p**N once per output
     entry; entry() turns a residue back into a PadicInt.
 
-    The product is a sum of packed rows: each row of the right factor is
-    one int with an entry per fixed-width slot, and row i of the product
-    is the sum of the nonzero self(i, k) times packed row k, each moved
-    to line up with row i.  A slot is wide enough for W * (p**N - 1)**2,
+    packed() is the residues as one int, a slot of slot_bytes() bytes per
+    entry, built on first use and kept; __eq__, residues() and rows() never
+    read it.  The product reads the packed form of its right factor: row i
+    of the product is the sum of the nonzero self(i, k) times row k cut out
+    of it, each moved to line up with row i.  A slot holds W * (p**N - 1)**2,
     the largest sum it can receive, so no slot carries into the next.
     inverse() keeps its own dot products, and so do conj.build_U and the
     dense test oracle, so no check compares the kernel with itself.
     No method mutates a window, but its attributes accept assignment.
     """
 
-    __slots__ = ("ctx", "W", "_e")
+    __slots__ = ("ctx", "W", "_e", "_packed")
 
     def __init__(self, ctx: PadicContext, W: int, residues: Iterable[int]):
         """`residues` lists the entries (i, j), i <= j, row by row; each is reduced mod p**N."""
@@ -52,15 +55,13 @@ class UTWindow:
         e = tuple([v % m for v in residues])
         if len(e) != W * (W + 1) // 2:
             raise SizeMismatchError(f"expected {W * (W + 1) // 2} entries, got {len(e)}")
-        self.ctx = ctx
-        self.W = W
-        self._e = e
+        self.ctx, self.W, self._e, self._packed = ctx, W, e, None
 
     @classmethod
     def _of_residues(cls, ctx: PadicContext, W: int, e: tuple[int, ...]) -> "UTWindow":
         """A window over `e`, which must already be W*(W+1)/2 canonical residues."""
         self = object.__new__(cls)
-        self.ctx, self.W, self._e = ctx, W, e
+        self.ctx, self.W, self._e, self._packed = ctx, W, e, None
         return self
 
     @classmethod
@@ -97,6 +98,17 @@ class UTWindow:
             off += W - i
         return out
 
+    def slot_bytes(self) -> int:
+        """Bytes per slot of packed(): room for W * (p**N - 1)**2 without a carry."""
+        return (2 * self.ctx.modulus.bit_length() + self.W.bit_length() + 7) // 8
+
+    def packed(self) -> int:
+        """All residues as one int, entry t of residues() in slot t; built once."""
+        if self._packed is None:
+            nb = self.slot_bytes()
+            self._packed = int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in self._e]), "little")
+        return self._packed
+
     def columns(self) -> list[list[int]]:
         """Column j as the residues of the entries (0, j), (1, j), ..., (j, j)."""
         cols: list[list[int]] = [[] for _ in range(self.W)]
@@ -122,22 +134,22 @@ class UTWindow:
     def __mul__(self, other: "UTWindow") -> "UTWindow":
         """Entry (i, j) is the sum over i <= k <= j of self(i, k) * other(k, j).
 
-        Row k of other is packed into one int, entry (k, j) in slot j - k,
-        each slot nb bytes wide.  Row i of the product is the sum, over the
-        nonzero self(i, k), of self(i, k) times packed row k moved up by
-        k - i slots, so entry (i, j) lands in slot j - i.  A slot receives
-        at most W products of residues below m = p**N, so it stays below
-        W * m**2 < 2**(8 * nb) and never carries into the next.  Each row
-        is unpacked once and reduced once per entry.  Skipping the zero
-        self(i, k) is what makes the structured windows cheap: diagonal,
-        shift, bidiagonal and banded.
+        Packed row k of other is cut out of other.packed() by shift and mask:
+        the W - k slots from slot k*W - k*(k-1)/2, entry (k, j) in slot j - k.
+        Row i of the product is the sum, over the nonzero self(i, k), of
+        self(i, k) times packed row k moved up by k - i slots, so entry (i, j)
+        lands in slot j - i.  A slot receives at most W products of residues
+        below m = p**N, so it stays below W * m**2 < 2**(8 * slot_bytes())
+        and never carries into the next.  Each row is unpacked once and
+        reduced once per entry.  Skipping the zero self(i, k) is what makes
+        the structured windows cheap: diagonal, shift, bidiagonal and banded.
         """
         self._check(other)
         W, m = self.W, self.ctx.modulus
-        nb = (2 * m.bit_length() + W.bit_length() + 7) // 8
-        width, mask = 8 * nb, (1 << 8 * nb) - 1
-        packed = [int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in row]), "little")
-                  for row in other.rows()]
+        width, whole = 8 * self.slot_bytes(), other.packed()
+        mask = (1 << width) - 1
+        packed = [whole >> width * (k * W - k * (k - 1) // 2) & (1 << width * (W - k)) - 1
+                  for k in range(W)]
         out: list[int] = []
         for i, row in enumerate(self.rows()):
             acc = sum([a * packed[k] << width * (k - i) for k, a in enumerate(row, i) if a])

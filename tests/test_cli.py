@@ -111,6 +111,7 @@ def test_env_prime_one_exits_two(capsys, monkeypatch):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+KINDS = {"matrix": cli.MATRIX_KINDS, "basis": cli.BASIS_KINDS}
 COMMANDS = [["verify", s] for s in (*SUITES, "all")] + [
     ["matrix", "R"], ["matrix", "Xn"], ["basis", "g"], ["qbinom"],
 ]
@@ -120,8 +121,11 @@ CHEAP_FLAGS = {"W": "4", "nmax": "2", "kmax": "3", "trials": "2"}
 
 
 def _accepted_flags(command):
-    """The flags `command` accepts: one verify suite takes the context, the seed and its group's."""
+    """The flags `command` accepts: one verify suite takes the context, the seed and its group's,
+    and one matrix or basis kind the context and its own."""
     flags = cli.COMMAND_FLAGS[command[0]]
+    if command[0] in KINDS:
+        return ("p", "q", "N", *KINDS[command[0]][command[1]][0])
     if command[0] != "verify" or command[1] == "all":
         return flags
     group = GROUPS[SUITES[command[1]].group]
@@ -196,6 +200,32 @@ def test_flag_the_command_does_not_read_exits_two(capsys, argv):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "unrecognized arguments" in err
+
+
+# Each matrix and basis kind with a cheap value of every flag it reads.
+KIND_ARGVS = {
+    ("matrix", "D"): ["--W", "3"], ("matrix", "S"): ["--W", "3"], ("matrix", "R"): ["--W", "3"],
+    ("matrix", "Rn"): ["--n", "2", "--W", "3"], ("matrix", "Xn"): ["--n", "2", "--W", "3"],
+    ("basis", "c"): ["--k", "2"], ("basis", "f"): ["--k", "2"],
+    ("basis", "F"): ["--i", "1", "--j", "0", "--k", "2"], ("basis", "g"): ["--m", "2", "--l", "1"],
+}
+
+
+def test_kind_argvs_cover_every_kind():
+    assert sorted(KIND_ARGVS) == sorted((c, k) for c, kinds in KINDS.items() for k in kinds)
+
+
+@pytest.mark.parametrize("command,kind", sorted(KIND_ARGVS))
+def test_kind_rejects_a_given_flag_it_does_not_read(capsys, command, kind):
+    """Every flag its command parses but the kind never reads exits 2 with one error line."""
+    base = [command, kind, *KIND_ARGVS[command, kind]]
+    code, out, err = run_cli(capsys, base)
+    assert code == 0 and err == ""
+    read = {"p", "q", "N", *KINDS[command][kind][0]}
+    for flag in sorted(set(cli.COMMAND_FLAGS[command]) - read):
+        code, out, err = run_cli(capsys, base + [f"--{flag}", "2"])
+        assert (code, out) == (2, ""), flag
+        assert err == f"error: {command} {kind} does not read --{flag}\n"
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from utt.conj import (
     normalize_superdiag,
     verify_conjugation,
 )
-from utt.errors import ContextMismatchError, DomainError, NotAUnitError
+from utt.errors import ContextMismatchError, DomainError, InvariantError, NotAUnitError
 from utt.ops import build_R
 from utt.utmat import UTWindow
 
@@ -132,6 +132,21 @@ def test_build_u_rejects_non_c_form(ctx):
     a = AFormMatrix(a_form_window(ctx, [1, 2, 1]))
     with pytest.raises(ValueError, match="C-form"):
         build_U(a)
+
+
+@pytest.mark.parametrize("k", [0, 3, W - 2])
+def test_build_u_rejects_a_disturbed_diagonal_at_the_row_below_it(ctx, k):
+    """C[k][k] = q_hat**k + p**(N-1) leaves U[k+1][k] = U[k][k] * p**(N-1), which is not zero.
+
+    The constructor would reject such a C, so it is assembled by hand.
+    """
+    good = AFormMatrix.random(ctx, W, random.Random(12), c_form=True).to_window()
+    bump = ctx.p ** (ctx.N - 1)
+    flat = [v + bump * ((i, j) == (k, k)) for i, row in enumerate(good.rows()) for j, v in enumerate(row, i)]
+    c = object.__new__(AFormMatrix)
+    c.ctx, c.W, c._win = ctx, W, UTWindow(ctx, W, flat)
+    with pytest.raises(InvariantError, match=rf"^U row {k + 1} is nonzero below the diagonal$"):
+        build_U(c)
 
 
 # ------------------------------------------------------- superdiagonal fix

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import dense_product
+from conftest import dense_product, random_window
 from utt import cli, ops
 from utt.errors import BadIndexError, ContextMismatchError
 from utt.ops import (
@@ -216,6 +216,36 @@ def test_alpha_matches_dense_chain_sum(ctx):
     for n, a in enumerate(coeffs):
         want = want + _dense_xn(ctx, n, 7).scale(a)
     assert alpha(ctx, coeffs, 7) == want
+
+
+def test_alpha_and_products_share_the_packed_chain_windows(ctx, cold_chain):
+    """The product and alpha read one memoised packed form of each chain window, in either order."""
+    size, rng = 8, random.Random(13)
+    coeffs = [rng.randrange(ctx.modulus) for _ in range(size)]
+    want = UTWindow.zero(ctx, size)
+    for n, a in enumerate(coeffs):
+        want = want + _dense_xn(ctx, n, size).scale(a)
+    lefts = [build_R(ctx, size), random_window(ctx, size, rng), build_Xn(ctx, 2, size)]
+    x3 = build_Xn(ctx, 3, size)
+    before = [left * x3 for left in lefts]  # these products pack X_3
+    assert alpha(ctx, coeffs, size) == want  # alpha packs the rest of the chain
+    x5 = build_Xn(ctx, 5, size)
+    for x in (x3, x5):
+        assert [left * x for left in lefts] == [dense_product(left, x) for left in lefts]
+    assert before == [dense_product(left, x3) for left in lefts]
+    assert alpha(ctx, coeffs, size) == want
+
+
+def test_alpha_of_all_top_coefficients_fits_its_slots(cold_chain):
+    """Every coefficient m - 1 at W = 24: the packed sum matches the dense chain sum."""
+    ctx, size = make_context(3, 2, 40), 24
+    top = ctx.modulus - 1
+    want, xn = UTWindow.zero(ctx, size), UTWindow.identity(ctx, size)
+    for n in range(size):
+        if n:
+            xn = dense_product(xn, build_Rn(ctx, n, size))
+        want = want + xn.scale(top)
+    assert alpha(ctx, [top] * size, size) == want
 
 
 def test_alpha_rejects_bad_input(ctx):

@@ -97,7 +97,31 @@ def test_mul_of_all_top_residues_matches_dense_oracle(p, q, N, W):
     """Every entry m - 1 fills each slot of the packed product to its bound."""
     ctx = make_context(p, q, N)
     top = UTWindow(ctx, W, [ctx.modulus - 1] * (W * (W + 1) // 2))
-    assert top * top == dense_product(top, top)
+    want = dense_product(top, top)
+    assert top * top == want
+    warm = UTWindow(ctx, W, top.residues())
+    warm.packed()  # the memo is built before the product reads it
+    assert top * warm == want
+
+
+def test_packed_right_operand_serves_every_product(ctx):
+    """The memo is built by the first product and read by the rest; it changes no window."""
+    rng = random.Random(37)
+    right = random_window(ctx, 7, rng)
+    fresh = UTWindow(ctx, 7, right.residues())
+    lefts = [random_window(ctx, 7, rng) for _ in range(3)] + [build_R(ctx, 7), right]
+    for left in lefts:
+        assert left * right == dense_product(left, fresh)
+    assert right == fresh and right.rows() == fresh.rows() and right.packed() == fresh.packed()
+
+
+def test_packed_lays_the_residues_out_slot_by_slot(ctx):
+    w = random_window(ctx, 6, random.Random(41))
+    nb = w.slot_bytes()
+    assert 2 ** (8 * nb) > w.W * (ctx.modulus - 1) ** 2
+    packed = w.packed()
+    assert [packed >> 8 * nb * t & (1 << 8 * nb) - 1 for t in range(21)] == list(w.residues())
+    assert packed >> 8 * nb * 21 == 0
 
 
 def test_mul_by_zero_and_identity(ctx):
