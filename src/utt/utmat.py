@@ -42,7 +42,7 @@ class UTWindow:
     the largest sum it can receive, so no slot carries into the next.
     inverse() keeps its own dot products, and so do conj.build_U and the
     dense test oracle, so no check compares the kernel with itself.
-    No method mutates a window, but its attributes accept assignment.
+    No method changes a window's residues, but its attributes accept assignment.
     """
 
     __slots__ = ("ctx", "W", "_e", "_packed")

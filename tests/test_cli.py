@@ -10,6 +10,8 @@ import json
 import os
 import subprocess
 import sys
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,19 @@ KIND_ARGVS = {
 
 def test_kind_argvs_cover_every_kind():
     assert sorted(KIND_ARGVS) == sorted((c, k) for c, kinds in KINDS.items() for k in kinds)
+
+
+def test_readme_kind_table_matches_the_tables():
+    """README's table of the flags each matrix and basis kind reads."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| kind "))
+    documented = {}
+    for row in takewhile(lambda line: line.startswith("|"), lines[start + 2:]):
+        kinds, reads = (cell.strip() for cell in row.split("|")[1:3])
+        command, first = kinds.split(",")[0].strip("` ").split()
+        for kind in [first] + [k.strip("` ") for k in kinds.split(",")[1:]]:
+            documented[command, kind] = tuple(reads.strip("`").replace("--", "").split())
+    assert documented == {(c, k): flags for c, kinds in KINDS.items() for k, (flags, _) in kinds.items()}
 
 
 @pytest.mark.parametrize("command,kind", sorted(KIND_ARGVS))
