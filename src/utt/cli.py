@@ -56,16 +56,38 @@ FLAGS = {
     "trials": (50, "random C-forms for the conjugation/uc-ru checks (default 50)"),
     "seed": (0, "seed for random trials (default 0)"),
 }
-# The flags each command reads, besides --format; any other flag exits 2.
-# verify parses the context, the seed and the flags of every suite group, and
-# cmd_verify rejects a given flag of a group that no chosen suite is in;
-# matrix and basis parse all their kinds' flags, and _build does the same per kind.
+CONTEXT_FLAGS = ("p", "q", "N")
+# The windows `utt matrix` prints and the polynomials `utt basis` prints:
+# kind -> (the flags it reads besides the context, builder(ctx, *their values)).
+MATRIX_KINDS = {
+    "D": (("W",), build_D),
+    "S": (("W",), build_S),
+    "R": (("W",), build_R),
+    "Rn": (("n", "W"), build_Rn),
+    "Xn": (("n", "W"), build_Xn),
+}
+BASIS_KINDS = {
+    "c": (("k",), c_poly),
+    "f": (("k",), f_poly),
+    "F": (("i", "j", "k"), big_F),
+    "g": (("m", "l"), g_poly),
+}
+
+
+def _in_flag_order(*reads: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(flag for flag in FLAGS if any(flag in names for names in reads))
+
+
+# The flags each command reads besides --format, in FLAGS order; any other flag
+# exits 2.  verify parses the context, the seed and every suite group's flags, and
+# cmd_verify rejects a given flag of a group no chosen suite is in; matrix and basis
+# parse the context and all their kinds' flags, and _build rejects another kind's.
 GROUP_FLAGS = frozenset(flag for flags in GROUPS.values() for flag in flags)
 COMMAND_FLAGS = {
-    "matrix": ("p", "q", "N", "W", "n"),
+    "matrix": _in_flag_order(CONTEXT_FLAGS, *(flags for flags, _ in MATRIX_KINDS.values())),
     "qbinom": ("n", "k"),
-    "basis": ("p", "q", "N", "k", "m", "l", "i", "j"),
-    "verify": tuple(flag for flag in FLAGS if flag in GROUP_FLAGS or flag in ("p", "q", "N", "seed")),
+    "basis": _in_flag_order(CONTEXT_FLAGS, *(flags for flags, _ in BASIS_KINDS.values())),
+    "verify": _in_flag_order(CONTEXT_FLAGS, ("seed",), GROUP_FLAGS),
 }
 COMMAND_FLAGS["all"] = COMMAND_FLAGS["verify"]
 
@@ -123,13 +145,9 @@ def _context(args: argparse.Namespace) -> PadicContext:
 
 
 def _require(args: argparse.Namespace, *names: str) -> list[int]:
-    values = []
-    for name in names:
-        v = getattr(args, name)
-        if v is None:
-            raise ConfigError(f"this command needs --{name}")
-        values.append(v)
-    return values
+    if missing := [name for name in names if getattr(args, name) is None]:
+        raise ConfigError(f"this command needs --{missing[0]}")
+    return [getattr(args, name) for name in names]
 
 
 def emit_window(win: UTWindow, fmt: str) -> str:
@@ -205,28 +223,11 @@ def emit_check(result: CheckResult, fmt: str) -> str:
     return f"[{status}] {result.name} ({result.anchor}){suffix}"
 
 
-# The windows `utt matrix` prints and the polynomials `utt basis` prints:
-# kind -> (the flags it reads besides the context, builder(ctx, *their values)).
-MATRIX_KINDS = {
-    "D": (("W",), build_D),
-    "S": (("W",), build_S),
-    "R": (("W",), build_R),
-    "Rn": (("n", "W"), build_Rn),
-    "Xn": (("n", "W"), build_Xn),
-}
-BASIS_KINDS = {
-    "c": (("k",), c_poly),
-    "f": (("k",), f_poly),
-    "F": (("i", "j", "k"), big_F),
-    "g": (("m", "l"), g_poly),
-}
-
-
 def _build(command: str, kinds: dict, kind: str, args: argparse.Namespace):
     """Build `kind` from its flags; a given flag it does not read is checked last, and exits 2."""
     flags, builder = kinds[kind]
     built = builder(_context(args), *_require(args, *flags))
-    if unread := sorted(args.given - {"p", "q", "N", *flags}):
+    if unread := sorted(args.given - {*CONTEXT_FLAGS, *flags}):
         raise ConfigError(f"{command} {kind} does not read --{unread[0]}")
     return built
 

@@ -22,11 +22,11 @@ from typing import Sequence
 
 from .errors import DomainError, InvariantError, NotAUnitError
 from .ops import build_R
-from .padic import PadicContext, PadicInt
+from .padic import IntLike, PadicContext
 from .utmat import UTWindow
 
 
-def _unit_residues(ctx: PadicContext, superdiag: Sequence[PadicInt | int]) -> list[int]:
+def _unit_residues(ctx: PadicContext, superdiag: Sequence[IntLike]) -> list[int]:
     """Residues of superdiagonal entries, each required to be a unit of ctx."""
     units = [ctx.residue(v) for v in superdiag]
     for i, u in enumerate(units):
@@ -86,12 +86,12 @@ def _random_unit(ctx: PadicContext, rng: random.Random) -> int:
     return u
 
 
-def _e_diagonal(ctx: PadicContext, superdiag: Sequence[PadicInt | int]) -> list[int]:
+def _e_diagonal(ctx: PadicContext, superdiag: Sequence[IntLike]) -> list[int]:
     """e_0 = 1 and e_i the product of the first i superdiagonal units."""
     return list(accumulate(_unit_residues(ctx, superdiag), lambda e, u: e * u % ctx.modulus, initial=1))
 
 
-def build_E(ctx: PadicContext, superdiag: Sequence[PadicInt | int]) -> UTWindow:
+def build_E(ctx: PadicContext, superdiag: Sequence[IntLike]) -> UTWindow:
     """Diagonal window with E[0,0] = 1 and E[i,i] the product of the
     first i superdiagonal units, of size W = len(superdiag) + 1;
     conjugation by E rescales the superdiagonal of an A-form matrix to

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import BadIndexError
-from .padic import PadicContext, PadicInt
+from .padic import IntLike, PadicContext
 from .qcalc import binom, qbinom_eval, qbinom_residue
 from .utmat import UTWindow
 
@@ -86,30 +86,30 @@ def _xn_chain(ctx: PadicContext, W: int) -> list[UTWindow]:
     return [UTWindow.identity(ctx, W)]
 
 
-def rpower_closed(ctx: PadicContext, n: int, s: int, c: int) -> PadicInt:
+def rpower_closed(ctx: PadicContext, n: int, s: int, c: int) -> int:
     """Entry (s, s+c) of R**n: qbinom(n, n-c)(q_hat) * q_hat**(s*(n-c)).
 
     Zero whenever c is outside [0, n]; s is the 0-based row index.
-    Evaluated on int residues; the result is the only PadicInt built.
+    Evaluated on int residues; the result is a residue mod p**N.
     """
     if n < 0 or s < 0:
         raise BadIndexError(f"rpower_closed needs n >= 0 and s >= 0, got n={n}, s={s}")
     if c < 0 or c > n:
-        return ctx.zero()
+        return 0
     q_hat, M = ctx.q_hat_residue, ctx.modulus
-    return PadicInt(ctx, qbinom_residue(n, n - c, q_hat, M) * pow(q_hat, s * (n - c), M))
+    return qbinom_residue(n, n - c, q_hat, M) * pow(q_hat, s * (n - c), M) % M
 
 
-def xn_closed(ctx: PadicContext, n: int, s: int, c: int) -> PadicInt:
+def xn_closed(ctx: PadicContext, n: int, s: int, c: int) -> int:
     """Entry (s, s+c) of X_n as a signed double q-binomial sum.
 
     Zero whenever c is outside [0, n]; s is the 0-based row index.
-    Summed on ints and reduced once, into the only PadicInt built.
+    Summed on ints and reduced once, to a residue mod p**N.
     """
     if n < 0 or s < 0:
         raise BadIndexError(f"xn_closed needs n >= 0 and s >= 0, got n={n}, s={s}")
     if c < 0 or c > n:
-        return ctx.zero()
+        return 0
     q_hat, M = ctx.q_hat_residue, ctx.modulus
     acc = 0
     for i in range(c, n + 1):
@@ -119,7 +119,7 @@ def xn_closed(ctx: PadicContext, n: int, s: int, c: int) -> PadicInt:
             * qbinom_residue(i, i - c, q_hat, M)
         )
         acc += term if (n - i) % 2 == 0 else -term
-    return PadicInt(ctx, acc)
+    return acc % M
 
 
 def xn_expand_binomial(ctx: PadicContext, n: int, W: int) -> UTWindow:
@@ -141,8 +141,8 @@ def xn_expand_binomial(ctx: PadicContext, n: int, W: int) -> UTWindow:
     return acc
 
 
-def alpha(ctx: PadicContext, coeffs: Sequence[PadicInt | int], W: int) -> UTWindow:
-    """The window of sum_n coeffs[n] * X_n; each coefficient is an int or a PadicInt of ctx.
+def alpha(ctx: PadicContext, coeffs: Sequence[IntLike], W: int) -> UTWindow:
+    """The window of sum_n coeffs[n] * X_n; each coefficient is a ring value of ctx.
 
     Column j of the result is already exact after the first j+1 terms:
     X_n kills the leading n columns, so all terms with n >= W are skipped

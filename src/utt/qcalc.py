@@ -97,16 +97,15 @@ def qbinom_residue(n: int, i: int, x: int, M: int) -> int:
     return rows[n][i]
 
 
-def qbinom_eval(n: int, i: int, x: PadicInt | int):
-    """[n choose i]_q at x: a PadicInt at a PadicInt, an exact int at an int.
+def qbinom_eval(n: int, i: int, x: PadicInt | int) -> int:
+    """[n choose i]_q at x: a residue mod p**N at a PadicInt, an exact int at an int.
 
     At a PadicInt the value comes from the residue rows of
     qbinom_residue, and no polynomial is built.  At an int it is the
     coefficients of qbinom(n, i) summed by Horner on exact ints.
     """
     if isinstance(x, PadicInt):
-        ctx = x.ctx
-        return PadicInt(ctx, qbinom_residue(n, i, x.residue, ctx.modulus))
+        return qbinom_residue(n, i, x.residue, x.ctx.modulus)
     acc = 0
     for c in reversed(qbinom(n, i)):
         acc = acc * x + c

@@ -23,7 +23,7 @@ from .errors import (
     NotInvertibleError,
     SizeMismatchError,
 )
-from .padic import PadicContext, PadicInt
+from .padic import IntLike, PadicContext
 
 
 class UTWindow:
@@ -32,7 +32,7 @@ class UTWindow:
     The entries (i, j), i <= j, are stored row by row in one flat tuple
     of ints in [0, p**N).  Every operation checks the context and size
     once, works on plain ints, and reduces modulo p**N once per output
-    entry; entry() turns a residue back into a PadicInt.
+    entry; entry() returns the stored residue.
 
     packed() is the residues as one int, a slot of slot_bytes() bytes per
     entry, built on first use and kept; __eq__, residues() and rows() never
@@ -65,7 +65,7 @@ class UTWindow:
         return self
 
     @classmethod
-    def from_fn(cls, ctx: PadicContext, W: int, fn: Callable[[int, int], PadicInt | int]) -> "UTWindow":
+    def from_fn(cls, ctx: PadicContext, W: int, fn: Callable[[int, int], IntLike]) -> "UTWindow":
         """Build from an entry generator fn(i, j) for i <= j."""
         return cls(ctx, W, [ctx.residue(fn(i, j)) for i in range(W) for j in range(i, W)])
 
@@ -77,13 +77,13 @@ class UTWindow:
     def zero(cls, ctx: PadicContext, W: int) -> "UTWindow":
         return cls(ctx, W, [0] * (W * (W + 1) // 2))
 
-    def entry(self, i: int, j: int) -> PadicInt:
-        """Entry (i, j); zero below the diagonal, error outside the window."""
+    def entry(self, i: int, j: int) -> int:
+        """The residue of entry (i, j); 0 below the diagonal, error outside the window."""
         if not (0 <= i < self.W and 0 <= j < self.W):
             raise BadIndexError(f"({i},{j}) outside {self.W}x{self.W} window")
         if i > j:
-            return self.ctx.zero()
-        return PadicInt(self.ctx, self._e[i * self.W - i * (i - 1) // 2 + (j - i)])
+            return 0
+        return self._e[i * self.W - i * (i - 1) // 2 + (j - i)]
 
     def residues(self) -> tuple[int, ...]:
         """All entries (i, j), i <= j, row by row, as the flat tuple of residues."""
@@ -127,7 +127,7 @@ class UTWindow:
         self._check(other)
         return UTWindow(self.ctx, self.W, [a + b for a, b in zip(self._e, other._e)])
 
-    def scale(self, c: PadicInt | int) -> "UTWindow":
+    def scale(self, c: IntLike) -> "UTWindow":
         c = self.ctx.residue(c)
         return UTWindow(self.ctx, self.W, [c * a for a in self._e])
 

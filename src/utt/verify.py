@@ -293,11 +293,11 @@ def reachable_action_branches(p: int, kmax: int) -> frozenset[str]:
 
 def suite_action(ctx: PadicContext, kmax: int) -> Iterator[CheckResult]:
     """The substitution action on f_m and on every g-basis branch."""
-    p = ctx.p
+    p, q_hat, M = ctx.p, ctx.q_hat_residue, ctx.modulus
     u = BivarPoly.u_hat(ctx)
     for m in range(1, kmax + 1):
         f = f_poly(ctx, m)
-        rhs = f.scale(ctx.q_hat_pow(m)) + (u * f_poly(ctx, m - 1)).scale_p(nu_int(p, m))
+        rhs = f.scale(pow(q_hat, m, M)) + (u * f_poly(ctx, m - 1)).scale_p(nu_int(p, m))
         yield _compare(f"action/f/m={m}", ANCHOR_ACTION_F, psi_action(f), rhs, ctx, m=m)
     hit: set[str] = set()
     diagonal = [(m, m) for m in range(kmax + 1)]
@@ -306,7 +306,7 @@ def suite_action(ctx: PadicContext, kmax: int) -> Iterator[CheckResult]:
         hit.add(f"{'diag' if l == m else 'off'}:{branch}")
         g = g_poly(ctx, m, l)
         lhs = psi_action(g)
-        rhs = g if m == 0 else g.scale(ctx.q_hat_pow(l)) + g_poly(ctx, m, l - 1).scale_p(exponent)
+        rhs = g if m == 0 else g.scale(pow(q_hat, l, M)) + g_poly(ctx, m, l - 1).scale_p(exponent)
         yield _compare(f"action/g/m={m},l={l}", ANCHOR_ACTION_G, lhs, rhs, ctx, m=m, l=l, branch=branch)
     yield _coverage("action/g", ANCHOR_ACTION_G, ctx, kmax, hit, reachable_action_branches(p, kmax))
 

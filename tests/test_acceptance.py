@@ -91,7 +91,7 @@ def test_criterion_3_xn_filtration_and_closed_forms(acceptance_recorder):
             ok = ok and xn.filtration_level() >= n
             for s in range(W):
                 for j in range(s + n + 1, W):
-                    ok = ok and xn.entry(s, j).residue == 0
+                    ok = ok and xn.entry(s, j) == 0
         for n in range(7):
             xn = build_Xn(ctx, n, W)
             ok = ok and xn == xn_expand_binomial(ctx, n, W)
@@ -117,7 +117,7 @@ def test_criterion_4_conjugation(acceptance_recorder):
             u = build_U(c)
             ok = ok and u * c.to_window() == r * u
             for i in range(W_c):
-                ok = ok and u.entry(i, i).residue % ctx.p != 0
+                ok = ok and u.entry(i, i) % ctx.p != 0
         for _ in range(20):
             a = AFormMatrix.random(ctx, W_c, rng)
             b = conjugator(a)

@@ -23,7 +23,7 @@ from utt.ops import (
     xn_expand_binomial,
 )
 from utt.padic import make_context
-from utt.qcalc import qbinom_eval
+from utt.qcalc import binom, qbinom_eval, qbinom_residue
 from utt.utmat import UTWindow
 
 W = 12
@@ -37,9 +37,9 @@ def test_basic_matrices_frozen(ctx):
     for i in range(4):
         assert d.entry(i, i) == ctx.q_hat_pow(i)
         for j in range(i + 1, 4):
-            assert d.entry(i, j).residue == 0
-            assert s.entry(i, j).residue == (1 if j == i + 1 else 0)
-        assert s.entry(i, i).residue == 0
+            assert d.entry(i, j) == 0
+            assert s.entry(i, j) == (1 if j == i + 1 else 0)
+        assert s.entry(i, i) == 0
     assert r == d + s
 
 
@@ -73,8 +73,8 @@ def test_rpower_closed_matches_products(ctx):
 
 
 def test_rpower_closed_out_of_band(ctx):
-    assert rpower_closed(ctx, 3, 0, 4).residue == 0
-    assert rpower_closed(ctx, 3, 2, -1).residue == 0
+    assert rpower_closed(ctx, 3, 0, 4) == 0
+    assert rpower_closed(ctx, 3, 2, -1) == 0
 
 
 @pytest.mark.parametrize("size", [1, 2, 6, W])
@@ -159,7 +159,7 @@ def test_xn_filtration_and_band(ctx):
         for s in range(W):
             for j in range(s, W):
                 if j - s > n:
-                    assert xn.entry(s, j).residue == 0, (n, s, j)
+                    assert xn.entry(s, j) == 0, (n, s, j)
 
 
 def test_xn_three_way_equality(ctx):
@@ -177,8 +177,43 @@ def test_xn_closed_frozen(ctx):
         want = ctx.q_hat_pow(s) - ctx.one()
         assert xn_closed(ctx, 1, s, 0) == want
     x2 = build_Xn(ctx, 2, 6)
-    assert x2.entry(0, 1).residue == 0
-    assert x2.entry(0, 2).residue == 1
+    assert x2.entry(0, 1) == 0
+    assert x2.entry(0, 2) == 1
+
+
+def _is_residue(ctx, v) -> bool:
+    return type(v) is int and 0 <= v < ctx.modulus
+
+
+def test_matrix_values_are_int_residues(ctx):
+    """The closed formulas, entry() and qbinom_eval at q_hat all return residues mod p**N."""
+    r = build_R(ctx, W)
+    for n in range(NMAX + 1):
+        rn, xn = r**n, build_Xn(ctx, n, W)
+        for s in range(W):
+            for c in range(-1, n + 2):
+                assert _is_residue(ctx, rpower_closed(ctx, n, s, c)), (n, s, c)
+                assert _is_residue(ctx, xn_closed(ctx, n, s, c)), (n, s, c)
+            for j in range(W):
+                assert _is_residue(ctx, rn.entry(s, j)) and _is_residue(ctx, xn.entry(s, j)), (n, s, j)
+        for i in range(-1, n + 2):
+            assert _is_residue(ctx, qbinom_eval(n, i, ctx.q_hat())), (n, i)
+
+
+# (n, s, c) at which the signed sum xn_closed reduces is negative.
+NEGATIVE_XN_SUMS = {(3, 2, 20): [(4, 4, 0), (5, 4, 1), (6, 3, 0)], (7, 3, 20): [(2, 5, 0), (3, 2, 0)]}
+
+
+@pytest.mark.parametrize("triple", sorted(NEGATIVE_XN_SUMS), ids=lambda t: "p{}q{}".format(*t))
+def test_xn_closed_reduces_a_negative_sum(triple):
+    ctx = make_context(*triple)
+    q_hat, M = ctx.q_hat_residue, ctx.modulus
+    for n, s, c in NEGATIVE_XN_SUMS[triple]:
+        signed = sum((-1) ** (n - i) * pow(q_hat, binom(n - i, 2) + s * (i - c), M)
+                     * qbinom_residue(n, i, q_hat, M) * qbinom_residue(i, i - c, q_hat, M)
+                     for i in range(c, n + 1))
+        assert signed < 0, (n, s, c)
+        assert xn_closed(ctx, n, s, c) == signed % M, (n, s, c)
 
 
 # ------------------------------------------------------------------- alpha

@@ -11,7 +11,7 @@ from conftest import dense_product, random_unit_diag_window, random_window, sub_
 from utt.cli import emit_window
 from utt.errors import BadIndexError, ContextMismatchError, NotInvertibleError
 from utt.ops import build_D, build_R, build_S
-from utt.padic import PadicInt, make_context
+from utt.padic import make_context
 from utt.utmat import UTWindow
 
 # ------------------------------------------------------------ construction
@@ -25,9 +25,9 @@ def test_from_fn_frozen_examples(ctx):
     assert zero == UTWindow.zero(ctx, 3)
 
     ladder = UTWindow.from_fn(ctx, 2, lambda i, j: j - i + 1)
-    assert ladder.entry(0, 0).residue == 1
-    assert ladder.entry(0, 1).residue == 2
-    assert ladder.entry(1, 1).residue == 1
+    assert ladder.entry(0, 0) == 1
+    assert ladder.entry(0, 1) == 2
+    assert ladder.entry(1, 1) == 1
 
 
 def test_from_fn_reduces_to_canonical_residues(ctx):
@@ -37,23 +37,23 @@ def test_from_fn_reduces_to_canonical_residues(ctx):
         raw = UTWindow.from_fn(ctx, 4, lambda i, j: 3 * i + j + shift)
         assert raw == canonical
     negative = UTWindow.from_fn(ctx, 3, lambda i, j: -1)
-    assert negative.entry(0, 2).residue == m - 1
+    assert negative.entry(0, 2) == m - 1
 
 
-def test_entry_is_padic_int_in_window_context(ctx):
+def test_entry_is_int_residue(ctx):
     w = UTWindow.from_fn(ctx, 3, lambda i, j: i + 2 * j)
     for i in range(3):
         for j in range(3):
             e = w.entry(i, j)
-            assert isinstance(e, PadicInt) and e.ctx is ctx
-            assert e.residue == (i + 2 * j if i <= j else 0)
+            assert type(e) is int
+            assert e == (i + 2 * j if i <= j else 0)
 
 
 def test_entry_below_diagonal_is_zero(ctx):
     w = random_window(ctx, 5, random.Random(1))
     for i in range(5):
         for j in range(i):
-            assert w.entry(i, j).residue == 0
+            assert w.entry(i, j) == 0
 
 
 def test_entry_out_of_window_raises(ctx):

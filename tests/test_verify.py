@@ -185,7 +185,7 @@ def test_rpower_failure_names_first_mismatch(ctx3, monkeypatch):
     assert [r.name for r in bad] == [f"rpower/n={n}" for n in range(FAST_CFG["nmax"] + 1)]
     R, M = verify.build_R(ctx3, FAST_CFG["W"]), ctx3.modulus
     for n, r in enumerate(bad):
-        lhs = (R**n).entry(1, 2).residue
+        lhs = (R**n).entry(1, 2)
         assert r.detail == f"first mismatch at (1,2): {lhs} vs {(lhs + 1) % M}, nu_p(diff)=0"
     assert all(r.params["W"] == FAST_CFG["W"] for r in bad)
 
@@ -420,21 +420,45 @@ def test_conjugation_fails_a_u_outside_the_unit_group(ctx3, monkeypatch, capsys)
 
 
 def test_rpower_builds_at_most_one_padic_int_per_entry(monkeypatch, capsys):
-    """The closed formula runs on int residues and wraps one PadicInt per entry."""
-    W, nmax = 24, 22
-    built = 0
-    real = PadicInt.__init__
+    """The closed formulas run on int residues and build no PadicInt at all.
 
-    def counted(self, ctx, value):
+    The rpower suite builds none.  The xn suite builds them only for
+    xn_expand_binomial's coefficients, and none while xn_closed runs.
+    """
+    W, nmax = 24, 22
+    built, inside, calls = 0, 0, Counter()
+    real_init = PadicInt.__init__
+
+    def counted_init(self, ctx, value):
         nonlocal built
         built += 1
-        real(self, ctx, value)
+        real_init(self, ctx, value)
 
-    monkeypatch.setattr(PadicInt, "__init__", counted)
-    argv = ["verify", "rpower", "--p", "3", "--q", "2", "--N", "40", "--W", str(W), "--nmax", str(nmax)]
-    assert cli.main(argv) == 0
+    def watched(name):
+        real = getattr(verify, name)
+
+        def closed(*args):
+            nonlocal inside
+            before = built
+            value = real(*args)
+            inside += built - before
+            calls[name] += 1
+            return value
+
+        return closed
+
+    monkeypatch.setattr(PadicInt, "__init__", counted_init)
+    for name in ("rpower_closed", "xn_closed"):
+        monkeypatch.setattr(verify, name, watched(name))
+    flags = ["--p", "3", "--q", "2", "--N", "40", "--W", str(W), "--nmax", str(nmax)]
+    assert cli.main(["verify", "rpower"] + flags) == 0
     assert '"failed": 0' in capsys.readouterr().out
-    assert 0 < built <= (nmax + 1) * W * (W + 1) // 2
+    assert built == 0
+    assert cli.main(["verify", "xn"] + flags) == 0
+    assert '"failed": 0' in capsys.readouterr().out
+    assert inside == 0
+    assert calls["rpower_closed"] == (nmax + 1) * W * (W + 1) // 2
+    assert calls["xn_closed"] == 7 * W * (W + 1) // 2
 
 
 def test_rpower_records_are_pinned(ctx3):
