@@ -119,7 +119,10 @@ class BivarPoly:
     coeffs[b] is the (val, unit, sig) triple of utt.padic of u**(n-b) *
     v**b, or None for zero, and coeffs never ends in None, so equal terms
     give equal coeffs.  Terms of two weights, in the constructor or
-    under +, raise DomainError.  Instances are never mutated.
+    under +, raise DomainError.  Instances are never mutated.  A row
+    that may end in None, such as a sum's, becomes a polynomial through
+    _wrap; __mul__ and scale_p build theirs as they are, since a
+    product's last term and a shift's Nones need no trim.
     Coefficients cross the API as PadicScaled.  Sums run in one canonical
     order, by decreasing b, which decides where realignment loses digits.
     """
@@ -143,7 +146,8 @@ class BivarPoly:
 
     @classmethod
     def _wrap(cls, ctx: PadicContext, n: int | None, row: Sequence[Triple]) -> "BivarPoly":
-        """The weight-n polynomial of a coefficient row, its trailing zeros cut; all zeros give zero."""
+        """The weight-n polynomial of a row that may end in None: the trailing Nones are cut,
+        and a row of None alone gives zero."""
         end = len(row)
         while end and row[end - 1] is None:
             end -= 1
@@ -180,12 +184,9 @@ class BivarPoly:
         row = self.coeffs
         return PadicScaled._from_triple(self.ctx, row[b] if a + b == self.n and 0 <= b < len(row) else None)
 
-    def _check(self, other: "BivarPoly") -> None:
+    def __add__(self, other: "BivarPoly") -> "BivarPoly":
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError(f"{self.ctx} vs {other.ctx}")
-
-    def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        self._check(other)
         if other.n is None:
             return self
         if self.n is None:
@@ -201,12 +202,15 @@ class BivarPoly:
 
     def __mul__(self, other: "BivarPoly") -> "BivarPoly":
         """The coefficient rows convolved over b, term products by scaled_mul's rule on unpacked
-        triples, summed by scaled_add in the left's canonical order (b2 up meets b1 down)."""
-        self._check(other)
+        triples, summed by scaled_add in the left's canonical order (b2 up meets b1 down).
+        The last coefficient is the product of the two last ones, so never None."""
+        ctx = self.ctx
+        if ctx is not other.ctx and ctx != other.ctx:
+            raise ContextMismatchError(f"{ctx} vs {other.ctx}")
         xs, ys = self.coeffs, other.coeffs
         if not xs or not ys:
-            return BivarPoly.zero(self.ctx)
-        p, pw = self.ctx.p, _p_powers(self.ctx.p, self.ctx.N)
+            return BivarPoly.zero(ctx)
+        p, pw = ctx.p, _p_powers(ctx.p, ctx.N)
         acc: list[Triple] = [None] * (len(xs) + len(ys) - 1)
         for b2, y in enumerate(ys):
             if y is None:
@@ -219,7 +223,9 @@ class BivarPoly:
                     prod = (v1 + v2, u1 * u2 % pw[s], s)
                     prev = acc[b]
                     acc[b] = prod if prev is None else scaled_add(p, prev, prod)
-        return BivarPoly._wrap(self.ctx, self.n + other.n, acc)
+        poly = object.__new__(BivarPoly)
+        poly.ctx, poly.n, poly.coeffs = ctx, self.n + other.n, tuple(acc)
+        return poly
 
     def scale(self, factor) -> "BivarPoly":
         p, f = self.ctx.p, _to_triple(self.ctx, factor)  # a zero factor gives a row of None
@@ -229,8 +235,10 @@ class BivarPoly:
         """Multiply by p**m (m may be negative); p**0 gives self back unchanged."""
         if m == 0:
             return self
-        return BivarPoly._wrap(self.ctx, self.n, [None if t is None else (t[0] + m, t[1], t[2])
-                                                  for t in self.coeffs])
+        poly = object.__new__(BivarPoly)
+        poly.ctx, poly.n = self.ctx, self.n
+        poly.coeffs = tuple([None if t is None else (t[0] + m, t[1], t[2]) for t in self.coeffs])
+        return poly
 
     def substitute(self, u_value: PadicInt | int, v_value: PadicInt | int) -> PadicScaled:
         """Evaluate at ring elements (u, v) = (u_value, v_value).

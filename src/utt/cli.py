@@ -23,6 +23,8 @@ import io
 import json
 import os
 import sys
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .basis import BivarPoly, big_F, c_poly, f_poly, g_poly
 from .errors import UttError
@@ -207,14 +209,29 @@ def _csv_row(*fields: object) -> str:
     return buf.getvalue()
 
 
+def _json(value: object) -> str:
+    """json.dumps(value), with a str or an exact int rendered here."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return str(value)
+    return json.dumps(value)
+
+
 def emit_check(result: CheckResult, fmt: str) -> str:
     if fmt == "json":
-        out = {"check": result.name, "anchor": result.anchor, "pass": result.passed}
-        if result.params:
-            out["params"] = result.params
-        if result.detail:
-            out["detail"] = result.detail
-        return json.dumps(out)
+        # The bytes of json.dumps({"check", "anchor", "pass"[, "params"][, "detail"]}),
+        # which sets up an encoder per call; a run prints tens of thousands of records.
+        name, anchor, passed, params, detail = result
+        line = (f'{{"check": {_json_str(name)}, "anchor": {_json_str(anchor)}, '
+                f'"pass": {"true" if passed is True else _json(passed)}')
+        if params:  # every key is a str: a keyword or a literal name
+            fields = ", ".join([f"{_json_str(key)}: {_json(value)}" for key, value in params.items()])
+            line += f', "params": {{{fields}}}'
+        if detail:
+            line += f', "detail": {_json(detail)}'
+        return line + "}"
     if fmt == "csv":
         return _csv_row(result.name, result.anchor, "pass" if result.passed else "FAIL",
                         result.detail)
@@ -295,8 +312,15 @@ COMMANDS = {"matrix": cmd_matrix, "qbinom": cmd_qbinom, "basis": cmd_basis,
             "verify": cmd_verify, "all": cmd_verify}
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process; a parse leaves no state in it, and _resolve_prime
+    reads $UTT_DEFAULT_PRIME after it, on every call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _resolve_prime(args)
         code = COMMANDS[args.command](args)

@@ -167,6 +167,31 @@ def test_bivar_scale_p_shifts_only_the_valuation(terms):
         assert list(poly.scale_p(m).terms.items()) == want
 
 
+def _built_as_wrapped(poly: BivarPoly) -> bool:
+    """poly is what _wrap makes of its own weight and row, and its row does not end in None."""
+    wrapped = BivarPoly._wrap(poly.ctx, poly.n, poly.coeffs)
+    return ((poly.n, poly.coeffs) == (wrapped.n, wrapped.coeffs)
+            and (poly.coeffs[-1] is not None if poly.coeffs else poly.n is None))
+
+
+@settings(max_examples=300)
+@given(low_precision_terms(), low_precision_terms(), st.integers(-3, 3))
+def test_bivar_product_and_scale_p_need_no_trim(x, y, m):
+    """__mul__ and scale_p build their rows without _wrap's trim; the rows are the
+    ones _wrap would give, the product's agrees with the oracle, and a zero operand
+    gives zero."""
+    a, b = BivarPoly(LOW_CTX, x), BivarPoly(LOW_CTX, y)
+    product = a * b
+    assert _built_as_wrapped(product)
+    assert product.terms == dict(_triples(ref_bivar_product(_canonical(x), _canonical(y))))
+    assert (product.is_zero()) == (a.is_zero() or b.is_zero())
+    assert _built_as_wrapped(a.scale_p(m)) and _built_as_wrapped(product.scale_p(m))
+    assert a.scale_p(m).is_zero() == a.is_zero()
+    zero = BivarPoly.zero(LOW_CTX)
+    for z in (zero * a, a * zero, zero.scale_p(m)):
+        assert (z.n, z.coeffs) == (None, ())
+
+
 @settings(max_examples=200)
 @given(low_precision_terms())
 def test_psi_action_matches_reference(terms):

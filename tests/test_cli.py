@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import child_env
+from conftest import STANDARD_TRIPLES, child_env
 from utt import cli
 from utt.verify import ALL_ANCHORS, GROUPS, SUITES, CheckResult
 
@@ -326,6 +326,30 @@ def test_env_garbage_rejected(capsys, monkeypatch, argv):
     assert code == 2 and out == "" and "UTT_DEFAULT_PRIME" in err
 
 
+def test_main_builds_its_parser_once():
+    assert cli._parser() is cli._parser()
+    assert cli._parser().format_help() == cli.build_parser().format_help()
+
+
+def test_consecutive_main_calls_share_no_state(capsys, monkeypatch):
+    """The one parser keeps no flag, given set or prime from one call to the next."""
+    code, out, _ = run_cli(capsys, ["verify", "lower-g", "--kmax", "3"])
+    assert code == 0 and json.loads(out.splitlines()[0])["params"]["p"] == 3
+    code, out, err = run_cli(capsys, ["verify", "xn"])  # --kmax is not given here
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, ["verify", "xn", "--kmax", "3"])
+    assert (code, out) == (2, "") and "--kmax" in err
+    for prime in ("5", "3", "5"):
+        monkeypatch.setenv(cli.ENV_DEFAULT_PRIME, prime)
+        code, out, _ = run_cli(capsys, ["matrix", "D", "--W", "2"])
+        assert code == 0 and json.loads(out)["p"] == int(prime)
+    monkeypatch.delenv(cli.ENV_DEFAULT_PRIME)
+    code, out, _ = run_cli(capsys, ["basis", "c", "--k", "1", "--p", "5"])
+    assert code == 0
+    code, out, _ = run_cli(capsys, ["verify", "rpower", "--nmax", "1", "--W", "3"])
+    assert code == 0 and json.loads(out.splitlines()[0])["params"]["p"] == 3
+
+
 # ------------------------------------------------------------ determinism
 
 
@@ -493,3 +517,49 @@ def test_verify_csv_format(capsys):
     )
     assert code == 0
     assert out.splitlines()[-1].startswith("summary,")
+
+
+# ------------------------------------------------------------ json records
+
+
+def _json_of_dict(result: CheckResult) -> str:
+    """The json line as it was first rendered: json.dumps of a dict of the record's fields."""
+    out = {"check": result.name, "anchor": result.anchor, "pass": result.passed}
+    if result.params:
+        out["params"] = result.params
+    if result.detail:
+        out["detail"] = result.detail
+    return json.dumps(out)
+
+
+def test_json_records_are_the_bytes_of_json_dumps(monkeypatch, bench_workloads):
+    """Every record of `verify all` at the standard triples and of the deep basis run's
+    small argvs renders as json.dumps rendered the dict of its fields."""
+    argvs = [["verify", "all", "--p", str(p), "--q", str(q), "--N", str(N)]
+             for p, q, N in STANDARD_TRIPLES]
+    argvs += bench_workloads.WORKLOADS["basis-deep"].small_argvs(1)
+    emit, records = cli.emit_check, []
+    monkeypatch.setattr(cli, "emit_check", lambda result, fmt: records.append(result) or emit(result, fmt))
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    assert len(records) > 3 * 400
+    assert {type(v) for r in records for v in r.params.values()} == {int, str, list}
+    assert [r for r in records if emit(r, "json") != _json_of_dict(r)] == []
+
+
+@pytest.mark.parametrize("result", [
+    CheckResult('quote"/back\\slash', "§4.3 Theorem", True, {"why": 'say "hi"\\now'}),
+    CheckResult("new\nline\ttab\x01\x1f\x7f", "Lemma Rpower", False, {"s": "\r\n"},
+                "first mismatch at (0,1): 1 vs 2\n\u00e9\u2028\U0001f600"),
+    CheckResult("params/of-every-kind", "Lemma lower g", True,
+                {"ok": True, "no": False, "none": None, "f": 0.1, "big": 3**200, "neg": -7,
+                 "branches": ["high", "low"], "nested": [[1, "a"], {"k": 2.5}], "§": "§"}),
+    CheckResult("params/empty", "Eq. expand", True, {}),
+    CheckResult("params/default", "Eq. expand", False),
+    CheckResult("fail/detail", "Lemma alglem", False, {"m": 1}, "expected ['gt']"),
+    CheckResult("fail/no-detail", "Lemma alglem", False, {"m": 1}, ""),
+], ids=["quote-backslash-nonascii", "control-chars", "param-kinds", "empty-params",
+        "default-params", "failing-detail", "failing-no-detail"])
+def test_hand_made_json_records_are_the_bytes_of_json_dumps(result):
+    assert cli.emit_check(result, "json") == _json_of_dict(result)
