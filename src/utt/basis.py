@@ -32,6 +32,7 @@ from .padic import (
     PadicInt,
     PadicScaled,
     Triple,
+    _P_POWERS,
     _p_powers,
     nu_factorial,
     nu_int,
@@ -210,7 +211,9 @@ class BivarPoly:
         xs, ys = self.coeffs, other.coeffs
         if not xs or not ys:
             return BivarPoly.zero(ctx)
-        p, pw = ctx.p, _p_powers(ctx.p, ctx.N)
+        p, pw = ctx.p, _P_POWERS.get(ctx.p, ())
+        if len(pw) <= ctx.N:  # a miss: the table does not reach p**N yet
+            pw = _p_powers(p, ctx.N)
         acc: list[Triple] = [None] * (len(xs) + len(ys) - 1)
         for b2, y in enumerate(ys):
             if y is None:

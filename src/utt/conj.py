@@ -71,12 +71,17 @@ class AFormMatrix:
         """
         q_hat, m = ctx.q_hat_residue, ctx.modulus
         superdiag = [1] * (W - 1) if c_form else [_random_unit(ctx, rng) for _ in range(W - 1)]
+        getrandbits, k = rng.getrandbits, m.bit_length()
         flat = []
         for i in range(W):
             flat.append(pow(q_hat, i, m))
             flat.extend(superdiag[i:i + 1])
-            flat.extend(rng.randrange(m) for _ in range(i + 2, W))
-        return cls(UTWindow(ctx, W, flat))
+            for _ in range(i + 2, W):
+                r = getrandbits(k)
+                while r >= m:  # rng.randrange(m), drawn as it draws: k bits until below m
+                    r = getrandbits(k)
+                flat.append(r)
+        return cls(UTWindow._of_residues(ctx, W, tuple(flat)))
 
 
 def _random_unit(ctx: PadicContext, rng: random.Random) -> int:
@@ -150,7 +155,7 @@ def build_U(c_mat: AFormMatrix) -> UTWindow:
         for col in cols[i + 1:]:
             del col[0]
     flat.extend(row)
-    return UTWindow(ctx, W, flat)
+    return UTWindow._of_residues(ctx, W, tuple(flat))
 
 
 def verify_conjugation(c_mat: AFormMatrix) -> tuple[UTWindow, UTWindow, UTWindow]:

@@ -5,15 +5,16 @@ upper-triangular matrix.  Because such matrices are triangular, the
 window of a product equals the product of the windows: entry (i, j) of
 A*B only involves columns k with i <= k <= j, all inside the window.
 Every operation here leans on that exactness; nothing is approximated
-by the windowing itself.  A window packs its residues into one int once,
-for the product to read from its right factor and for ops.alpha to sum;
-inverse() and conj.build_U keep their own dot products.
+by the windowing itself.  A window packs its residues once, into one int
+for ops.alpha to sum and one int per row for the product to read from its
+right factor; inverse() and conj.build_U keep their own dot products.
 
 Row and column indices are 0-based throughout the package.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterable
 
@@ -35,13 +36,14 @@ class UTWindow:
     entry; entry() returns the stored residue.
 
     packed() is the residues as one int, a slot of slot_bytes() bytes per
-    entry, built on first use and kept; __eq__, residues() and rows() never
-    read it.  The product reads the packed form of its right factor: row i
-    of the product is the sum of the nonzero self(i, k) times row k cut out
-    of it, each moved to line up with row i.  A slot holds W * (p**N - 1)**2,
-    the largest sum it can receive, so no slot carries into the next.
-    inverse() keeps its own dot products, and so do conj.build_U and the
-    dense test oracle, so no check compares the kernel with itself.
+    entry, and packed_rows() the same slots as one int per row; both are
+    built together on first use and kept, and __eq__, residues() and rows()
+    never read them.  Row i of a product is the sum of the nonzero self(i, k)
+    times packed row k of the right factor, each moved to line up with row i.
+    A slot holds W * (p**N - 1)**2, the largest sum it can receive, so no
+    slot carries into the next.  inverse() keeps its own dot products, and
+    so do conj.build_U and the dense test oracle, so no check compares the
+    kernel with itself.
     No method changes a window's residues, but its attributes accept assignment.
     """
 
@@ -59,7 +61,7 @@ class UTWindow:
 
     @classmethod
     def _of_residues(cls, ctx: PadicContext, W: int, e: tuple[int, ...]) -> "UTWindow":
-        """A window over `e`, which must already be W*(W+1)/2 canonical residues."""
+        """A window over `e`, unchecked: W*(W+1)/2 canonical residues; tests/test_lint.py lists callers."""
         self = object.__new__(cls)
         self.ctx, self.W, self._e, self._packed = ctx, W, e, None
         return self
@@ -102,12 +104,23 @@ class UTWindow:
         """Bytes per slot of packed(): room for W * (p**N - 1)**2 without a carry."""
         return (2 * self.ctx.modulus.bit_length() + self.W.bit_length() + 7) // 8
 
-    def packed(self) -> int:
-        """All residues as one int, entry t of residues() in slot t; built once."""
+    def _pack(self) -> tuple[int, list[int]]:
+        """packed() and packed_rows(), both read from one byte string on first use and kept."""
         if self._packed is None:
-            nb = self.slot_bytes()
-            self._packed = int.from_bytes(b"".join([v.to_bytes(nb, "little") for v in self._e]), "little")
+            W, nb = self.W, self.slot_bytes()
+            buf = b"".join([v.to_bytes(nb, "little") for v in self._e])
+            ends = list(accumulate(range(W * nb, 0, -nb)))  # row k is W - k slots long
+            rows = [int.from_bytes(buf[start:end], "little") for start, end in zip([0] + ends, ends)]
+            self._packed = (int.from_bytes(buf, "little"), rows)
         return self._packed
+
+    def packed(self) -> int:
+        """All residues as one int, entry t of residues() in slot t."""
+        return self._pack()[0]
+
+    def packed_rows(self) -> list[int]:
+        """Row k as one int, entry (k, j) in slot j - k."""
+        return self._pack()[1]
 
     def columns(self) -> list[list[int]]:
         """Column j as the residues of the entries (0, j), (1, j), ..., (j, j)."""
@@ -125,35 +138,37 @@ class UTWindow:
 
     def __add__(self, other: "UTWindow") -> "UTWindow":
         self._check(other)
-        return UTWindow(self.ctx, self.W, [a + b for a, b in zip(self._e, other._e)])
+        m = self.ctx.modulus
+        return UTWindow._of_residues(self.ctx, self.W, tuple([(a + b) % m for a, b in zip(self._e, other._e)]))
 
     def scale(self, c: IntLike) -> "UTWindow":
-        c = self.ctx.residue(c)
-        return UTWindow(self.ctx, self.W, [c * a for a in self._e])
+        c, m = self.ctx.residue(c), self.ctx.modulus
+        return UTWindow._of_residues(self.ctx, self.W, tuple([c * a % m for a in self._e]))
 
     def __mul__(self, other: "UTWindow") -> "UTWindow":
         """Entry (i, j) is the sum over i <= k <= j of self(i, k) * other(k, j).
 
-        Packed row k of other is cut out of other.packed() by shift and mask:
-        the W - k slots from slot k*W - k*(k-1)/2, entry (k, j) in slot j - k.
         Row i of the product is the sum, over the nonzero self(i, k), of
-        self(i, k) times packed row k moved up by k - i slots, so entry (i, j)
-        lands in slot j - i.  A slot receives at most W products of residues
-        below m = p**N, so it stays below W * m**2 < 2**(8 * slot_bytes())
-        and never carries into the next.  Each row is unpacked once and
-        reduced once per entry.  Skipping the zero self(i, k) is what makes
+        self(i, k) times other's packed row k moved up by k - i slots, so
+        entry (i, j) lands in slot j - i.  A slot receives at most W products
+        of residues below m = p**N, so it stays below W * m**2 <
+        2**(8 * slot_bytes()) and never carries into the next: the slots
+        below the lowest set bit of the sum are zero, and are skipped in one
+        step.  Each row is unpacked once and reduced once per entry.
+        Skipping the zero self(i, k) and the leading zero slots is what makes
         the structured windows cheap: diagonal, shift, bidiagonal and banded.
         """
         self._check(other)
         W, m = self.W, self.ctx.modulus
-        width, whole = 8 * self.slot_bytes(), other.packed()
+        width, packed = 8 * self.slot_bytes(), other.packed_rows()
         mask = (1 << width) - 1
-        packed = [whole >> width * (k * W - k * (k - 1) // 2) & (1 << width * (W - k)) - 1
-                  for k in range(W)]
         out: list[int] = []
         for i, row in enumerate(self.rows()):
             acc = sum([a * packed[k] << width * (k - i) for k, a in enumerate(row, i) if a])
-            left = W - i
+            skip = max(0, ((acc & -acc).bit_length() - 1) // width)  # the zero slots below the low bit
+            out.extend([0] * skip)
+            acc >>= width * skip
+            left = W - i - skip
             while acc:
                 out.append((acc & mask) % m)
                 acc >>= width
@@ -190,15 +205,15 @@ class UTWindow:
             if row[0] % ctx.p == 0:
                 raise NotInvertibleError(f"diagonal entry ({d},{d}) is not a unit")
         inv_diag = [pow(row[0], -1, m) for row in rows]
+        tails = [row[1:] for row in rows]
         cols = []
         for j in range(W):
             col = [0] * (j + 1)
             col[j] = inv_diag[j]
             for i in range(j - 1, -1, -1):
-                acc = sum(map(mul, rows[i][1:], col[i + 1:]))
-                col[i] = -inv_diag[i] * acc % m
+                col[i] = -inv_diag[i] * sum(map(mul, tails[i], col[i + 1:])) % m
             cols.append(col)
-        return UTWindow(ctx, W, [cols[j][i] for i in range(W) for j in range(i, W)])
+        return UTWindow._of_residues(ctx, W, tuple([cols[j][i] for i in range(W) for j in range(i, W)]))
 
     def filtration_level(self) -> int:
         """Number of leading all-zero columns (0-based count).

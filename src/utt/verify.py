@@ -104,17 +104,24 @@ def _compare(name: str, anchor: str, lhs, rhs, ctx: PadicContext, **params) -> C
 
 
 def suite_qbinom_matrix(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckResult]:
-    """(D+S)**n against the q-binomial expansion sum_i [n,i] D**i S**(n-i)."""
+    """(D+S)**n against the q-binomial expansion sum_i [n,i] D**i S**(n-i).
+
+    (D+S)**n is the running left product R * R**(n-1), one window product
+    per n; suite_rpower multiplies in the other order, R**(n-1) * R.
+    """
     D, S, R = build_D(ctx, W), build_S(ctx, W), build_R(ctx, W)
     q_hat = ctx.q_hat()
-    d_pows, s_pows = [UTWindow.identity(ctx, W)], [UTWindow.identity(ctx, W)]
+    power = UTWindow.identity(ctx, W)
+    d_pows, s_pows = [power], [power]
     for _ in range(nmax):
         d_pows.append(d_pows[-1] * D)
         s_pows.append(s_pows[-1] * S)
     for n in range(nmax + 1):
+        if n:
+            power = R * power
         terms = ((d_pows[i] * s_pows[n - i]).scale(qbinom_eval(n, i, q_hat)) for i in range(n + 1))
         rhs = sum(terms, UTWindow.zero(ctx, W))
-        yield _compare(f"qbinom-matrix/n={n}", ANCHOR_QBINOM_MATRIX, R**n, rhs, ctx, n=n)
+        yield _compare(f"qbinom-matrix/n={n}", ANCHOR_QBINOM_MATRIX, power, rhs, ctx, n=n)
 
 
 def suite_rpower(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckResult]:

@@ -245,6 +245,33 @@ def test_conjugator_against_dense_oracle(ctx, w):
         assert dense_product(dense_product(b, a.to_window()), b.inverse()) == r
 
 
+@pytest.mark.parametrize("size", [1, 2, 5, 24])
+def test_trusted_windows_hold_canonical_residues(ctx, size):
+    """build_U, inverse, random, + and scale build windows unchecked: W(W+1)/2 residues in [0, p**N)."""
+    rng = random.Random(50 + size)
+    c = AFormMatrix.random(ctx, size, rng, c_form=True)
+    u = build_U(c)
+    windows = [c.to_window(), AFormMatrix.random(ctx, size, rng).to_window(), u, u.inverse(),
+               u + c.to_window(), u.scale(-1)]
+    for win in windows:
+        assert len(win.residues()) == size * (size + 1) // 2
+        assert all(type(v) is int and 0 <= v < ctx.modulus for v in win.residues())
+
+
+def test_own_dot_products_use_no_window_product(ctx, monkeypatch):
+    """inverse, build_U and the dense oracle never read the packed form nor call __mul__."""
+    c = AFormMatrix.random(ctx, 6, random.Random(61), c_form=True)
+    u, want_inverse = build_U(c), build_U(c).inverse()
+
+    def forbidden(*args):
+        raise AssertionError("the product kernel was reached")
+
+    for name in ("packed", "packed_rows", "__mul__"):
+        monkeypatch.setattr(UTWindow, name, forbidden)
+    assert build_U(c) == u and u.inverse() == want_inverse
+    assert dense_product(u, want_inverse) == UTWindow.identity(ctx, 6)
+
+
 def test_report_json_shape(ctx):
     """verify_conjugation hands the suite U and both sides of U*C = R*U."""
     c = AFormMatrix.random(ctx, 5, random.Random(7), c_form=True)

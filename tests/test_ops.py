@@ -72,6 +72,19 @@ def test_rpower_closed_matches_products(ctx):
                 assert rn.entry(s, j) == rpower_closed(ctx, n, s, j - s), (n, s, j)
 
 
+def test_large_powers_agree_on_every_route():
+    """R**n by squaring, the running products power * R and R * power, and the closed
+    formula agree for n <= 22 at W = 24, the config of the matrix-wide benchmark."""
+    ctx, W = make_context(3, 2, 40), 24
+    r = build_R(ctx, W)
+    right = left = UTWindow.identity(ctx, W)
+    for n in range(23):
+        if n:
+            right, left = right * r, r * left
+        closed = UTWindow.from_fn(ctx, W, lambda i, j: rpower_closed(ctx, n, i, j - i))
+        assert r**n == right == left == closed, n
+
+
 def test_rpower_closed_out_of_band(ctx):
     assert rpower_closed(ctx, 3, 0, 4) == 0
     assert rpower_closed(ctx, 3, 2, -1) == 0

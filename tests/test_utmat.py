@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_product, random_unit_diag_window, random_window, sub_window
 from utt.cli import emit_window
@@ -122,6 +124,58 @@ def test_packed_lays_the_residues_out_slot_by_slot(ctx):
     packed = w.packed()
     assert [packed >> 8 * nb * t & (1 << 8 * nb) - 1 for t in range(21)] == list(w.residues())
     assert packed >> 8 * nb * 21 == 0
+
+
+TOP_CTX = make_context(3, 2, 40)
+
+
+@st.composite
+def structured_windows(draw, W: int) -> UTWindow:
+    """A window at TOP_CTX of one of the shapes the product skips work on: diagonal,
+    a shift S^j, banded, zero rows, the zero window, or dense; entries often 1 or m - 1."""
+    m = TOP_CTX.modulus
+    kind = draw(st.sampled_from(["diagonal", "shift", "banded", "zero rows", "zero", "dense"]))
+    j, band = draw(st.integers(0, W - 1)), draw(st.integers(0, W - 1))
+    zero_rows = draw(st.sets(st.integers(0, W - 1)))
+    keep = {
+        "diagonal": lambda i, c: c == 0,
+        "shift": lambda i, c: c == j,
+        "banded": lambda i, c: c <= band,
+        "zero rows": lambda i, c: i not in zero_rows,
+        "zero": lambda i, c: False,
+        "dense": lambda i, c: True,
+    }[kind]
+    value = st.sampled_from([1, m - 1]) | st.integers(0, m - 1)
+    return UTWindow(TOP_CTX, W, [draw(value) if keep(i, c) else 0 for i in range(W) for c in range(W - i)])
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_mul_of_structured_windows_matches_dense_oracle(data):
+    """Leading zero slots are skipped and the right factor's packed rows are reused, exactly."""
+    W = data.draw(st.sampled_from([1, 2]) | st.integers(1, 9))
+    right = data.draw(structured_windows(W))
+    fresh = UTWindow(TOP_CTX, W, right.residues())
+    lefts = data.draw(st.lists(structured_windows(W), min_size=1, max_size=4)) + [right]
+    for left in lefts:
+        assert left * right == dense_product(left, fresh)
+        assert right * left == dense_product(fresh, left)
+    assert right == fresh and right.rows() == fresh.rows()
+
+
+@given(st.data())
+def test_packed_is_the_same_int_whichever_form_is_built_first(data):
+    """packed() (read by ops.alpha) and packed_rows() (read by the product) lay out the same slots."""
+    W = data.draw(st.integers(1, 9))
+    win = data.draw(structured_windows(W))
+    whole_first, rows_first = UTWindow(TOP_CTX, W, win.residues()), UTWindow(TOP_CTX, W, win.residues())
+    whole = whole_first.packed()
+    rows = rows_first.packed_rows()
+    assert rows_first.packed() == whole and whole_first.packed_rows() == rows
+    width = 8 * win.slot_bytes()
+    for row, packed_row in zip(win.rows(), rows):
+        assert [packed_row >> width * t & (1 << width) - 1 for t in range(len(row))] == list(row)
+        assert packed_row >> width * len(row) == 0
 
 
 def test_mul_by_zero_and_identity(ctx):
