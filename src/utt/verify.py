@@ -1,11 +1,12 @@
 """Named verification suites over the whole identity inventory.
 
 Each suite is a generator that runs a family of exact checks at one
-context and yields CheckResult records.  Every record carries a stable
-anchor label naming the identity family it exercises; the CLI
-serializes these records as JSON lines.  Checks are generated in a
-fixed order from the configuration alone, so two runs with the same
-configuration emit byte-identical reports.
+context and yields claims: plain (name, anchor, params, verdict) tuples.
+Suite.build turns every claim into a CheckResult record; no suite builds
+one.  Every record carries a stable anchor label naming the identity
+family it exercises; the CLI serializes these records as JSON lines.
+Checks are generated in a fixed order from the configuration alone, so
+two runs with the same configuration emit byte-identical reports.
 """
 
 from __future__ import annotations
@@ -60,19 +61,17 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-def _check(name: str, anchor: str, ok: bool, ctx: PadicContext,
-           detail: Callable[[], str] | None = None, **params) -> CheckResult:
-    """One report record; `detail` is called only when the check failed."""
-    params = {"p": ctx.p, "q": ctx.q, "N": ctx.N, **params}
-    return CheckResult(name, anchor, ok, params, "" if ok or detail is None else detail())
+# What a suite yields for one check: (name, anchor, params, verdict).  params holds the
+# suite's own keys in report order; the verdict is True, or else the failure's detail
+# ("" for none), so a suite writes `ok or <detail>` and the detail is built only on a
+# failure.  A plain tuple, as lower-g yields one per checked (m, n, i).
+Claim = tuple[str, str, dict[str, object], bool | str]
 
 
-def _coverage(prefix: str, anchor: str, ctx: PadicContext, kmax: int, hit: set, required) -> CheckResult:
+def _coverage(prefix: str, anchor: str, kmax: int, hit: set, required) -> Claim:
     """The branches a suite hit must be exactly its hand-derived reachable set."""
-    return _check(
-        f"{prefix}/branch-coverage", anchor, hit == set(required), ctx,
-        lambda: f"expected {sorted(required)}", kmax=kmax, branches=sorted(hit),
-    )
+    return (f"{prefix}/branch-coverage", anchor, {"kmax": kmax, "branches": sorted(hit)},
+            hit == set(required) or f"expected {sorted(required)}")
 
 
 def _mismatch(a: UTWindow | BivarPoly, b: UTWindow | BivarPoly) -> str:
@@ -96,14 +95,12 @@ def _mismatch(a: UTWindow | BivarPoly, b: UTWindow | BivarPoly) -> str:
     return ""
 
 
-def _compare(name: str, anchor: str, lhs, rhs, ctx: PadicContext, **params) -> CheckResult:
-    """The record of lhs == rhs for two windows or two polynomials; a window's W leads its params."""
-    if isinstance(lhs, UTWindow):
-        params = {"W": lhs.W, **params}
-    return _check(name, anchor, lhs == rhs, ctx, lambda: _mismatch(lhs, rhs), **params)
+def _agree(lhs: UTWindow | BivarPoly, rhs: UTWindow | BivarPoly) -> bool | str:
+    """The verdict of lhs == rhs for two windows or two polynomials."""
+    return lhs == rhs or _mismatch(lhs, rhs)
 
 
-def suite_qbinom_matrix(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckResult]:
+def suite_qbinom_matrix(ctx: PadicContext, W: int, nmax: int) -> Iterator[Claim]:
     """(D+S)**n against the q-binomial expansion sum_i [n,i] D**i S**(n-i).
 
     (D+S)**n is the running left product R * R**(n-1), one window product
@@ -121,10 +118,10 @@ def suite_qbinom_matrix(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckR
             power = R * power
         terms = ((d_pows[i] * s_pows[n - i]).scale(qbinom_eval(n, i, q_hat)) for i in range(n + 1))
         rhs = sum(terms, UTWindow.zero(ctx, W))
-        yield _compare(f"qbinom-matrix/n={n}", ANCHOR_QBINOM_MATRIX, power, rhs, ctx, n=n)
+        yield f"qbinom-matrix/n={n}", ANCHOR_QBINOM_MATRIX, {"W": W, "n": n}, _agree(power, rhs)
 
 
-def suite_rpower(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckResult]:
+def suite_rpower(ctx: PadicContext, W: int, nmax: int) -> Iterator[Claim]:
     """Closed entry formula for R**n against the iterated window product.
 
     R**n is the running product R**(n-1) * R, one window product per n.
@@ -135,10 +132,10 @@ def suite_rpower(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckResult]:
         if n:
             power = power * R
         closed = UTWindow.from_fn(ctx, W, lambda i, j: rpower_closed(ctx, n, i, j - i))
-        yield _compare(f"rpower/n={n}", ANCHOR_RPOWER, power, closed, ctx, n=n)
+        yield f"rpower/n={n}", ANCHOR_RPOWER, {"W": W, "n": n}, _agree(power, closed)
 
 
-def suite_xn(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckResult]:
+def suite_xn(ctx: PadicContext, W: int, nmax: int) -> Iterator[Claim]:
     """Vanishing pattern of X_n, then its three independent constructions.
 
     The entry-formula comparison is capped at n = 6; the vanishing and
@@ -148,19 +145,15 @@ def suite_xn(ctx: PadicContext, W: int, nmax: int) -> Iterator[CheckResult]:
     for n, xn in enumerate(windows):
         level_ok = xn.filtration_level() >= min(n, W)
         band_ok = not any(any(row[n + 1:]) for row in xn.rows())  # row[c] is entry (s, s+c)
-        yield _check(
-            f"xn/filtration/n={n}", ANCHOR_XN_FILTRATION, level_ok and band_ok, ctx,
-            lambda: f"filtration_ok={level_ok} band_ok={band_ok}", W=W, n=n,
-        )
+        yield (f"xn/filtration/n={n}", ANCHOR_XN_FILTRATION, {"W": W, "n": n},
+               level_ok and band_ok or f"filtration_ok={level_ok} band_ok={band_ok}")
     for n, direct in enumerate(windows[:7]):
         closed = UTWindow.from_fn(ctx, W, lambda i, j: xn_closed(ctx, n, i, j - i))
         expanded = xn_expand_binomial(ctx, n, W)
-        yield _check(
-            f"xn/entries/n={n}", ANCHOR_XN_ENTRIES, direct == closed == expanded, ctx,
-            lambda: f"closed={'ok' if direct == closed else _mismatch(direct, closed)}"
-            f" expanded={'ok' if direct == expanded else _mismatch(direct, expanded)}",
-            W=W, n=n,
-        )
+        yield (f"xn/entries/n={n}", ANCHOR_XN_ENTRIES, {"W": W, "n": n},
+               direct == closed == expanded
+               or f"closed={'ok' if direct == closed else _mismatch(direct, closed)}"
+               f" expanded={'ok' if direct == expanded else _mismatch(direct, expanded)}")
 
 
 ALPHA_TERMS = 10  # number of coefficients (beyond a_0) fed to alpha
@@ -169,7 +162,7 @@ ALPHA_TRIALS = 20  # random coefficient vectors per run
 E2E_TRIALS = 20  # random A-forms conjugated all the way onto R per run
 
 
-def suite_alpha(ctx: PadicContext, W: int, seed: int) -> Iterator[CheckResult]:
+def suite_alpha(ctx: PadicContext, W: int, seed: int) -> Iterator[Claim]:
     """Column-j output of alpha must not change once terms n > j are added."""
     rng = random.Random(seed)
     jmax = min(ALPHA_STABLE_COLS, W - 1)
@@ -179,39 +172,36 @@ def suite_alpha(ctx: PadicContext, W: int, seed: int) -> Iterator[CheckResult]:
         truncations = ((j, alpha(ctx, coeffs[: j + 1], W).rows()) for j in range(jmax + 1))
         unstable = next(((i, j) for j, part in truncations for i in range(j + 1)
                          if full[i][j - i] != part[i][j - i]), None)
-        yield _check(
-            f"alpha/stabilization/trial={t}", ANCHOR_ALPHA, unstable is None, ctx,
-            lambda: f"column {unstable[1]} unstable at row {unstable[0]}",
-            W=W, terms=ALPHA_TERMS, trial=t, seed=seed,
-        )
+        yield (f"alpha/stabilization/trial={t}", ANCHOR_ALPHA,
+               {"W": W, "terms": ALPHA_TERMS, "trial": t, "seed": seed},
+               unstable is None or f"column {unstable[1]} unstable at row {unstable[0]}")
 
 
-def suite_conjugation(ctx: PadicContext, W: int, trials: int, seed: int) -> Iterator[CheckResult]:
+def suite_conjugation(ctx: PadicContext, W: int, trials: int, seed: int) -> Iterator[Claim]:
     """U*C = R*U with U in the unit group on random C-forms, then full B*A*B**-1 = R."""
     rng = random.Random(seed)
     for t in range(trials):
         trial_seed = rng.getrandbits(32)
         u, lhs, rhs = verify_conjugation(AFormMatrix.random(ctx, W, random.Random(trial_seed), c_form=True))
         in_unit_group = all(row[0] % ctx.p == 1 for row in u.rows())
-        yield _check(
-            f"conjugation/uc-ru/trial={t}", ANCHOR_CONJUGATION, lhs == rhs and in_unit_group, ctx,
-            lambda: _mismatch(lhs, rhs) or "U is outside the unit group: diagonal not 1 mod p",
-            W=W, trial=t, seed=trial_seed,
-        )
+        yield (f"conjugation/uc-ru/trial={t}", ANCHOR_CONJUGATION,
+               {"W": W, "trial": t, "seed": trial_seed},
+               lhs == rhs and in_unit_group
+               or _mismatch(lhs, rhs) or "U is outside the unit group: diagonal not 1 mod p")
     R = build_R(ctx, W)
     for t in range(E2E_TRIALS):
         trial_seed = rng.getrandbits(32)
         a_mat = AFormMatrix.random(ctx, W, random.Random(trial_seed))
         b = conjugator(a_mat)
-        yield _compare(f"conjugation/end-to-end/trial={t}", ANCHOR_CONJUGATION,
-                       b * a_mat.to_window() * b.inverse(), R, ctx, trial=t, seed=trial_seed)
+        yield (f"conjugation/end-to-end/trial={t}", ANCHOR_CONJUGATION,
+               {"W": W, "trial": t, "seed": trial_seed}, _agree(b * a_mat.to_window() * b.inverse(), R))
 
 
 SAMPLE_TRIALS = 5  # substitution samples per polynomial
 G_EXPANSION_TRIALS = 3  # random combinations expanded over the g-basis
 
 
-def suite_integrality(ctx: PadicContext, kmax: int, seed: int) -> Iterator[CheckResult]:
+def suite_integrality(ctx: PadicContext, kmax: int, seed: int) -> Iterator[Claim]:
     """Both integrality conditions on f_k, with negative controls.
 
     Also pins the denominator valuation nu(prod (q_hat**k - q_hat**i))
@@ -221,38 +211,27 @@ def suite_integrality(ctx: PadicContext, kmax: int, seed: int) -> Iterator[Check
     rng = random.Random(seed)
     for k in range(kmax + 1):
         res = check_integrality(f_poly(ctx, k))
-        yield _check(
-            f"integrality/f/k={k}", ANCHOR_BASIS, res.cond1 and res.cond2, ctx,
-            lambda: f"cond1={res.cond1} cond2={res.cond2}", k=k,
-        )
+        yield (f"integrality/f/k={k}", ANCHOR_BASIS, {"k": k},
+               res.cond1 and res.cond2 or f"cond1={res.cond1} cond2={res.cond2}")
     for k in range(kmax + 1):
         # One extra division by p must break condition (1).
         res = check_integrality(big_F(ctx, 0, nu_factorial(ctx.p, k) + 1, k, raw=True))
-        yield _check(
-            f"integrality/overdivided/k={k}", ANCHOR_BASIS, not res.cond1, ctx,
-            lambda: "condition (1) unexpectedly held", k=k,
-        )
+        yield (f"integrality/overdivided/k={k}", ANCHOR_BASIS, {"k": k},
+               not res.cond1 or "condition (1) unexpectedly held")
     # On exact ints, as c_poly divides: a residue mod p**N saturates at N.
     q_hat = ctx.q ** (ctx.p - 1)
     for k in range(13):
         nu = nu_int(ctx.p, math.prod(q_hat**k - q_hat**i for i in range(k)))
         expected = nu_factorial(ctx.p, k) + k
-        yield _check(
-            f"integrality/denominator/k={k}", ANCHOR_BASIS, nu == expected, ctx,
-            lambda: f"valuation {nu} != {expected}", k=k,
-        )
+        yield (f"integrality/denominator/k={k}", ANCHOR_BASIS, {"k": k},
+               nu == expected or f"valuation {nu} != {expected}")
     for k in range(kmax + 1):
-        yield _check(
-            f"integrality/sampling/f/k={k}", ANCHOR_SUBRING,
-            sample_integrality(f_poly(ctx, k), SAMPLE_TRIALS, rng), ctx,
-            lambda: "sampled value escaped Z_p", k=k, trials=SAMPLE_TRIALS,
-        )
+        yield (f"integrality/sampling/f/k={k}", ANCHOR_SUBRING, {"k": k, "trials": SAMPLE_TRIALS},
+               sample_integrality(f_poly(ctx, k), SAMPLE_TRIALS, rng) or "sampled value escaped Z_p")
     negative = big_F(ctx, 0, nu_factorial(ctx.p, kmax) + 1, kmax, raw=True)
-    yield _check(
-        "integrality/sampling/negative", ANCHOR_SUBRING,
-        not sample_integrality(negative, SAMPLE_TRIALS, rng), ctx,
-        lambda: "sampling missed a non-integral polynomial", k=kmax, trials=SAMPLE_TRIALS,
-    )
+    yield ("integrality/sampling/negative", ANCHOR_SUBRING, {"k": kmax, "trials": SAMPLE_TRIALS},
+           not sample_integrality(negative, SAMPLE_TRIALS, rng)
+           or "sampling missed a non-integral polynomial")
     for t in range(G_EXPANSION_TRIALS):
         coeffs = [rng.randrange(ctx.modulus) for _ in range(kmax + 1)]
         f = sum((g_poly(ctx, kmax, s).scale(a) for s, a in enumerate(coeffs)), BivarPoly.zero(ctx))
@@ -261,11 +240,9 @@ def suite_integrality(ctx: PadicContext, kmax: int, seed: int) -> Iterator[Check
         mus = expand_in_g_basis(f)
         integral = all(mu.is_padic_integer() for mu in mus)
         rebuilt = sum((g_poly(ctx, kmax, s).scale(mu) for s, mu in enumerate(mus)), BivarPoly.zero(ctx))
-        yield _check(
-            f"integrality/g-expansion/trial={t}", ANCHOR_BASIS, integral and rebuilt == f, ctx,
-            lambda: f"integral={integral} reconstructed={'ok' if rebuilt == f else _mismatch(rebuilt, f)}",
-            n=kmax, trial=t, seed=seed,
-        )
+        yield (f"integrality/g-expansion/trial={t}", ANCHOR_BASIS, {"n": kmax, "trial": t, "seed": seed},
+               integral and rebuilt == f
+               or f"integral={integral} reconstructed={'ok' if rebuilt == f else _mismatch(rebuilt, f)}")
 
 
 def _action_branch(p: int, m: int, l: int) -> tuple[str, int]:
@@ -298,14 +275,14 @@ def reachable_action_branches(p: int, kmax: int) -> frozenset[str]:
     return frozenset(labels)
 
 
-def suite_action(ctx: PadicContext, kmax: int) -> Iterator[CheckResult]:
+def suite_action(ctx: PadicContext, kmax: int) -> Iterator[Claim]:
     """The substitution action on f_m and on every g-basis branch."""
     p, q_hat, M = ctx.p, ctx.q_hat_residue, ctx.modulus
     u = BivarPoly.u_hat(ctx)
     for m in range(1, kmax + 1):
         f = f_poly(ctx, m)
         rhs = f.scale(pow(q_hat, m, M)) + (u * f_poly(ctx, m - 1)).scale_p(nu_int(p, m))
-        yield _compare(f"action/f/m={m}", ANCHOR_ACTION_F, psi_action(f), rhs, ctx, m=m)
+        yield f"action/f/m={m}", ANCHOR_ACTION_F, {"m": m}, _agree(psi_action(f), rhs)
     hit: set[str] = set()
     diagonal = [(m, m) for m in range(kmax + 1)]
     for m, l in diagonal + [(m, l) for m in range(2, kmax + 1) for l in range(1, m)]:
@@ -314,11 +291,11 @@ def suite_action(ctx: PadicContext, kmax: int) -> Iterator[CheckResult]:
         g = g_poly(ctx, m, l)
         lhs = psi_action(g)
         rhs = g if m == 0 else g.scale(pow(q_hat, l, M)) + g_poly(ctx, m, l - 1).scale_p(exponent)
-        yield _compare(f"action/g/m={m},l={l}", ANCHOR_ACTION_G, lhs, rhs, ctx, m=m, l=l, branch=branch)
-    yield _coverage("action/g", ANCHOR_ACTION_G, ctx, kmax, hit, reachable_action_branches(p, kmax))
+        yield f"action/g/m={m},l={l}", ANCHOR_ACTION_G, {"m": m, "l": l, "branch": branch}, _agree(lhs, rhs)
+    yield _coverage("action/g", ANCHOR_ACTION_G, kmax, hit, reachable_action_branches(p, kmax))
 
 
-def suite_alglem(ctx: PadicContext, kmax: int) -> Iterator[CheckResult]:
+def suite_alglem(ctx: PadicContext, kmax: int) -> Iterator[Claim]:
     """(u/p)**nu(m!) * g_{m,i} re-expressed through f_i, both branches."""
     p = ctx.p
     hit: set[str] = set()
@@ -332,9 +309,9 @@ def suite_alglem(ctx: PadicContext, kmax: int) -> Iterator[CheckResult]:
             rhs = (f_poly(ctx, i) * BivarPoly.monomial(ctx, nu_m + m - i, 0)).scale_p(
                 -nu_i - beta(p, m, i)
             )
-            yield _compare(f"alglem/m={m},i={i}", ANCHOR_ALGLEM, lhs, rhs, ctx, m=m, i=i, branch=branch)
+            yield f"alglem/m={m},i={i}", ANCHOR_ALGLEM, {"m": m, "i": i, "branch": branch}, _agree(lhs, rhs)
     required = ({"gt"} if kmax >= 1 else set()) | ({"le"} if kmax >= p + 1 else set())
-    yield _coverage("alglem", ANCHOR_ALGLEM, ctx, kmax, hit, required)
+    yield _coverage("alglem", ANCHOR_ALGLEM, kmax, hit, required)
 
 
 def _lower_g_branch(nu_i: int, m: int, n: int, i: int) -> tuple[str, int]:
@@ -346,7 +323,7 @@ def _lower_g_branch(nu_i: int, m: int, n: int, i: int) -> tuple[str, int]:
     return "high", 0
 
 
-def suite_lower_g(ctx: PadicContext, kmax: int) -> Iterator[CheckResult]:
+def suite_lower_g(ctx: PadicContext, kmax: int) -> Iterator[Claim]:
     """u**(m-n) * g_{n,i} against the p-power multiple of g_{m,i}.
 
     At m = n both sides would be g_{n,i}, so there the right side is
@@ -356,7 +333,7 @@ def suite_lower_g(ctx: PadicContext, kmax: int) -> Iterator[CheckResult]:
     The checks run by columns of i: the column g_{i,i}, ..., g_{kmax,i}
     is built once and dropped before the next i, and each verdict and
     branch goes to its place in the report order (m, then n, then i),
-    which the records are then made in, reading both lists in order.
+    which the claims are then yielded in, reading both lists in order.
     """
     u_pows = [BivarPoly.monomial(ctx, d, 0) for d in range(kmax + 1)]
 
@@ -379,24 +356,16 @@ def suite_lower_g(ctx: PadicContext, kmax: int) -> Iterator[CheckResult]:
                 else:
                     rhs = column[m - i].scale_p(power)
                 k = slot(m, n, i)
-                verdicts[k], branches[k] = lhs == rhs or _mismatch(lhs, rhs), branch
-    # The records are built here, not by _check: they are nearly nine in ten of the
-    # records of a deep basis run, and the helper's keyword dict, merged params and
-    # second call cost about 3% of that run's time.
-    p, q, N = ctx.p, ctx.q, ctx.N
+                verdicts[k], branches[k] = _agree(lhs, rhs), branch
     k = 0
     for m in range(kmax + 1):
         for n in range(m + 1):
             for i in range(n + 1):
-                verdict = verdicts[k]
-                ok = verdict is True
-                yield CheckResult(f"lower-g/m={m},n={n},i={i}", ANCHOR_LOWER_G, ok,
-                                  {"p": p, "q": q, "N": N, "m": m, "n": n, "i": i, "branch": branches[k]},
-                                  "" if ok else verdict)
+                yield (f"lower-g/m={m},n={n},i={i}", ANCHOR_LOWER_G,
+                       {"m": m, "n": n, "i": i, "branch": branches[k]}, verdicts[k])
                 k += 1
-    hit = set(branches)
     required = {"low"} | ({"mid", "high"} if kmax >= 1 else set())
-    yield _coverage("lower-g", ANCHOR_LOWER_G, ctx, kmax, hit, required)
+    yield _coverage("lower-g", ANCHOR_LOWER_G, kmax, set(branches), required)
 
 
 # The flags each group of suites accepts, besides --p, --q, --N and --seed.
@@ -419,9 +388,9 @@ def _basis_precision(cfg: Mapping[str, int]) -> str | None:
 
 # A NamedTuple: at import its class builds in a tenth of a frozen dataclass's time.
 class Suite(NamedTuple):
-    """A suite function, its flag group, why a config is rejected (or None), its anchors."""
+    """A suite function yielding claims, its flag group, why a config is rejected (or None), its anchors."""
 
-    run: Callable[..., Iterator[CheckResult]]
+    run: Callable[..., Iterator[Claim]]
     group: str  # a key of GROUPS
     precondition: Callable[[Mapping[str, int]], str | None]
     anchors: tuple[str, ...]
@@ -430,10 +399,15 @@ class Suite(NamedTuple):
     def build(self, ctx: PadicContext, cfg: Mapping[str, int]) -> list[CheckResult]:
         """Run the suite on the configuration values its parameters after `ctx` name.
 
-        The records are collected here, so a suite that raises prints none of them.
+        Every record is made here, from one claim: its params are p, q and N,
+        then the claim's own.  The records are collected, so a suite that
+        raises prints none of them.
         """
         code = self.run.__code__
-        return list(self.run(ctx, *(cfg[key] for key in code.co_varnames[1:code.co_argcount])))
+        claims = self.run(ctx, *(cfg[key] for key in code.co_varnames[1:code.co_argcount]))
+        base = {"p": ctx.p, "q": ctx.q, "N": ctx.N}
+        return [CheckResult(name, anchor, v is True, {**base, **params}, "" if v is True else v)
+                for name, anchor, params, v in claims]
 
 
 # The suites in report order.  alpha reads no nmax, yet is held to W >= nmax + 2.
@@ -454,10 +428,10 @@ ALL_ANCHORS = frozenset(a for suite in SUITES.values() if suite.in_all for a in 
 
 
 def run_suites(ctx: PadicContext, names: list[str], cfg: Mapping[str, int]) -> Iterator[CheckResult]:
-    """Run the named suites in canonical order, yielding their results.
+    """Run the named suites in canonical order, yielding their records.
 
-    Only the suites are started lazily: Suite.build collects each one's
-    records into a list before the first of them is yielded.  On large
+    Only the suites are started lazily: Suite.build makes each one's records
+    from its claims, into a list, before the first is yielded.  On large
     configs that list is the suite's largest live object: lower-g at
     kmax = 40 holds one CheckResult per checked (m, n, i) until it ends.
 

@@ -29,3 +29,21 @@ def test_only_utmat_and_conj_build_unchecked_windows():
         if any(isinstance(node, ast.Attribute) and node.attr == "_of_residues" for node in ast.walk(tree)):
             callers.add(path.stem)
     assert callers == {"utmat", "conj"}
+
+
+def test_only_suite_build_makes_check_results():
+    """Suites yield claims and Suite.build makes every record from them: one CheckResult call."""
+    calls = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "CheckResult":
+                    calls.append(scope)
+            inner = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, f"{scope}.{child.name}" if inner else scope)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert calls == ["verify.Suite.build"]

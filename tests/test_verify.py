@@ -266,6 +266,43 @@ def test_polynomial_mismatch_between_two_valuations(ctx3):
     assert verify._mismatch(a, b) == "first mismatch at u^0v^1: (1, 2, 10) vs (3, 2, 10), nu_p(diff)=1"
 
 
+def test_suite_build_makes_each_record_from_its_claim(ctx3):
+    """A verdict of True passes with no detail; any string fails with it as the detail, "" too.
+    The params are p, q and N, then the claim's own keys in the claim's order."""
+    def entry(i, j):
+        return 10 * i + j + 1
+
+    base = UTWindow.from_fn(ctx3, 4, entry)
+    off = UTWindow.from_fn(ctx3, 4, lambda i, j: entry(i, j) + (9 if (i, j) == (1, 3) else 0))
+    a = BivarPoly(ctx3, {(0, 1): PadicScaled(ctx3, 1, 2, 10)})
+    b = BivarPoly(ctx3, {(0, 1): PadicScaled(ctx3, 3, 2, 10)})
+
+    def run(ctx):
+        yield "t/pass", "A", {"x": 1, "b": 2}, True
+        yield "t/detail", "A", {"b": 2, "x": 1}, "went wrong"
+        yield "t/empty", "B", {}, ""
+        yield "t/windows", "B", {"W": 4, "n": 0}, verify._agree(base, off)
+        yield "t/same", "B", {"W": 4}, verify._agree(base, UTWindow.from_fn(ctx3, 4, entry))
+        yield "t/polys", "C", {"m": 1}, verify._agree(a, b)
+
+    pqn = {"p": 3, "q": 2, "N": 20}
+    records = verify.Suite(run, "basis", lambda cfg: None, ("A", "B", "C")).build(ctx3, {"kmax": 1})
+    assert records == [
+        CheckResult("t/pass", "A", True, {**pqn, "x": 1, "b": 2}, ""),
+        CheckResult("t/detail", "A", False, {**pqn, "b": 2, "x": 1}, "went wrong"),
+        CheckResult("t/empty", "B", False, pqn, ""),
+        CheckResult("t/windows", "B", False, {**pqn, "W": 4, "n": 0},
+                    "first mismatch at (1,3): 14 vs 23, nu_p(diff)=2"),
+        CheckResult("t/same", "B", True, {**pqn, "W": 4}, ""),
+        CheckResult("t/polys", "C", False, {**pqn, "m": 1},
+                    "first mismatch at u^0v^1: (1, 2, 10) vs (3, 2, 10), nu_p(diff)=1"),
+    ]
+    # dict equality ignores key order, so the order is pinned apart
+    own = [["x", "b"], ["b", "x"], [], ["W", "n"], ["W"], ["m"]]
+    assert [list(r.params) for r in records] == [["p", "q", "N", *keys] for keys in own]
+    assert [type(r.passed) for r in records] == [bool] * 6
+
+
 def test_action_failure_names_the_faulty_coefficient(ctx3, monkeypatch):
     """psi(g_{4,2}) off by 3 at its first monomial fails action/g/m=4,l=2 alone, with nu_p(diff) = 1."""
     target, real = g_poly(ctx3, 4, 2), verify.psi_action
@@ -468,7 +505,7 @@ def test_rpower_records_are_pinned(ctx3):
                            {"p": 3, "q": 2, "N": 20, "W": 8, "n": n})
         for n in range(5)
     ]
-    assert list(verify.suite_rpower(ctx3, 8, 4)) == expected
+    assert SUITES["rpower"].build(ctx3, {"W": 8, "nmax": 4}) == expected
 
 
 def test_rpower_takes_one_window_product_per_power(ctx3, monkeypatch):
@@ -483,7 +520,7 @@ def test_rpower_takes_one_window_product_per_power(ctx3, monkeypatch):
 
     monkeypatch.setattr(UTWindow, "__mul__", counted)
     monkeypatch.setattr(UTWindow, "__pow__", None)
-    assert all(r.passed for r in verify.suite_rpower(ctx3, 8, 6))
+    assert all(r.passed for r in SUITES["rpower"].build(ctx3, {"W": 8, "nmax": 6}))
     assert products == 6
 
 
@@ -525,7 +562,7 @@ def test_xn_then_alpha_build_each_rn_once(monkeypatch, capsys):
 
 def _lower_g_by_triple_loop(ctx, kmax):
     """The lower-g suite as a plain loop over (m, n, i) in report order."""
-    p = ctx.p
+    p, q, N = ctx.p, ctx.q, ctx.N
     out = []
     hit = set()
     for m in range(kmax + 1):
@@ -541,10 +578,13 @@ def _lower_g_by_triple_loop(ctx, kmax):
                 hit.add(branch)
                 lhs = g_poly(ctx, n, i) * BivarPoly.monomial(ctx, m - n, 0)
                 rhs = g_poly(ctx, m, i).scale_p(exponent)
-                out.append(verify._check(f"lower-g/m={m},n={n},i={i}", verify.ANCHOR_LOWER_G, lhs == rhs,
-                                         ctx, m=m, n=n, i=i, branch=branch))
+                out.append(CheckResult(f"lower-g/m={m},n={n},i={i}", verify.ANCHOR_LOWER_G, lhs == rhs,
+                                       {"p": p, "q": q, "N": N, "m": m, "n": n, "i": i, "branch": branch}))
     required = {"low"} | ({"mid", "high"} if kmax >= 1 else set())
-    out.append(verify._coverage("lower-g", verify.ANCHOR_LOWER_G, ctx, kmax, hit, required))
+    covered = hit == required
+    out.append(CheckResult("lower-g/branch-coverage", verify.ANCHOR_LOWER_G, covered,
+                           {"p": p, "q": q, "N": N, "kmax": kmax, "branches": sorted(hit)},
+                           "" if covered else f"expected {sorted(required)}"))
     return out
 
 
@@ -553,7 +593,7 @@ def test_lower_g_by_columns_gives_the_triple_loop_report(triple):
     """Same names, params, verdicts and order as checking one (m, n, i) at a time."""
     ctx = make_context(*triple)
     for kmax in range(11):
-        assert list(verify.suite_lower_g(ctx, kmax)) == _lower_g_by_triple_loop(ctx, kmax), kmax
+        assert SUITES["lower-g"].build(ctx, {"kmax": kmax}) == _lower_g_by_triple_loop(ctx, kmax), kmax
 
 
 def test_lower_g_builds_each_g_once(ctx3, monkeypatch):
@@ -566,7 +606,7 @@ def test_lower_g_builds_each_g_once(ctx3, monkeypatch):
         return real(ctx, m, l)
 
     monkeypatch.setattr(verify, "g_poly", counted)
-    results = verify.suite_lower_g(ctx3, kmax)
+    results = SUITES["lower-g"].build(ctx3, {"kmax": kmax})
     assert all(r.passed for r in results)
     assert built == Counter({(n, i): 1 for n in range(kmax + 1) for i in range(n + 1)})
 
@@ -582,7 +622,7 @@ def test_corrupted_g_fails_exactly_the_records_that_read_it(ctx3, monkeypatch, n
         return g.scale(2) if (m, l) == (n0, i0) else g
 
     monkeypatch.setattr(verify, "g_poly", corrupted)
-    bad = [r for r in verify.suite_lower_g(ctx3, kmax) if not r.passed]
+    bad = [r for r in SUITES["lower-g"].build(ctx3, {"kmax": kmax}) if not r.passed]
     failed = {(r.params["m"], r.params["n"], r.params["i"]) for r in bad}
     reads = {(m, n, i0) for m in range(kmax + 1) for n in range(i0, m + 1) if n0 in (m, n)}
     assert (n0, n0, i0) in failed and failed == reads
@@ -598,7 +638,7 @@ def test_corrupted_f_fails_exactly_the_diagonal_lower_g_records(ctx3, monkeypatc
     kmax = 8
     real = verify.f_poly
     monkeypatch.setattr(verify, "f_poly", lambda ctx, k: real(ctx, k).scale(2) if k == i0 else real(ctx, k))
-    bad = [r for r in verify.suite_lower_g(ctx3, kmax) if not r.passed]
+    bad = [r for r in SUITES["lower-g"].build(ctx3, {"kmax": kmax}) if not r.passed]
     failed = {(r.params["m"], r.params["n"], r.params["i"]) for r in bad}
     assert failed == {(n, n, i0) for n in range(i0, kmax + 1)}
     for r in bad:
