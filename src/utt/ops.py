@@ -21,7 +21,7 @@ from typing import Sequence
 from .errors import BadIndexError
 from .padic import IntLike, PadicContext
 from .qcalc import binom, qbinom_eval, qbinom_residue
-from .utmat import UTWindow
+from .utmat import UTWindow, combination
 
 
 def build_D(ctx: PadicContext, W: int) -> UTWindow:
@@ -147,15 +147,9 @@ def alpha(ctx: PadicContext, coeffs: Sequence[IntLike], W: int) -> UTWindow:
     Column j of the result is already exact after the first j+1 terms:
     X_n kills the leading n columns, so all terms with n >= W are skipped
     outright.  Each X_n is read through build_Xn, from its chain cached per
-    (ctx, W), and the sum is taken on their packed() ints.  At most W terms
-    remain, each adding at most (m - 1)**2 to a slot, m = p**N, so a slot
-    of slot_bytes() bytes, room for W * (m - 1)**2, takes the sum without a
-    carry; each entry is read back and reduced once.
+    (ctx, W), and the at most W terms left are summed by utmat.combination.
     """
     if not coeffs:
         raise BadIndexError("alpha needs at least one coefficient")
-    residues = [ctx.residue(a) for a in coeffs][:W]
-    chain = [build_Xn(ctx, n, W) for n in range(len(residues))]
-    nb = chain[0].slot_bytes()
-    buf = sum([a * x.packed() for a, x in zip(residues, chain)]).to_bytes(nb * W * (W + 1) // 2, "little")
-    return UTWindow(ctx, W, [int.from_bytes(buf[t:t + nb], "little") for t in range(0, len(buf), nb)])
+    chain = [build_Xn(ctx, n, W) for n in range(min(len(coeffs), W))]
+    return combination(coeffs[:W], chain)

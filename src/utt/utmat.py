@@ -5,9 +5,9 @@ upper-triangular matrix.  Because such matrices are triangular, the
 window of a product equals the product of the windows: entry (i, j) of
 A*B only involves columns k with i <= k <= j, all inside the window.
 Every operation here leans on that exactness; nothing is approximated
-by the windowing itself.  A window packs its residues once, into one int
-for ops.alpha to sum and one int per row for the product to read from its
-right factor; inverse() and conj.build_U keep their own dot products.
+by the windowing itself.  A window packs its residues once, one int per
+row, which the product reads from its right factor and combination() sums;
+inverse() and conj.build_U keep their own dot products.
 
 Row and column indices are 0-based throughout the package.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     BadIndexError,
@@ -35,15 +35,15 @@ class UTWindow:
     once, works on plain ints, and reduces modulo p**N once per output
     entry; entry() returns the stored residue.
 
-    packed() is the residues as one int, a slot of slot_bytes() bytes per
-    entry, and packed_rows() the same slots as one int per row; both are
-    built together on first use and kept, and __eq__, residues() and rows()
-    never read them.  Row i of a product is the sum of the nonzero self(i, k)
-    times packed row k of the right factor, each moved to line up with row i.
-    A slot holds W * (p**N - 1)**2, the largest sum it can receive, so no
-    slot carries into the next.  inverse() keeps its own dot products, and
-    so do conj.build_U and the dense test oracle, so no check compares the
-    kernel with itself.
+    packed_rows() is the residues as one int per row, a slot of slot_bytes()
+    bytes per entry, built on first use and kept; __eq__, residues() and
+    rows() never read it.  A product sums the nonzero self(i, k) times packed
+    row k of the right factor, moved to line up with row i, and combination()
+    sums up to W packed rows i, each times a coefficient.  A slot holds
+    W * (p**N - 1)**2, the most either puts in it, so no slot carries into the
+    next, and _read_rows() reads both back.  inverse() keeps its own dot
+    products, and so do conj.build_U and the dense test oracle, so no check
+    compares the kernel with itself.
     No method changes a window's residues, but its attributes accept assignment.
     """
 
@@ -101,26 +101,35 @@ class UTWindow:
         return out
 
     def slot_bytes(self) -> int:
-        """Bytes per slot of packed(): room for W * (p**N - 1)**2 without a carry."""
+        """Bytes per slot of packed_rows(): room for W * (p**N - 1)**2 without a carry."""
         return (2 * self.ctx.modulus.bit_length() + self.W.bit_length() + 7) // 8
 
-    def _pack(self) -> tuple[int, list[int]]:
-        """packed() and packed_rows(), both read from one byte string on first use and kept."""
+    def packed_rows(self) -> list[int]:
+        """Row k as one int, entry (k, j) in slot j - k; read from one byte string on first use and kept."""
         if self._packed is None:
             W, nb = self.W, self.slot_bytes()
             buf = b"".join([v.to_bytes(nb, "little") for v in self._e])
             ends = list(accumulate(range(W * nb, 0, -nb)))  # row k is W - k slots long
-            rows = [int.from_bytes(buf[start:end], "little") for start, end in zip([0] + ends, ends)]
-            self._packed = (int.from_bytes(buf, "little"), rows)
+            self._packed = [int.from_bytes(buf[start:end], "little") for start, end in zip([0] + ends, ends)]
         return self._packed
 
-    def packed(self) -> int:
-        """All residues as one int, entry t of residues() in slot t."""
-        return self._pack()[0]
-
-    def packed_rows(self) -> list[int]:
-        """Row k as one int, entry (k, j) in slot j - k."""
-        return self._pack()[1]
+    def _read_rows(self, sums: list[int]) -> "UTWindow":
+        """The window of self's context and size with entry (i, i + t) read from slot t of sums[i]."""
+        W, m = self.W, self.ctx.modulus
+        width = 8 * self.slot_bytes()
+        mask = (1 << width) - 1
+        out: list[int] = []
+        for i, acc in enumerate(sums):
+            skip = max(0, ((acc & -acc).bit_length() - 1) // width)  # the zero slots below the low bit
+            out.extend([0] * skip)
+            acc >>= width * skip
+            left = W - i - skip
+            while acc:
+                out.append((acc & mask) % m)
+                acc >>= width
+                left -= 1
+            out.extend([0] * left)
+        return UTWindow._of_residues(self.ctx, W, tuple(out))
 
     def columns(self) -> list[list[int]]:
         """Column j as the residues of the entries (0, j), (1, j), ..., (j, j)."""
@@ -150,31 +159,14 @@ class UTWindow:
 
         Row i of the product is the sum, over the nonzero self(i, k), of
         self(i, k) times other's packed row k moved up by k - i slots, so
-        entry (i, j) lands in slot j - i.  A slot receives at most W products
-        of residues below m = p**N, so it stays below W * m**2 <
-        2**(8 * slot_bytes()) and never carries into the next: the slots
-        below the lowest set bit of the sum are zero, and are skipped in one
-        step.  Each row is unpacked once and reduced once per entry.
+        entry (i, j) lands in slot j - i; _read_rows() reads it back.
         Skipping the zero self(i, k) and the leading zero slots is what makes
         the structured windows cheap: diagonal, shift, bidiagonal and banded.
         """
         self._check(other)
-        W, m = self.W, self.ctx.modulus
         width, packed = 8 * self.slot_bytes(), other.packed_rows()
-        mask = (1 << width) - 1
-        out: list[int] = []
-        for i, row in enumerate(self.rows()):
-            acc = sum([a * packed[k] << width * (k - i) for k, a in enumerate(row, i) if a])
-            skip = max(0, ((acc & -acc).bit_length() - 1) // width)  # the zero slots below the low bit
-            out.extend([0] * skip)
-            acc >>= width * skip
-            left = W - i - skip
-            while acc:
-                out.append((acc & mask) % m)
-                acc >>= width
-                left -= 1
-            out.extend([0] * left)
-        return UTWindow._of_residues(self.ctx, W, tuple(out))
+        return self._read_rows([sum([a * packed[k] << width * (k - i) for k, a in enumerate(row, i) if a])
+                                for i, row in enumerate(self.rows())])
 
     def __pow__(self, k: int) -> "UTWindow":
         """k-th power by left-to-right squaring from self, k >= 0.
@@ -233,3 +225,17 @@ class UTWindow:
 
     def __repr__(self) -> str:
         return f"UTWindow(W={self.W}, p={self.ctx.p}^{self.ctx.N})"
+
+
+def combination(coeffs: Sequence[IntLike], windows: Sequence[UTWindow]) -> UTWindow:
+    """sum_n coeffs[n] * windows[n] on packed rows; each coefficient is a ring value of their context.
+
+    A term adds at most (p**N - 1)**2 to a slot of room W * (p**N - 1)**2: len(coeffs) == len(windows) <= W.
+    """
+    if not windows or not len(coeffs) == len(windows) <= windows[0].W:
+        raise SizeMismatchError(f"{len(coeffs)} coefficients for {len(windows)} windows, at most W of each")
+    first = windows[0]
+    for w in windows[1:]:
+        first._check(w)
+    residues = [first.ctx.residue(c) for c in coeffs]
+    return first._read_rows([sum(map(mul, residues, col)) for col in zip(*[w.packed_rows() for w in windows])])

@@ -31,6 +31,20 @@ def test_only_utmat_and_conj_build_unchecked_windows():
     assert callers == {"utmat", "conj"}
 
 
+def test_only_utmat_knows_the_slot_layout():
+    """The packed rows, their slot width and their read-back are a decision of utmat alone:
+    no other module names them, nor packs or unpacks ints through bytes itself."""
+    layout = {"packed_rows", "slot_bytes", "_read_rows", "to_bytes", "from_bytes"}
+    readers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if names & layout:
+            readers.add(path.stem)
+    assert readers == {"utmat"}
+
+
 def test_only_suite_build_makes_check_results():
     """Suites yield claims and Suite.build makes every record from them: one CheckResult call."""
     calls = []

@@ -267,7 +267,7 @@ def test_alpha_matches_dense_chain_sum(ctx):
 
 
 def test_alpha_and_products_share_the_packed_chain_windows(ctx, cold_chain):
-    """The product and alpha read one memoised packed form of each chain window, in either order."""
+    """The product and alpha's combination read one memoised packed_rows() of each chain window, either order."""
     size, rng = 8, random.Random(13)
     coeffs = [rng.randrange(ctx.modulus) for _ in range(size)]
     want = UTWindow.zero(ctx, size)

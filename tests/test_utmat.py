@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import dense_product, random_unit_diag_window, random_window, sub_window
 from utt.cli import emit_window
-from utt.errors import BadIndexError, ContextMismatchError, NotInvertibleError
+from utt.errors import BadIndexError, ContextMismatchError, NotInvertibleError, SizeMismatchError
 from utt.ops import build_D, build_R, build_S
 from utt.padic import make_context
-from utt.utmat import UTWindow
+from utt.utmat import UTWindow, combination
 
 # ------------------------------------------------------------ construction
 
@@ -102,7 +102,7 @@ def test_mul_of_all_top_residues_matches_dense_oracle(p, q, N, W):
     want = dense_product(top, top)
     assert top * top == want
     warm = UTWindow(ctx, W, top.residues())
-    warm.packed()  # the memo is built before the product reads it
+    warm.packed_rows()  # the memo is built before the product reads it
     assert top * warm == want
 
 
@@ -114,16 +114,7 @@ def test_packed_right_operand_serves_every_product(ctx):
     lefts = [random_window(ctx, 7, rng) for _ in range(3)] + [build_R(ctx, 7), right]
     for left in lefts:
         assert left * right == dense_product(left, fresh)
-    assert right == fresh and right.rows() == fresh.rows() and right.packed() == fresh.packed()
-
-
-def test_packed_lays_the_residues_out_slot_by_slot(ctx):
-    w = random_window(ctx, 6, random.Random(41))
-    nb = w.slot_bytes()
-    assert 2 ** (8 * nb) > w.W * (ctx.modulus - 1) ** 2
-    packed = w.packed()
-    assert [packed >> 8 * nb * t & (1 << 8 * nb) - 1 for t in range(21)] == list(w.residues())
-    assert packed >> 8 * nb * 21 == 0
+    assert right == fresh and right.rows() == fresh.rows() and right.packed_rows() == fresh.packed_rows()
 
 
 TOP_CTX = make_context(3, 2, 40)
@@ -163,19 +154,68 @@ def test_mul_of_structured_windows_matches_dense_oracle(data):
     assert right == fresh and right.rows() == fresh.rows()
 
 
+@settings(max_examples=40)
 @given(st.data())
-def test_packed_is_the_same_int_whichever_form_is_built_first(data):
-    """packed() (read by ops.alpha) and packed_rows() (read by the product) lay out the same slots."""
-    W = data.draw(st.integers(1, 9))
-    win = data.draw(structured_windows(W))
-    whole_first, rows_first = UTWindow(TOP_CTX, W, win.residues()), UTWindow(TOP_CTX, W, win.residues())
-    whole = whole_first.packed()
-    rows = rows_first.packed_rows()
-    assert rows_first.packed() == whole and whole_first.packed_rows() == rows
-    width = 8 * win.slot_bytes()
-    for row, packed_row in zip(win.rows(), rows):
-        assert [packed_row >> width * t & (1 << width) - 1 for t in range(len(row))] == list(row)
-        assert packed_row >> width * len(row) == 0
+def test_packed_lays_the_residues_out_slot_by_slot(ctx, data):
+    """Packed row k holds entry (k, j) in slot j - k and nothing above, in a random and a structured window."""
+    structured = data.draw(structured_windows(data.draw(st.integers(1, 9))))
+    for w in (random_window(ctx, 6, random.Random(41)), structured):
+        width = 8 * w.slot_bytes()
+        assert 2 ** width > w.W * (w.ctx.modulus - 1) ** 2
+        rows = w.packed_rows()
+        assert len(rows) == w.W
+        for row, packed_row in zip(w.rows(), rows):
+            assert [packed_row >> width * t & (1 << width) - 1 for t in range(len(row))] == list(row)
+            assert packed_row >> width * len(row) == 0
+
+
+def _scaled_sum(coeffs, windows):
+    """The oracle of combination(): a fold of + and scale, which never reads a packed row."""
+    want = UTWindow.zero(windows[0].ctx, windows[0].W)
+    for c, w in zip(coeffs, windows):
+        want = want + w.scale(c)
+    return want
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_combination_matches_the_sum_of_scaled_windows(data):
+    """1..W terms at W in {1, 2, 9, 24} from a pool of structured windows; coefficients often 0, 1 or m - 1."""
+    W = data.draw(st.sampled_from([1, 2, 9, 24]))
+    pool = data.draw(st.lists(structured_windows(W), min_size=1, max_size=3 if W < 24 else 2))
+    n, m = data.draw(st.integers(1, W)), TOP_CTX.modulus
+    windows = [pool[data.draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
+    coeff = st.sampled_from([0, 1, m - 1]) | st.integers(-2 * m, 2 * m)
+    coeffs = [data.draw(coeff) for _ in range(n)]
+    assert combination(coeffs, windows) == _scaled_sum(coeffs, windows)
+    assert combination([TOP_CTX.from_int(c) for c in coeffs], windows) == _scaled_sum(coeffs, windows)
+
+
+@pytest.mark.parametrize("p,q,N", [(3, 2, 40), (101, 2, 12)])
+@pytest.mark.parametrize("W", [1, 2, 9, 24])
+def test_combination_of_all_top_terms_fills_every_slot_to_its_bound(p, q, N, W):
+    """W windows of entries m - 1, each times m - 1: each slot gets W * (m - 1)**2, and each entry is W mod m."""
+    ctx = make_context(p, q, N)
+    m = ctx.modulus
+    top = UTWindow(ctx, W, [m - 1] * (W * (W + 1) // 2))
+    got = combination([m - 1] * W, [top] * W)
+    assert got == _scaled_sum([m - 1] * W, [top] * W)
+    assert got.residues() == (W % m,) * (W * (W + 1) // 2)
+
+
+def test_combination_rejects_too_many_unequal_or_foreign_terms(ctx):
+    W = 4
+    wins = [random_window(ctx, W, random.Random(70 + n)) for n in range(W + 1)]
+    for coeffs, windows in (([1] * (W + 1), wins), ([1, 2], wins[:3]), ([1, 2, 3], wins[:2]), ([], [])):
+        with pytest.raises(SizeMismatchError):
+            combination(coeffs, windows)
+    with pytest.raises(SizeMismatchError):
+        combination([1, 1], [wins[0], random_window(ctx, W + 1, random.Random(75))])
+    other = make_context(5 if ctx.p != 5 else 3, 2, 20)
+    with pytest.raises(ContextMismatchError):
+        combination([1, 1], [wins[0], random_window(other, W, random.Random(76))])
+    with pytest.raises(ContextMismatchError):
+        combination([1, other.one()], wins[:2])
 
 
 def test_mul_by_zero_and_identity(ctx):
