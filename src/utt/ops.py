@@ -151,5 +151,5 @@ def alpha(ctx: PadicContext, coeffs: Sequence[IntLike], W: int) -> UTWindow:
     """
     if not coeffs:
         raise BadIndexError("alpha needs at least one coefficient")
-    chain = [build_Xn(ctx, n, W) for n in range(min(len(coeffs), W))]
-    return combination(coeffs[:W], chain)
+    residues = [ctx.residue(a) for a in coeffs][:W]  # every coefficient is checked, also those past W
+    return combination(residues, [build_Xn(ctx, n, W) for n in range(len(residues))])

@@ -304,6 +304,8 @@ def test_alpha_rejects_bad_input(ctx):
         alpha(ctx, [ctx.one(), other.one()], 4)
     with pytest.raises(ContextMismatchError):
         alpha(ctx, [other.one(), 1], 4)
+    with pytest.raises(ContextMismatchError):
+        alpha(ctx, [1] * 4 + [other.one()], 4)  # a term past W is skipped, but its coefficient is checked
 
 
 # ------------------------------------------------------- the cached X_n chain
