@@ -203,6 +203,18 @@ def test_combination_of_all_top_terms_fills_every_slot_to_its_bound(p, q, N, W):
     assert got.residues() == (W % m,) * (W * (W + 1) // 2)
 
 
+def test_a_slot_holding_only_its_top_bit_is_read_back():
+    """At m = 27 and W = 49 a slot is 16 bits, and 48 * 26 * 26 + 20 * 16 = 2**15 sets its top bit alone:
+    the zero-slot skip must stop below that slot, not step over it."""
+    ctx, W = make_context(3, 2, 3), 49
+    full, low = (UTWindow(ctx, W, [v] * (W * (W + 1) // 2)) for v in (26, 16))
+    coeffs, windows = [26] * (W - 1) + [20], [full] * (W - 1) + [low]
+    assert 48 * 26 * 26 + 20 * 16 == 2 ** (8 * full.slot_bytes() - 1)
+    got = combination(coeffs, windows)
+    assert got == _scaled_sum(coeffs, windows)
+    assert got.residues() == (2**15 % 27,) * (W * (W + 1) // 2)
+
+
 def test_combination_rejects_too_many_unequal_or_foreign_terms(ctx):
     W = 4
     wins = [random_window(ctx, W, random.Random(70 + n)) for n in range(W + 1)]
